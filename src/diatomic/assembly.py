@@ -65,6 +65,8 @@ def assembly_enclose(bits: str, n: int) -> Enclosure:
     The width is exactly 1 / (q4 * q3) for the quadruple at the truncated
     address, so it shrinks to 0 as n grows.
     """
+    if n < 0:
+        raise OutOfRange(f"n must be >= 0, got {n}")
     if len(bits) < n:
         raise InsufficientBits(f"need {n} bits, got {len(bits)}")
     if bits.strip("01"):

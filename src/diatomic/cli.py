@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import assembly, derivative, design, matrix, quadratic
-from .errors import DomainError
+from .errors import DesignSyntaxError, DomainError, OutOfRange
 from .rational import parse_fraction, parse_ratio
 
 
@@ -52,7 +52,11 @@ def _design_from_ratio(text: str) -> design.Design:
     text = text.strip()
     if "/" in text and text != "1/0":
         a, b = text.split("/", 1)
-        return design.euclidean_design(int(a), int(b))
+        try:
+            a, b = int(a), int(b)
+        except ValueError as exc:
+            raise DesignSyntaxError(f"bad ratio {text!r}") from exc
+        return design.euclidean_design(a, b)
     return assembly.assembly_inverse(parse_ratio(text))
 
 
@@ -109,6 +113,8 @@ def _cmd_assembly(args) -> tuple[str, dict]:
         return human, {"lo": str(e.lo), "hi": str(e.hi), "bits_used": e.bits_used}
     # sample --grid k
     k = args.grid
+    if k < 0:
+        raise OutOfRange(f"grid depth must be >= 0, got {k}")
     rows = []
     for m in range(1 << k):
         v = assembly.assembly_dyadic(m, k)

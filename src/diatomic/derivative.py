@@ -63,6 +63,8 @@ def quotient_scan(eta: Fraction, side: Side, jmax: int) -> QuotientScan:
     """
     if not 0 < eta < 1:
         raise OutOfRange(f"eta must lie in (0, 1), got {eta}")
+    if jmax < 1:
+        raise OutOfRange(f"jmax must be >= 1, got {jmax}")
     sgn = 1 if side is Side.RIGHT else -1
     samples = []
     if _is_dyadic(eta):

@@ -220,7 +220,7 @@ def test_criterion_11a_derivative_divergence_and_bound():
 
 def test_criterion_11b_vanishing_threshold_as_stated():
     # the stated threshold: the quotient at h = 2**-20 is below 10**-3.
-    # The exact value is ~0.0332 (it first drops below 10**-3 at n = 17),
+    # The exact value is ~0.0332 (it first drops below 10**-3 at h = 2**-34),
     # so this assertion records the criterion faithfully and fails.
     scan = quotient_scan(Fraction(2, 3), Side.RIGHT, 20)
     quotient = scan.samples[-1][1]

@@ -93,6 +93,8 @@ def test_enclosure_needs_enough_bits():
     with pytest.raises(OutOfRange):
         assembly_enclose("10x", 2)
     with pytest.raises(OutOfRange):
+        assembly_enclose("1", -1)
+    with pytest.raises(OutOfRange):
         assembly_of_rational_theta(Fraction(7, 5))
 
 

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from diatomic.cli import main
 
 
@@ -111,6 +113,19 @@ def test_boundary_values(capsys):
     assert run(capsys, "assembly", "eval", "1")[1].strip() == "inf"
     assert run(capsys, "assembly", "inverse", "inf")[1].strip() == "t theta=1"
     assert run(capsys, "assembly", "inverse", "0")[1] == " theta=0\n"
+    assert run(capsys, "assembly", "sample", "--grid", "0")[1].strip() == "0,1,0,1"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("assembly", "enclose", "1", "--n", "-1"), "OutOfRange"),
+    (("deriv", "scan", "1/2", "--jmax", "-3"), "OutOfRange"),
+    (("deriv", "scan", "1/2", "--jmax", "0"), "OutOfRange"),
+    (("assembly", "sample", "--grid", "-1"), "OutOfRange"),
+    (("design", "from-ratio", "x/3"), "DesignSyntaxError"),
+])
+def test_bad_input_names_its_domain_error(capsys, argv, error):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and f"error: {error}:" in err
 
 
 def test_deterministic_output(capsys):

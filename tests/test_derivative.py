@@ -65,6 +65,9 @@ def test_scan_rejects_endpoints():
         quotient_scan(Fraction(0), Side.RIGHT, 3)
     with pytest.raises(OutOfRange):
         quotient_scan(Fraction(3, 2), Side.LEFT, 3)
+    for jmax in (0, -3):
+        with pytest.raises(OutOfRange):
+            quotient_scan(Fraction(1, 2), Side.RIGHT, jmax)
 
 
 def test_dyadic_quotients_blow_up_everywhere():
