@@ -1,17 +1,41 @@
 """Integer kernels.
 
-These four loops dominate the exhaustive scans (table rows, word/matrix
-round trips).  Inputs are pre-validated by the public modules.  All
-arithmetic is on Python ints, so there is no magnitude limit.
+Each kernel forms one product of 2x2 integer matrices, or factors one back
+into its word: the generators U("1") = (1 1; 0 1) and U("0") = (1 0; 1 1)
+for the sequence pair and the word <-> matrix maps, and (k 1; 1 0) for the
+continuant fold.  Short inputs run a linear loop, one letter or item at a
+time.  Above a measured cutoff the products are built as a balanced tree, so
+the large multiplications fall where CPython's Karatsuba pays, and the
+factoring peels by a half-gcd on the top bits.  Inputs are pre-validated by
+the public modules.  All arithmetic is on Python ints, so there is no
+magnitude limit.
 """
 
 BACKEND = "python"
 
+# Cutoffs, each where the fast route overtook its kernel's linear loop when
+# timed on random words and their run lengths (Python 3.11, see CHANGES.md).
+_LEAF_BITS = 128  # word letters per tree leaf; stern_pair takes the tree above one leaf
+_WORD_BITS = 768  # word_matrix: word length above which the tree runs
+_LEAF_ITEMS = 64  # continuant items per tree leaf
+_CONT_ITEMS = 3072  # continuant_pair: list length above which the tree runs
+_HGCD_BITS = 4096  # matrix_word: entry size above which the half-gcd runs
+_PEEL_BITS = 384  # half-gcd: pair size peeled run by run
+
+_FLIP = str.maketrans("01", "10")
+
 
 def stern_pair(m):
-    """Return (a_m, a_{m+1}) of the diatomic sequence in O(bit_length) steps."""
+    """Return (a_m, a_{m+1}) of the diatomic sequence.
+
+    The pair is the bottom row of the generator product along the
+    complement of bin(m), so long indices go through the product tree.
+    """
+    n = m.bit_length()
+    if n > _LEAF_BITS:
+        return _product(_word_leaves(format(m, "b").translate(_FLIP)))[2:]
     a, b = 0, 1
-    for k in range(m.bit_length() - 1, -1, -1):
+    for k in range(n - 1, -1, -1):
         if (m >> k) & 1:
             a, b = a + b, b
         else:
@@ -21,6 +45,11 @@ def stern_pair(m):
 
 def continuant_pair(ks):
     """Fold the continuant recursion; return (value of ks[:-1], value of ks)."""
+    if len(ks) > _CONT_ITEMS:
+        # (value, value of ks[:-1]) is the top row of the product of (k 1; 1 0).
+        leaves = [_continuant_leaf(ks[i:i + _LEAF_ITEMS]) for i in range(0, len(ks), _LEAF_ITEMS)]
+        cur, prev, _, _ = _product(leaves)
+        return prev, cur
     prev, cur = 0, 1
     for x in ks:
         prev, cur = cur, cur * x + prev
@@ -29,6 +58,8 @@ def continuant_pair(ks):
 
 def word_matrix(bits):
     """Product of the two generator matrices along a 0/1 word, row-major 2x2."""
+    if len(bits) > _WORD_BITS:
+        return _product(_word_leaves(bits))
     a, b, c, d = 1, 0, 0, 1
     for ch in bits:
         if ch == "1":
@@ -44,8 +75,11 @@ def matrix_word(a, b, c, d):
     """Factor a nonnegative determinant-1 matrix into its unique 0/1 word.
 
     Greedy row peeling: exactly one row dominates the other at every
-    non-identity step, which pins the leading letter.
+    non-identity step, which pins the leading letter.  Large or negative
+    entries go to the half-gcd peel, which checks the monoid up front.
     """
+    if (a | b | c | d) >> _HGCD_BITS:
+        return _half_gcd_word(a, b, c, d)
     out = []
     while True:
         if a == d == 1 and b == c == 0:
@@ -60,3 +94,160 @@ def matrix_word(a, b, c, d):
             d -= b
         else:
             raise ValueError("matrix is not in the nonnegative unimodular monoid")
+
+
+# ------------------------------------------------------------ product tree
+
+
+def _product(mats):
+    """Product of a nonempty list of row-major 2x2 matrices, in balanced pairs."""
+    while len(mats) > 1:
+        pairs = [
+            (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            for (a, b, c, d), (e, f, g, h) in zip(mats[::2], mats[1::2])
+        ]
+        if len(mats) & 1:
+            pairs.append(mats[-1])
+        mats = pairs
+    return mats[0]
+
+
+def _word_leaves(bits):
+    """Generator products of the consecutive _LEAF_BITS-letter pieces of a word."""
+    out = []
+    for i in range(0, len(bits), _LEAF_BITS):
+        a, b, c, d = 1, 0, 0, 1
+        for ch in bits[i:i + _LEAF_BITS]:
+            if ch == "1":
+                b = a + b
+                d = c + d
+            else:
+                a = a + b
+                c = c + d
+        out.append((a, b, c, d))
+    return out
+
+
+def _continuant_leaf(ks):
+    """Product of the (k 1; 1 0) matrices of a piece of a continuant list."""
+    a, b, c, d = 1, 0, 0, 1
+    for x in ks:
+        a, b = a * x + b, a
+        c, d = c * x + d, c
+    return a, b, c, d
+
+
+# ---------------------------------------------------------- half-gcd peel
+#
+# M = (a b; c d) maps (1, 1) to (x, y) = (a + b, c + d), and the word of M
+# is the Stern-Brocot path of (x, y): "1" while x > y (x -= y), "0" while
+# y > x (y -= x), until (1, 1).  A word p is a prefix of that path exactly
+# when P^-1 (x, y) is strictly positive, P the matrix of p.  The peels
+# below return the runs of a prefix, its matrix P and P^-1 (x, y).
+
+
+def _half_gcd_word(a, b, c, d):
+    if min(a, b, c, d) < 0 or a * d - b * c != 1:
+        raise ValueError("matrix is not in the nonnegative unimodular monoid")
+    # (a + b) d - (c + d) b = 1, so the pair is coprime and the path ends at (1, 1).
+    x, y = a + b, c + d
+    runs = []
+    while max(x, y).bit_length() > _PEEL_BITS:
+        prefix, _, x, y = _half(x, y)
+        if not prefix:  # a run too long for a half step: peel the rest run by run
+            break
+        runs += prefix
+    runs += _peel(x, y, 1)[0]
+    return "".join(runs)
+
+
+def _half(x, y):
+    """Peel the path of (x, y) while both stay >= 2**h, h = bits // 2 + 1.
+
+    Each round peels the top k bits of the pair (at most half of them), by
+    recursion, and lifts that prefix to the whole pair through its matrix.
+    The recursion leaves both top values >= 2**(k // 2 + 1) and so its
+    matrix entries below 2**(k - k // 2 - 1); the low bits then move the
+    lifted pair by less than half its size, and with k <= 2 (bits - h) the
+    lifted pair stays >= 2**h.  The exact positivity check still guards
+    every lift, trimming whole runs off the prefix until it holds.
+    """
+    n = max(x, y).bit_length()
+    h = (n >> 1) + 1
+    if n <= _PEEL_BITS:
+        return _peel(x, y, 1 << h)
+    floor = 1 << h
+    runs = []
+    p, q, r, s = 1, 0, 0, 1
+    while x >= floor and y >= floor:
+        size = max(x, y).bit_length()
+        k = min(2 * (size - h), n >> 1)
+        if k < 32:  # a round would gain under 16 bits
+            break
+        shift = size - k
+        sub, (e, f, g, u), hx, hy = _half(x >> shift, y >> shift)
+        low = (1 << shift) - 1
+        xl, yl = x & low, y & low
+        x1 = (hx << shift) + u * xl - f * yl
+        y1 = (hy << shift) + e * yl - g * xl
+        while sub and (x1 < 1 or y1 < 1):
+            run = sub.pop()
+            j = len(run)
+            if run[0] == "1":
+                x1 += j * y1
+                f -= j * e
+                u -= j * g
+            else:
+                y1 += j * x1
+                e -= j * f
+                g -= j * u
+        if not sub:
+            break
+        runs += sub
+        x, y = x1, y1
+        p, q, r, s = p * e + q * g, p * f + q * u, r * e + s * g, r * f + s * u
+    return runs, (p, q, r, s), x, y
+
+
+def _peel(x, y, floor):
+    """Peel the path of (x, y) run by run while both stay >= floor."""
+    runs = []
+    p, q, r, s = 1, 0, 0, 1
+    if x < floor or y < floor:
+        return runs, (p, q, r, s), x, y
+    while True:
+        if x > y:
+            x -= y
+            if x < floor:
+                x += y
+                break
+            if x - y < floor:
+                q += p
+                s += r
+                runs.append("1")
+                continue
+            j = (x - floor) // y
+            x -= j * y
+            j += 1
+            q += j * p
+            s += j * r
+            runs.append("1" * j)
+        elif y > x:
+            y -= x
+            if y < floor:
+                y += x
+                break
+            if y - x < floor:
+                p += q
+                r += s
+                runs.append("0")
+                continue
+            j = (y - floor) // x
+            y -= j * x
+            j += 1
+            p += j * q
+            r += j * s
+            runs.append("0" * j)
+        else:
+            break
+    return runs, (p, q, r, s), x, y

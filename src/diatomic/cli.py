@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import assembly, derivative, design, matrix, quadratic
@@ -158,8 +159,21 @@ def _cmd_deriv(args) -> tuple[str, dict]:
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative integer or ratio such as -3/2 as a value, not an
+    option, so it reaches the library's range checks."""
+
+    _NEGATIVE = re.compile(r"-\d+(/\d+)?")
+
+    def _parse_optional(self, arg_string):
+        # argparse's hook that sorts each argument; None means a positional
+        if self._NEGATIVE.fullmatch(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="diatomic",
         description="Exact arithmetic on Stern's diatomic table and its assembly map.",
     )

@@ -110,11 +110,10 @@ def parse_ratio(text: str) -> ExtRational:
         return ExtRational.infinity()
     num, slash, den = text.partition("/")
     try:
-        if slash:
-            return ExtRational(int(num), int(den))
-        return ExtRational(int(num))
+        num, den = int(num), int(den) if slash else 1
     except ValueError as exc:
         raise DomainError(f"bad rational {text!r}") from exc
+    return ExtRational(num, den)
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -15,7 +15,8 @@ from .errors import OutOfTable
 
 
 def stern(m: int) -> int:
-    """a_m, by a binary-digit scan over the consecutive pair (a_j, a_{j+1})."""
+    """a_m, the first of the pair (a_m, a_{m+1}): a generator-matrix product
+    along the bits of m, folded in a balanced tree for long indices."""
     if m < 0:
         raise OutOfTable(f"sequence index must be nonnegative, got {m}")
     return stern_pair(m)[0]

@@ -2,8 +2,10 @@
 
 Each one recomputes a quantity by a different route than the library:
 the sequence by its literal recurrence, continuants by determinant
-expansion over permutations, Euler phi by gcd counting, and the inverse
-question-mark by a mediant walk down the Farey tree.
+expansion over permutations, Euler phi by gcd counting, the inverse
+question-mark by a mediant walk down the Farey tree, and the four integer
+kernels by the one-letter-at-a-time loops they used before their product
+trees and half-gcd peel.
 """
 
 from fractions import Fraction
@@ -24,6 +26,53 @@ def stern_table(limit: int) -> list:
     for k in range(2, limit + 1):
         vals.append(vals[k // 2] if k % 2 == 0 else vals[k // 2] + vals[k // 2 + 1])
     return vals
+
+
+def linear_stern_pair(m: int) -> tuple[int, int]:
+    """(a_m, a_{m+1}) by scanning the bits of m from the top."""
+    a, b = 0, 1
+    for k in range(m.bit_length() - 1, -1, -1):
+        if (m >> k) & 1:
+            a, b = a + b, b
+        else:
+            a, b = a, a + b
+    return a, b
+
+
+def linear_continuant_pair(ks) -> tuple[int, int]:
+    """(continuant of ks[:-1], continuant of ks) by the left-to-right recursion."""
+    prev, cur = 0, 1
+    for x in ks:
+        prev, cur = cur, cur * x + prev
+    return prev, cur
+
+
+def linear_word_matrix(bits: str) -> tuple[int, int, int, int]:
+    """Generator product along a 0/1 word, one letter at a time."""
+    a, b, c, d = 1, 0, 0, 1
+    for ch in bits:
+        if ch == "1":
+            b = a + b
+            d = c + d
+        else:
+            a = a + b
+            c = c + d
+    return a, b, c, d
+
+
+def greedy_matrix_word(a: int, b: int, c: int, d: int) -> str:
+    """Word of a monoid matrix by peeling the dominating row, one letter at a time."""
+    out = []
+    while (a, b, c, d) != (1, 0, 0, 1):
+        if a >= c and b >= d:
+            out.append("1")
+            a, b = a - c, b - d
+        elif c >= a and d >= b:
+            out.append("0")
+            c, d = c - a, d - b
+        else:
+            raise ValueError("matrix is not in the nonnegative unimodular monoid")
+    return "".join(out)
 
 
 def det_continuant(ks) -> int:

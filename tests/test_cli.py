@@ -122,6 +122,10 @@ def test_boundary_values(capsys):
     (("deriv", "scan", "1/2", "--jmax", "0"), "OutOfRange"),
     (("assembly", "sample", "--grid", "-1"), "OutOfRange"),
     (("design", "from-ratio", "x/3"), "DesignSyntaxError"),
+    (("quad", "sqrt", "-2"), "OutOfRange"),
+    (("assembly", "inverse", "-2/3"), "OutOfRange"),
+    (("design", "from-ratio", "-3/2"), "ZeroInput"),
+    (("--json", "design", "from-ratio", "-3/2"), "ZeroInput"),
 ])
 def test_bad_input_names_its_domain_error(capsys, argv, error):
     code, out, err = run(capsys, *argv)

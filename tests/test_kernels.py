@@ -1,15 +1,27 @@
 """The four integer kernels against independent routes on seeded random
 inputs: the sequence by its recurrence table, the matrix product by
 explicit generator multiplication, and continuants by determinant
-expansion."""
+expansion.  Property tests then hold the product trees and the half-gcd
+peel to the one-letter-at-a-time loops in oracles.py, at sizes on both
+sides of every cutoff in diatomic._backend."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diatomic import _backend
 from diatomic._backend import continuant_pair, matrix_word, stern_pair, word_matrix
 from diatomic.matrix import UniModMatrix
-from oracles import det_continuant, stern_table
+from oracles import (
+    det_continuant,
+    greedy_matrix_word,
+    linear_continuant_pair,
+    linear_stern_pair,
+    linear_word_matrix,
+    stern_table,
+)
 
 GENERATORS = {"1": UniModMatrix(1, 1, 0, 1), "0": UniModMatrix(1, 0, 1, 1)}
 
@@ -62,3 +74,124 @@ def test_no_overflow_at_large_magnitude():
     assert a > 0 and b > 0
     prev, cur = continuant_pair([10 ** 20] * 20)
     assert cur > 10 ** 390
+
+
+# ------------------------------------------------- across the cutoffs
+#
+# Each size list straddles the cutoffs in diatomic._backend; hypothesis
+# draws the seed of the random input, a few examples per size.
+
+LEAF, WORD = _backend._LEAF_BITS, _backend._WORD_BITS
+LEAF_ITEMS, ITEMS = _backend._LEAF_ITEMS, _backend._CONT_ITEMS
+WORD_SIZES = [1, LEAF - 1, LEAF, LEAF + 1, 3 * LEAF + 5, WORD - 1, WORD, WORD + 1,
+              2 * WORD + 7, 5000, 30000]
+ITEM_COUNTS = [1, LEAF_ITEMS, LEAF_ITEMS + 1, ITEMS - 1, ITEMS, ITEMS + 1,
+               3 * ITEMS + 11, 10000]
+# Random words of these lengths have largest entries on both sides of the
+# half-gcd cutoff (about 0.57 entry bits per letter).
+ROUND_TRIP_SIZES = [2000, 7000, 7400, 8000, 12000, 30000, 100000]
+SEEDS = st.integers(0, 2**64)
+
+
+def few(n):
+    return settings(max_examples=n, deadline=None)
+
+
+def random_bits(rng, n):
+    return format(rng.getrandbits(n), f"0{n}b") if n else ""
+
+
+@pytest.mark.parametrize("n", WORD_SIZES)
+@few(4)
+@given(seed=SEEDS)
+def test_stern_pair_matches_linear_loop(n, seed):
+    m = random.Random(seed).getrandbits(n) | (1 << n >> 1)  # exactly n bits
+    assert stern_pair(m) == linear_stern_pair(m)
+
+
+@pytest.mark.parametrize("n", WORD_SIZES)
+@few(4)
+@given(seed=SEEDS)
+def test_word_matrix_matches_linear_loop(n, seed):
+    w = random_bits(random.Random(seed), n)
+    assert word_matrix(w) == linear_word_matrix(w)
+
+
+@pytest.mark.parametrize("n", ITEM_COUNTS)
+@few(4)
+@given(seed=SEEDS)
+def test_continuant_pair_matches_linear_loop(n, seed):
+    # mostly short runs, some zeros and negatives, now and then a 64-bit item
+    rng = random.Random(seed)
+    pool = [0, 1, 1, 1, 2, 3, 7, -1, -5]
+    ks = [rng.getrandbits(64) if rng.random() < 0.01 else rng.choice(pool) for _ in range(n)]
+    assert continuant_pair(ks) == linear_continuant_pair(ks)
+
+
+@pytest.mark.parametrize("n", ROUND_TRIP_SIZES)
+@few(2)
+@given(seed=SEEDS)
+def test_matrix_word_inverts_word_matrix(n, seed):
+    w = random_bits(random.Random(seed), n)
+    mat = word_matrix(w)
+    assert matrix_word(*mat) == w
+    if n <= 12000:
+        assert matrix_word(*mat) == greedy_matrix_word(*mat)
+
+
+def run_heavy_words():
+    rng = random.Random(7)
+    yield "1" * 30000
+    yield "0" * 30000
+    yield "10" * 15000
+    yield "01" * 15000
+    yield "110" * 6000
+    for run in (40, 3000, 20000):
+        for ch in "01":
+            yield random_bits(rng, 9000) + ch * run + random_bits(rng, 9000)
+    yield random_bits(rng, 12000) + "1" * 5000 + random_bits(rng, 64) + "0" * 5000
+
+
+@pytest.mark.parametrize("w", list(run_heavy_words()), ids=lambda w: f"{w[:2]}-{len(w)}")
+def test_matrix_word_inverts_run_heavy_words(w):
+    assert matrix_word(*word_matrix(w)) == w
+
+
+@few(60)
+@given(n=st.integers(0, 1500), seed=SEEDS)
+def test_half_gcd_peel_below_its_cutoff(n, seed):
+    # The half-gcd route, called directly where matrix_word would peel
+    # greedily: pairs from a few bits up to past its own base-peel size.
+    rng = random.Random(seed)
+    w = random_bits(rng, n)
+    if n and rng.random() < 0.3:
+        i = rng.randrange(n)
+        w = w[:i] + rng.choice("01") * rng.randrange(1, 400) + w[i:]
+    assert _backend._half_gcd_word(*word_matrix(w)) == w
+
+
+def test_lift_check_trims_prefixes_that_overshoot(monkeypatch):
+    # Base peels that go past their safe floor make lifted prefixes overshoot
+    # the path; the exact positivity check must trim them back.
+    peel = _backend._peel
+
+    def overshooting_peel(x, y, floor):
+        return peel(x, y, 1 << (floor.bit_length() // 3))
+
+    monkeypatch.setattr(_backend, "_peel", overshooting_peel)
+    rng = random.Random(13)
+    for n in (600, 1500, 5000, 20000):
+        w = random_bits(rng, n)
+        assert _backend._half_gcd_word(*word_matrix(w)) == w
+
+
+def test_matrix_word_rejects_big_non_monoid_matrices():
+    a, b, c, d = word_matrix(random_bits(random.Random(11), 20000))
+    assert max(a, b, c, d).bit_length() > _backend._HGCD_BITS
+    k = b // a + 1  # M (1 -k; 0 1) keeps determinant 1 but makes an entry negative
+    for bad in [(2 * a, 2 * b, c, d),  # determinant 2
+                (b, a, d, c),  # determinant -1
+                (a, b - k * a, c, d - k * c),
+                (-a, b, c, d)]:
+        with pytest.raises(ValueError):
+            matrix_word(*bad)
