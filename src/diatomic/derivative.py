@@ -3,7 +3,9 @@
 Quotients are exact: rational when the base point is dyadic, elements of
 the quadratic field fixed by the point's period otherwise.  Step sizes
 are negative powers of two only, so every probed point stays inside that
-field.
+field: eta and eta + 2**-j share every bit past the j-th, and by the
+composition law (prepending a word applies the Moebius action of its
+matrix) the probed value is the base value moved by two j-bit matrices.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._backend import word_matrix
 from .assembly import assembly_of_rational_theta, assembly_theta
 from .design import FiniteDesign
 from .errors import OutOfRange, TerminalDesign, ZeroLength
 from .matrix import sdm
-from .quadratic import FieldElement, QuadIrr
+from .quadratic import FieldElement
 from .rational import ExtRational
 
 
@@ -59,7 +62,9 @@ def quotient_scan(eta: Fraction, side: Side, jmax: int) -> QuotientScan:
 
     Steps that leave (0, 1) are skipped.  At a non-dyadic eta the values
     are quadratic irrationals and the quotients come back as exact field
-    elements over the discriminant fixed by eta.
+    elements over the discriminant fixed by eta.  There the periodic design
+    is built once: with u and w the first j bits of eta and of eta + h,
+    A(eta + h) = M(w) M(u)^-1 A(eta) by the composition law.
     """
     if not 0 < eta < 1:
         raise OutOfRange(f"eta must lie in (0, 1), got {eta}")
@@ -76,21 +81,18 @@ def quotient_scan(eta: Fraction, side: Side, jmax: int) -> QuotientScan:
             gap = (assembly_theta(eta + h).as_fraction() - base) / h
             samples.append((h, ExtRational.from_fraction(gap)))
     else:
-        base_irr = assembly_of_rational_theta(eta)
-        assert isinstance(base_irr, QuadIrr)
-        disc = base_irr.discriminant
-        base_el = base_irr.field_element()
+        base = assembly_of_rational_theta(eta).field_element()
         for j in range(1, jmax + 1):
             h = Fraction(sgn, 1 << j)
             if not 0 < eta + h < 1:
                 continue
-            val = assembly_of_rational_theta(eta + h)
-            el = (
-                FieldElement(val.num, 0, val.den, disc)
-                if isinstance(val, ExtRational)
-                else val.field_element(disc)
-            )
-            samples.append((h, (el - base_el).mul_fraction(1 / h)))
+            u = (eta.numerator << j) // eta.denominator
+            a, b, c, d = word_matrix(format(u, f"0{j}b"))
+            wa, wb, wc, wd = word_matrix(format(u + sgn, f"0{j}b"))
+            # M(w) times M(u)^-1 = (d -b; -c a), as M(u) has determinant 1
+            el = base.mobius(wa * d - wb * c, wb * a - wa * b,
+                             wc * d - wd * c, wd * a - wc * b)
+            samples.append((h, (el - base).mul_fraction(1 / h)))
     return QuotientScan(eta, side, tuple(samples))
 
 

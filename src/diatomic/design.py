@@ -107,11 +107,8 @@ EMPTY = FiniteDesign("")
 
 
 def _is_primitive_word(word: str) -> bool:
-    n = len(word)
-    for d in range(1, n):
-        if n % d == 0 and word == word[:d] * (n // d):
-            return False
-    return True
+    # a word is a proper power exactly when it recurs inside its own square
+    return (word + word).find(word, 1) == len(word)
 
 
 def make_periodic(pre: str, per: str) -> Design:
@@ -131,13 +128,14 @@ def make_periodic(pre: str, per: str) -> Design:
         if m == 1 << len(pre):
             return FiniteDesign.terminal_of(0)
         return FiniteDesign(format(m, f"0{len(pre)}b"))
-    for d in range(1, len(per)):
-        if len(per) % d == 0 and per == per[:d] * (len(per) // d):
-            per = per[:d]
-            break
-    while pre and pre[-1] == per[-1]:
-        per = per[-1] + per[:-1]
-        pre = pre[:-1]
+    per = per[:(per + per).find(per, 1)]  # primitive root
+    if pre:
+        # rotate every trailing preperiod bit that the period repeats into it
+        n, k = len(per), len(pre)
+        diff = int(pre, 2) ^ int((per * (k // n + 1))[-k:], 2)
+        c = (diff & -diff).bit_length() - 1 if diff else k
+        r = c % n
+        per, pre = per[n - r:] + per[:n - r], pre[:k - c]
     return PeriodicDesign(FiniteDesign(pre), FiniteDesign(per))
 
 
@@ -330,8 +328,10 @@ def design_of_theta(t: Fraction) -> Design:
     """The unique canonical design with the given theta.
 
     Dyadic values give the reduced finite design (1 gives the length-0
-    terminal); other rationals give the canonical periodic design via the
-    base-2 long division cycle.
+    terminal).  For other rationals, with q = 2**k * q' and q' odd, the
+    k-bit preperiod is the integer part of 2**k * t, and the period has
+    length n = ord_q'(2): its bits are the remainder r of 2**k * t times
+    (2**n - 1) / q', one big-int quotient.  make_periodic canonicalises.
     """
     if t < 0 or t > 1:
         raise OutOfRange(f"theta must lie in [0, 1], got {t}")
@@ -341,14 +341,11 @@ def design_of_theta(t: Fraction) -> Design:
     if q & (q - 1) == 0:
         n = q.bit_length() - 1
         return FiniteDesign(format(t.numerator, f"0{n}b") if n else "")
-    digits: list[int] = []
-    seen: dict[int, int] = {}
-    r = t.numerator
-    while r not in seen:
-        seen[r] = len(digits)
-        r *= 2
-        digits.append(r // q)
-        r %= q
-    k = seen[r]
-    word = "".join(map(str, digits))
-    return make_periodic(word[:k], word[k:])
+    k = (q & -q).bit_length() - 1
+    odd = q >> k
+    head, r = divmod(t.numerator, odd)
+    n, x = 1, 2
+    while x != 1:
+        n, x = n + 1, 2 * x % odd
+    pre = format(head, f"0{k}b") if k else ""
+    return make_periodic(pre, format(r * ((1 << n) - 1) // odd, f"0{n}b"))

@@ -34,8 +34,9 @@ def sdi_quadruple(depth: int, order: int) -> tuple[int, int, int, int]:
 
     ([2^n:m+1], [2^n:m], [2^n:2^n-(m+1)], [2^n:2^n-m])
 
-    Cached because derivative scans revisit nearby addresses; the cache is
-    bounded and read-through, so concurrent readers are safe.
+    Cached, bounded and read-through, so concurrent readers are safe.  A
+    quotient scan looks up only its base point's period, so the two sides
+    of one point share an address; whether that pays is an open question.
     """
     _check_address(depth, order, limit_offset=1)
     q2, q1 = stern_pair(order)

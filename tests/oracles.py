@@ -3,14 +3,18 @@
 Each one recomputes a quantity by a different route than the library:
 the sequence by its literal recurrence, continuants by determinant
 expansion over permutations, Euler phi by gcd counting, the inverse
-question-mark by a mediant walk down the Farey tree, and the four integer
+question-mark by a mediant walk down the Farey tree, the four integer
 kernels by the one-letter-at-a-time loops they used before their product
-trees and half-gcd peel.
+trees and half-gcd peel, canonical periodic designs by long division with
+a remainder dict and one-bit rotations, and quotient scans by rebuilding
+the periodic design at every probed point.
 """
 
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
+
+from diatomic import FiniteDesign, PeriodicDesign, Side, assembly_of_rational_theta
 
 
 def brute_stern(m: int) -> int:
@@ -147,3 +151,58 @@ def fib(k: int) -> int:
     for _ in range(k):
         a, b = b, a + b
     return a
+
+
+def rotating_make_periodic(pre: str, per: str):
+    """Canonical design of a (preperiod, period) pair: the primitive root by
+    trying every divisor length, then one trailing bit rotated at a time."""
+    if not per.strip("0"):
+        return FiniteDesign(pre)
+    if not per.strip("1"):
+        m = (int(pre, 2) if pre else 0) + 1
+        if m == 1 << len(pre):
+            return FiniteDesign.terminal_of(0)
+        return FiniteDesign(format(m, f"0{len(pre)}b"))
+    for d in range(1, len(per)):
+        if len(per) % d == 0 and per == per[:d] * (len(per) // d):
+            per = per[:d]
+            break
+    while pre and pre[-1] == per[-1]:
+        per = per[-1] + per[:-1]
+        pre = pre[:-1]
+    return PeriodicDesign(FiniteDesign(pre), FiniteDesign(per))
+
+
+def long_division_design(t: Fraction):
+    """Canonical design of a non-dyadic theta in (0, 1): base-2 long division
+    until a remainder repeats, the first repeat marking where the cycle starts."""
+    q = t.denominator
+    assert q & (q - 1), "oracle defined on non-dyadics"
+    digits = []
+    seen = {}
+    r = t.numerator
+    while r not in seen:
+        seen[r] = len(digits)
+        r *= 2
+        digits.append(r // q)
+        r %= q
+    k = seen[r]
+    word = "".join(map(str, digits))
+    return rotating_make_periodic(word[:k], word[k:])
+
+
+def rebuild_quotient_scan(eta: Fraction, side: Side, jmax: int) -> tuple:
+    """(h, quotient) samples at a non-dyadic eta, each probed value rebuilt
+    from its own periodic design and fixed point."""
+    sgn = 1 if side is Side.RIGHT else -1
+    base = assembly_of_rational_theta(eta)
+    disc = base.discriminant
+    base_el = base.field_element()
+    samples = []
+    for j in range(1, jmax + 1):
+        h = Fraction(sgn, 1 << j)
+        if not 0 < eta + h < 1:
+            continue
+        el = assembly_of_rational_theta(eta + h).field_element(disc)
+        samples.append((h, (el - base_el).mul_fraction(1 / h)))
+    return tuple(samples)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from diatomic import (
     ExtRational,
@@ -17,7 +19,7 @@ from diatomic import (
 )
 from diatomic.errors import OutOfRange, ZeroLength
 
-from oracles import fib
+from oracles import fib, rebuild_quotient_scan
 
 
 def test_fib_continuant_values():
@@ -176,3 +178,24 @@ def test_nondyadic_scan_is_exact_in_the_period_field():
     scan_l = quotient_scan(Fraction(2, 3), Side.LEFT, 8)
     for h, q in scan_l.samples:
         assert q.sign() > 0
+
+
+# --- the composition-law scan against a rebuild of every probed point ------
+
+@pytest.mark.parametrize("k", range(5))  # 2-part of the denominator: 0 is pure
+@settings(max_examples=20, deadline=None)
+@given(odd=st.integers(1, 1500).map(lambda i: 2 * i + 1), data=st.data(),
+       jmax=st.integers(1, 40))
+def test_scan_matches_rebuild_oracle(k, odd, data, jmax):
+    q = odd << k
+    eta = Fraction(data.draw(st.integers(1, q - 1)), q)
+    assume(eta.denominator & (eta.denominator - 1))
+    for side in Side:
+        assert quotient_scan(eta, side, jmax).samples == rebuild_quotient_scan(eta, side, jmax)
+
+
+def test_scan_matches_rebuild_oracle_on_a_long_period():
+    # 2 is a primitive root mod 8069, so the period has 8068 bits
+    for eta in (Fraction(2000, 8069), Fraction(2000, 4 * 8069)):
+        for side in Side:
+            assert quotient_scan(eta, side, 12).samples == rebuild_quotient_scan(eta, side, 12)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diatomic import (
@@ -34,6 +34,9 @@ from diatomic.errors import (
     TerminalDesign,
     ZeroInput,
 )
+from diatomic.design import _is_primitive_word
+
+from oracles import long_division_design, rotating_make_periodic
 
 words = st.text(alphabet="01", max_size=12)
 
@@ -361,6 +364,59 @@ def test_design_round_trip_on_canonical_designs():
         d = make_periodic(pre, per)
         if isinstance(d, PeriodicDesign):
             assert design_of_theta(theta_of(d)) == d
+
+
+# --- canonicalisation against long division and one-bit rotations ----------
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(0, 8), data=st.data())
+def test_design_of_theta_matches_long_division(k, data):
+    # denominators up to 10^5, with 2-parts up to 2^8
+    odd = data.draw(st.integers(1, ((10**5 >> k) - 1) // 2)) * 2 + 1
+    q = odd << k
+    t = Fraction(data.draw(st.integers(1, q - 1)), q)
+    assume(t.denominator & (t.denominator - 1))
+    assert design_of_theta(t) == long_division_design(t)
+
+
+def test_design_of_theta_matches_long_division_near_the_top():
+    for q in (99991, 3 * 2**15, 99999, 2**4 * 6247):
+        for a in (1, 2, q // 3, q - 1):
+            t = Fraction(a, q)
+            assert design_of_theta(t) == long_division_design(t)
+
+
+def _periodic_tail(per, length):
+    """The last `length` bits of per repeated leftwards."""
+    ext = per * (length // len(per) + 1)
+    return ext[len(ext) - length:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(head=st.text(alphabet="01", max_size=30),
+       root=st.text(alphabet="01", min_size=1, max_size=8),
+       reps=st.integers(1, 5), tail=st.integers(0, 40))
+def test_make_periodic_matches_rotating_oracle(head, root, reps, tail):
+    # periods that repeat a shorter word, preperiods that end in many
+    # rotations of it (more than one full period when tail > len(per))
+    per = root * reps
+    pre = head + _periodic_tail(per, tail)
+    assert make_periodic(pre, per) == rotating_make_periodic(pre, per)
+
+
+def test_make_periodic_rotates_past_a_full_period():
+    assert str(make_periodic("0110110", "110")) == "(011)"
+    assert str(make_periodic("10110110", "110")) == "(101)"
+    assert str(make_periodic("00110110", "110110")) == "0(011)"
+    for pre, per in (("0110110", "110"), ("1" + "01" * 9, "0101"), ("0" + "011" * 5, "011011")):
+        assert make_periodic(pre, per) == rotating_make_periodic(pre, per)
+
+
+def test_primitive_word_check_matches_divisor_loop():
+    for n in range(2, 13):
+        for m in range(1, (1 << n) - 1):
+            w = format(m, f"0{n}b")
+            assert _is_primitive_word(w) == (rotating_make_periodic("", w).period.bits == w)
 
 
 # --- primitive designs count -------------------------------------------------
