@@ -2,7 +2,8 @@
 
 One binary, one subcommand per library area.  All output is exact text:
 rationals as a/b (or inf), designs in the bit grammar, matrices as
-a,b;c,d.  --json wraps the result of any command in a single object;
+a,b;c,d.  --json wraps the result of any command in a single object, and
+an error in one JSON line on stderr, {"error": <type>, "message": ...};
 sample/scan commands emit CSV rows instead of prose.  Exit status is 0 on
 success and 2 on any usage or domain error.
 """
@@ -228,11 +229,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         human, obj = args.func(args)
-    except DomainError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ZeroDivisionError) as exc:  # DomainError is a ValueError
+        name = type(exc).__name__
+        if args.json:
+            print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
+        elif isinstance(exc, DomainError):
+            print(f"error: {name}: {exc}", file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
         print(json.dumps(obj))

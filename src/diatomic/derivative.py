@@ -64,7 +64,9 @@ def quotient_scan(eta: Fraction, side: Side, jmax: int) -> QuotientScan:
     are quadratic irrationals and the quotients come back as exact field
     elements over the discriminant fixed by eta.  There the periodic design
     is built once: with u and w the first j bits of eta and of eta + h,
-    A(eta + h) = M(w) M(u)^-1 A(eta) by the composition law.
+    A(eta + h) = M(w) M(u)^-1 A(eta) by the composition law.  Each sample
+    then costs two normalisations, the Moebius map and one fused
+    subtract-and-scale by 1/h = (+/-)2**j, and no radicand check.
     """
     if not 0 < eta < 1:
         raise OutOfRange(f"eta must lie in (0, 1), got {eta}")
@@ -92,7 +94,7 @@ def quotient_scan(eta: Fraction, side: Side, jmax: int) -> QuotientScan:
             # M(w) times M(u)^-1 = (d -b; -c a), as M(u) has determinant 1
             el = base.mobius(wa * d - wb * c, wb * a - wa * b,
                              wc * d - wd * c, wd * a - wc * b)
-            samples.append((h, (el - base).mul_fraction(1 / h)))
+            samples.append((h, el.sub_times(base, sgn << j)))  # (el - base) / h
     return QuotientScan(eta, side, tuple(samples))
 
 

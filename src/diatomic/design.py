@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import (
     DesignSyntaxError,
@@ -324,13 +324,35 @@ def theta_of(d: Design) -> Fraction:
     return Fraction(d.number, 1 << d.length)
 
 
+def _order_of_two(q: int) -> int:
+    """The multiplicative order of 2 modulo an odd q, in O(sqrt(q)) steps.
+
+    Baby steps store 2^j mod q for j < k = isqrt(q) + 1 and return at once
+    when 2^j = 1, so an order of at most k costs only its own length.  A
+    longer order lies in ((i-1)k, ik] for the first giant step i with
+    2^(ik) = 2^j, and is n = ik - j (Shanks).
+    """
+    k = isqrt(q) + 1
+    baby, x = {}, 1
+    for j in range(k):
+        baby[x] = j
+        x = 2 * x % q
+        if x == 1:
+            return j + 1
+    i, y = 1, x  # x = 2^k
+    while y not in baby:
+        i, y = i + 1, y * x % q
+    return i * k - baby[y]
+
+
 def design_of_theta(t: Fraction) -> Design:
     """The unique canonical design with the given theta.
 
     Dyadic values give the reduced finite design (1 gives the length-0
     terminal).  For other rationals, with q = 2**k * q' and q' odd, the
     k-bit preperiod is the integer part of 2**k * t, and the period has
-    length n = ord_q'(2): its bits are the remainder r of 2**k * t times
+    length n = ord_q'(2), found in O(sqrt(q')) steps (O(n) when n is at
+    most sqrt(q')): its bits are the remainder r of 2**k * t times
     (2**n - 1) / q', one big-int quotient.  make_periodic canonicalises.
     """
     if t < 0 or t > 1:
@@ -344,8 +366,6 @@ def design_of_theta(t: Fraction) -> Design:
     k = (q & -q).bit_length() - 1
     odd = q >> k
     head, r = divmod(t.numerator, odd)
-    n, x = 1, 2
-    while x != 1:
-        n, x = n + 1, 2 * x % odd
+    n = _order_of_two(odd)
     pre = format(head, f"0{k}b") if k else ""
     return make_periodic(pre, format(r * ((1 << n) - 1) // odd, f"0{n}b"))

@@ -48,18 +48,24 @@ def _sign_p_q_sqrt(p: int, q: int, d: int) -> int:
 
 
 class FieldElement:
-    """Exact (p + q*sqrt(d)) / r with integer components and fixed d."""
+    """Exact (p + q*sqrt(d)) / r with integer components and fixed d.
+
+    The keyword _checked is internal: the library's own arithmetic passes
+    it on a d that already passed the radicand check, to skip the isqrt of
+    d.  Callers must not pass it; sign, floor and str assume d is a
+    positive nonsquare.
+    """
 
     __slots__ = ("p", "q", "r", "d")
 
-    def __init__(self, p: int, q: int, r: int, d: int):
+    def __init__(self, p: int, q: int, r: int, d: int, *, _checked: bool = False):
         if r == 0:
             raise ZeroDivisionError("zero denominator in field element")
-        if d <= 0 or _is_square(d):
+        if not _checked and (d <= 0 or _is_square(d)):
             raise OutOfRange(f"radicand must be a positive nonsquare, got {d}")
         if r < 0:
             p, q, r = -p, -q, -r
-        g = gcd(gcd(abs(p), abs(q)), r)
+        g = gcd(p, q, r)
         self.p, self.q, self.r, self.d = p // g, q // g, r // g, d
 
     def key(self) -> tuple[int, int, int]:
@@ -80,16 +86,21 @@ class FieldElement:
             raise ZeroDivisionError("pole of the transformation")
         u = np_ * dp - nq * dq * self.d
         v = nq * dp - np_ * dq
-        return FieldElement(u, v, den, self.d)
+        return FieldElement(u, v, den, self.d, _checked=True)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
+        return self.sub_times(other, 1)
+
+    def sub_times(self, other: "FieldElement", k: int) -> "FieldElement":
+        """(self - other) * k for an integer k, normalised once."""
         if self.d != other.d:
             raise OutOfRange("mixed radicands")
         return FieldElement(
-            self.p * other.r - other.p * self.r,
-            self.q * other.r - other.q * self.r,
+            (self.p * other.r - other.p * self.r) * k,
+            (self.q * other.r - other.q * self.r) * k,
             self.r * other.r,
             self.d,
+            _checked=True,
         )
 
     def sub_fraction(self, f: Fraction) -> "FieldElement":
@@ -98,11 +109,12 @@ class FieldElement:
             self.q * f.denominator,
             self.r * f.denominator,
             self.d,
+            _checked=True,
         )
 
     def mul_fraction(self, f: Fraction) -> "FieldElement":
         return FieldElement(self.p * f.numerator, self.q * f.numerator,
-                            self.r * f.denominator, self.d)
+                            self.r * f.denominator, self.d, _checked=True)
 
     def compare_fraction(self, f: Fraction) -> int:
         return self.sub_fraction(f).sign()
@@ -160,10 +172,9 @@ class QuadIrr:
             object.__setattr__(self, "a2", self.a2 // g)
             object.__setattr__(self, "b1", self.b1 // g)
             object.__setattr__(self, "c0", self.c0 // g)
-        if self.discriminant <= 0 or _is_square(self.discriminant):
-            raise OutOfRange(
-                f"discriminant {self.discriminant} is not a positive nonsquare"
-            )
+        disc = self.discriminant
+        if disc <= 0 or _is_square(disc):
+            raise OutOfRange(f"discriminant {disc} is not a positive nonsquare")
         if self.field_element().sign() <= 0:
             raise OutOfRange("selected root is not positive")
 
@@ -172,15 +183,22 @@ class QuadIrr:
         return self.b1 * self.b1 + 4 * self.a2 * self.c0
 
     def field_element(self, d: int | None = None) -> FieldElement:
-        """The root as an exact field element over sqrt(d); d defaults to disc."""
+        """The root as an exact field element over sqrt(d); d defaults to disc.
+
+        disc was checked on construction, and disc = t^2 d makes d a positive
+        nonsquare too, so d is not checked again.
+        """
         disc = self.discriminant
         if d is None:
             d = disc
-        t2, rem = divmod(disc, d)
-        if rem or not _is_square(t2):
+        if d <= 0:
             raise OutOfRange(f"root lies outside Q(sqrt({d}))")
+        t2, rem = divmod(disc, d)
         t = isqrt(t2)
-        return FieldElement(self.b1, t if self.plus_branch else -t, 2 * self.a2, d)
+        if rem or t * t != t2:
+            raise OutOfRange(f"root lies outside Q(sqrt({d}))")
+        return FieldElement(self.b1, t if self.plus_branch else -t, 2 * self.a2, d,
+                            _checked=True)
 
     def conjugate_sign(self) -> int:
         """Sign of the other root; negative exactly when c0 > 0."""

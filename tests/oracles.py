@@ -6,8 +6,9 @@ expansion over permutations, Euler phi by gcd counting, the inverse
 question-mark by a mediant walk down the Farey tree, the four integer
 kernels by the one-letter-at-a-time loops they used before their product
 trees and half-gcd peel, canonical periodic designs by long division with
-a remainder dict and one-bit rotations, and quotient scans by rebuilding
-the periodic design at every probed point.
+a remainder dict and one-bit rotations, the order of 2 by doubling until
+1 comes back, and quotient scans by rebuilding the periodic design at
+every probed point.
 """
 
 from fractions import Fraction
@@ -189,6 +190,14 @@ def long_division_design(t: Fraction):
     k = seen[r]
     word = "".join(map(str, digits))
     return rotating_make_periodic(word[:k], word[k:])
+
+
+def linear_order_of_two(q: int) -> int:
+    """The multiplicative order of 2 modulo an odd q, one doubling at a time."""
+    n, x = 1, 2 % q
+    while x != 1 % q:
+        n, x = n + 1, 2 * x % q
+    return n
 
 
 def rebuild_quotient_scan(eta: Fraction, side: Side, jmax: int) -> tuple:

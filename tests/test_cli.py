@@ -129,7 +129,31 @@ def test_boundary_values(capsys):
 ])
 def test_bad_input_names_its_domain_error(capsys, argv, error):
     code, out, err = run(capsys, *argv)
-    assert code == 2 and out == "" and f"error: {error}:" in err
+    assert code == 2 and out == ""
+    if argv[0] == "--json":
+        assert err.count("\n") == 1
+        obj = json.loads(err)
+        assert set(obj) == {"error", "message"} and obj["error"] == error
+        assert "(-3, 2)" in obj["message"]
+    else:
+        assert f"error: {error}:" in err
+
+
+def test_json_errors_are_one_json_line(capsys, monkeypatch):
+    code, out, err = run(capsys, "--json", "design", "from-ratio", "4/6")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "NotCoprime", "message": "(4, 6) share a factor"}
+
+    def fail(t):
+        raise ZeroDivisionError("pole of the transformation")
+
+    monkeypatch.setattr("diatomic.design.design_of_theta", fail)
+    code, out, err = run(capsys, "--json", "design", "of-theta", "1/3")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "ZeroDivisionError",
+                               "message": "pole of the transformation"}
+    code, out, err = run(capsys, "design", "of-theta", "1/3")
+    assert code == 2 and err == "error: pole of the transformation\n"
 
 
 def test_deterministic_output(capsys):

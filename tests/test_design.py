@@ -34,9 +34,9 @@ from diatomic.errors import (
     TerminalDesign,
     ZeroInput,
 )
-from diatomic.design import _is_primitive_word
+from diatomic.design import _is_primitive_word, _order_of_two
 
-from oracles import long_division_design, rotating_make_periodic
+from oracles import linear_order_of_two, long_division_design, rotating_make_periodic
 
 words = st.text(alphabet="01", max_size=12)
 
@@ -384,6 +384,34 @@ def test_design_of_theta_matches_long_division_near_the_top():
         for a in (1, 2, q // 3, q - 1):
             t = Fraction(a, q)
             assert design_of_theta(t) == long_division_design(t)
+
+
+# --- the order of 2 by baby steps and giant steps ------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, (10**6 - 1) // 2))
+def test_order_of_two_matches_linear_loop(h):
+    q = 2 * h + 1
+    assert _order_of_two(q) == linear_order_of_two(q)
+
+
+def test_order_of_two_on_every_small_odd_modulus():
+    for q in range(1, 4001, 2):
+        assert _order_of_two(q) == linear_order_of_two(q)
+
+
+@pytest.mark.parametrize("q, n", [
+    (1, 1), (3, 2), (1000003, 1000002),
+    # orders far below isqrt(q): the baby steps must stop when 2^j = 1
+    (2**61 - 1, 61), (2**89 - 1, 89), (3 * (2**61 - 1), 122),
+])
+def test_order_of_two_fixed_cases(q, n):
+    assert _order_of_two(q) == n == linear_order_of_two(q)
+
+
+def test_design_of_theta_at_a_mersenne_prime():
+    d = design_of_theta(Fraction(1, 2**127 - 1))
+    assert d.preperiod.is_empty and d.period.bits == "0" * 126 + "1"
 
 
 def _periodic_tail(per, length):

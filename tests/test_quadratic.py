@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from diatomic import (
     FieldElement,
@@ -70,6 +72,85 @@ def test_field_element_rejects_square_radicand():
         FieldElement(1, 1, 1, 9)
     with pytest.raises(OutOfRange):
         FieldElement(1, 1, 2, 5) - FieldElement(1, 1, 2, 3)
+
+
+def test_public_constructor_checks_the_radicand():
+    for d in (0, -5, 1, 4, 9, 10**40, 3**90):
+        with pytest.raises(OutOfRange):
+            FieldElement(1, 1, 2, d)
+    for checked in (False, True):
+        with pytest.raises(ZeroDivisionError):
+            FieldElement(1, 1, 0, 5, _checked=checked)
+    x, y = FieldElement(1, 1, 2, 5), FieldElement(1, 1, 2, 3)
+    for op in (lambda: x - y, lambda: x.sub_times(y, 4), lambda: y.sub_times(x, -1)):
+        with pytest.raises(OutOfRange):
+            op()
+
+
+ints = st.integers(-(2**200), 2**200)
+nonzero = ints.filter(bool)
+
+
+@st.composite
+def field_pairs(draw):
+    """Two elements over one nonsquare radicand, up to 400 bits."""
+    d = draw(st.integers(2, 2**400))
+    assume(isqrt(d) ** 2 != d)
+    x = FieldElement(draw(ints), draw(nonzero), draw(nonzero), d)
+    y = FieldElement(draw(ints), draw(nonzero), draw(nonzero), d)
+    return x, y
+
+
+def _is_normal(el: FieldElement, d: int) -> bool:
+    return el.r > 0 and gcd(el.p, el.q, el.r) == 1 and el.d == d
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_pairs(), ints)
+def test_fused_step_equals_subtract_then_scale(pair, k):
+    x, y = pair
+    fused = x.sub_times(y, k)
+    assert fused == (x - y).mul_fraction(Fraction(k))
+    assert fused.key() == (x - y).mul_fraction(Fraction(k)).key()
+    assert _is_normal(fused, x.d)
+    assert x - y == x.sub_times(y, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_pairs(), nonzero, st.lists(ints, min_size=4, max_size=4))
+def test_trusted_results_stay_normalised(pair, k, m):
+    x, y = pair
+    a, b, c, e = m
+    assume(c or e)
+    f = Fraction(k, 3 * k + 1)
+    for el in (x - y, x.sub_times(y, k), x.sub_fraction(f), x.mul_fraction(f),
+               x.mobius(a, b, c, e)):
+        assert _is_normal(el, x.d)
+    assert x.mobius(a, b, c, e) == FieldElement(
+        *_mobius_parts(x, a, b, c, e), x.d)
+
+
+def _mobius_parts(x, a, b, c, e):
+    # (a x + b)/(c x + e) by Fraction arithmetic on the two coordinates
+    num = (Fraction(a * x.p + b * x.r, x.r), Fraction(a * x.q, x.r))
+    den = (Fraction(c * x.p + e * x.r, x.r), Fraction(c * x.q, x.r))
+    norm = den[0] ** 2 - den[1] ** 2 * x.d
+    p = (num[0] * den[0] - num[1] * den[1] * x.d) / norm
+    q = (num[1] * den[0] - num[0] * den[1]) / norm
+    r = p.denominator * q.denominator
+    return int(p * r), int(q * r), r
+
+
+def test_field_element_of_an_equation_keeps_its_radicand():
+    x = QuadIrr(3, 5, 7)  # disc 25 + 84 = 109
+    el = x.field_element()
+    assert _is_normal(el, 109) and el.sign() > 0
+    y = QuadIrr(1, 0, 12)  # sqrt(12) = 2 sqrt(3): disc 48 = 4^2 * 3
+    assert y.field_element(3) == FieldElement(0, 2, 1, 3)
+    assert y.field_element(12) == FieldElement(0, 1, 1, 12)
+    for d in (5, 7, 0, -3, 49, 16, 24):  # 48 = 3 * 16 = 2 * 24
+        with pytest.raises(OutOfRange):
+            y.field_element(d)
 
 
 def test_quad_irr_construction_guards():
