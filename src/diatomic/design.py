@@ -189,7 +189,7 @@ def check_runs(ks) -> tuple[int, ...]:
         raise MalformedRuns(f"run list length must be odd: {ks}")
     if any(k < 0 for k in ks):
         raise MalformedRuns(f"negative run in {ks}")
-    if ks[0] < 0 or ks[-1] < 0 or any(k < 1 for k in ks[1:-1]):
+    if any(k < 1 for k in ks[1:-1]):
         raise MalformedRuns(f"interior runs must be positive: {ks}")
     return ks
 

@@ -52,8 +52,8 @@ class FieldElement:
 
     The keyword _checked is internal: the library's own arithmetic passes
     it on a d that already passed the radicand check, to skip the isqrt of
-    d.  Callers must not pass it; sign, floor and str assume d is a
-    positive nonsquare.
+    d.  Callers must not pass it; sign and str assume d is a positive
+    nonsquare.
     """
 
     __slots__ = ("p", "q", "r", "d")
@@ -73,9 +73,6 @@ class FieldElement:
 
     def sign(self) -> int:
         return _sign_p_q_sqrt(self.p, self.q, self.d)
-
-    def is_rational(self) -> bool:
-        return self.q == 0
 
     def mobius(self, a: int, b: int, c: int, e: int) -> "FieldElement":
         """Apply (a x + b)/(c x + e) with integer, possibly negative, entries."""
@@ -126,16 +123,6 @@ class FieldElement:
 
     def __hash__(self) -> int:
         return hash((self.key(), self.d))
-
-    def floor(self) -> int:
-        # isqrt(q^2 d) pins q*sqrt(d) to within 1, so one adjustment suffices
-        s = isqrt(self.q * self.q * self.d)
-        a = (self.p + (s if self.q >= 0 else -(s + 1))) // self.r
-        while self.compare_fraction(Fraction(a + 1)) >= 0:
-            a += 1
-        while self.compare_fraction(Fraction(a)) < 0:
-            a -= 1
-        return a
 
     def __str__(self) -> str:
         rat = Fraction(self.p, self.r)
@@ -212,12 +199,6 @@ class QuadIrr:
             return -1
         return self.compare_fraction(Fraction(v.num, v.den))
 
-    def eval_sign_at(self, f: Fraction) -> int:
-        """Sign of a2 x^2 - b1 x - c0 at a rational point, exactly."""
-        x, y = f.numerator, f.denominator
-        val = self.a2 * x * x - self.b1 * x * y - self.c0 * y * y
-        return (val > 0) - (val < 0)
-
     def sqrt_value(self) -> Fraction | None:
         """If the root is the square root of a rational, that rational."""
         return Fraction(self.c0, self.a2) if self.b1 == 0 else None
@@ -279,61 +260,45 @@ def _quad_of_field_element(x: FieldElement) -> QuadIrr:
     return QuadIrr(a2, b1, c0, plus_branch=x.q > 0)
 
 
-@dataclass(frozen=True)
-class SurdState:
-    """One step of the square-root continued fraction: (p + sqrt(d)) / q."""
+def _cf_walk(p: int, q: int, d: int) -> tuple[list[int], list[int]]:
+    """Continued fraction of (p + sqrt(d))/q: (prefix, repeating cycle).
 
-    p: int
-    q: int
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.q < 1:
-            raise OutOfRange("square-root walk keeps q positive")
-        if (self.d - self.p * self.p) % self.q:
-            raise OutOfRange("q must divide d - p^2")
-
-    def quotient(self) -> int:
-        s = isqrt(self.d)
-        a = (self.p + s) // self.q
-        # isqrt truncation can land one short of the true floor
-        t = (a + 1) * self.q - self.p
-        if t <= 0 or t * t <= self.d:
-            a += 1
-        return a
-
-    def step(self) -> tuple[int, "SurdState"]:
-        a = self.quotient()
-        p2 = a * self.q - self.p
-        return a, SurdState(p2, (self.d - p2 * p2) // self.q, self.d)
+    Needs d a positive nonsquare, q != 0 and q | d - p^2; each step keeps
+    q | d - p^2, so the walk stays in integers.  With s = isqrt(d) the
+    value lies strictly between (p + s)/q and (p + s + 1)/q, and no integer
+    lies strictly between those two, so the floor of the lower one is the
+    quotient, for either sign of q.
+    """
+    s = isqrt(d)
+    seen: dict[tuple[int, int], int] = {}
+    quots: list[int] = []
+    while (p, q) not in seen:
+        seen[p, q] = len(quots)
+        a = (p + s + (q < 0)) // q
+        quots.append(a)
+        p = a * q - p
+        q = (d - p * p) // q
+    k = seen[p, q]
+    return quots[:k], quots[k:]
 
 
 def sqrt_cf(num: int, den: int) -> tuple[list[int], list[int]]:
     """Continued fraction of sqrt(num/den): (prefix, repeating cycle)."""
-    d = num * den
-    state = SurdState(0, den, d)
-    seen: dict[tuple[int, int], int] = {}
-    quots: list[int] = []
-    while (state.p, state.q) not in seen:
-        seen[(state.p, state.q)] = len(quots)
-        a, state = state.step()
-        quots.append(a)
-    k = seen[(state.p, state.q)]
-    return quots[:k], quots[k:]
+    if num < 1 or den < 1:
+        raise NonPositive(f"need a positive rational, got {num}/{den}")
+    if _is_square(num * den):
+        raise PerfectSquare(f"sqrt({Fraction(num, den)}) is rational")
+    return _cf_walk(0, den, num * den)
 
 
 def cf_of_root(x: QuadIrr) -> tuple[list[int], list[int]]:
-    """Continued fraction of the root: (prefix, cycle), by exact state walk."""
-    el = x.field_element()
-    seen: dict[tuple[int, int, int], int] = {}
-    quots: list[int] = []
-    while el.key() not in seen:
-        seen[el.key()] = len(quots)
-        a = el.floor()
-        quots.append(a)
-        el = el.sub_fraction(Fraction(a)).mobius(0, 1, 1, 0)
-    k = seen[el.key()]
-    return quots[:k], quots[k:]
+    """Continued fraction of the root: (prefix, cycle).
+
+    The root is (b1 +- sqrt(disc))/(2 a2), and 2 a2 divides
+    disc - b1^2 = 4 a2 c0, so the integer walk takes it unscaled.
+    """
+    sign = 1 if x.plus_branch else -1
+    return _cf_walk(sign * x.b1, sign * 2 * x.a2, x.discriminant)
 
 
 def periodic_design_of_sqrt(value: Fraction) -> PeriodicDesign:
@@ -342,15 +307,11 @@ def periodic_design_of_sqrt(value: Fraction) -> PeriodicDesign:
     Runs the square-root continued fraction to its cycle, lays the
     quotients out as alternating 1/0 blocks (doubling odd cycles so the
     block parity lines up), and canonicalizes.  The result is always
-    purely periodic with a run-palindromic period.
+    purely periodic with a run-palindromic period.  sqrt_cf rejects a
+    value that is not positive or whose square root is rational.
     """
     value = Fraction(value)
-    if value <= 0:
-        raise NonPositive(f"need a positive rational, got {value}")
-    num, den = value.numerator, value.denominator
-    if _is_square(num) and _is_square(den):
-        raise PerfectSquare(f"sqrt({value}) is rational")
-    prefix, cycle = sqrt_cf(num, den)
+    prefix, cycle = sqrt_cf(value.numerator, value.denominator)
     s, l = len(prefix), len(cycle)
     cyc = cycle if l % 2 == 0 else cycle + cycle
     pre_word = "".join(("1" if i % 2 == 0 else "0") * r for i, r in enumerate(prefix))

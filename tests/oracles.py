@@ -7,15 +7,23 @@ question-mark by a mediant walk down the Farey tree, the four integer
 kernels by the one-letter-at-a-time loops they used before their product
 trees and half-gcd peel, canonical periodic designs by long division with
 a remainder dict and one-bit rotations, the order of 2 by doubling until
-1 comes back, and quotient scans by rebuilding the periodic design at
-every probed point.
+1 comes back, quotient scans by rebuilding the periodic design at every
+probed point, and continued fractions of quadratic irrationals by field
+arithmetic (floor, subtract, invert) with a remainder dict on the
+normalised element.
 """
 
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, isqrt
 
-from diatomic import FiniteDesign, PeriodicDesign, Side, assembly_of_rational_theta
+from diatomic import (
+    FieldElement,
+    FiniteDesign,
+    PeriodicDesign,
+    Side,
+    assembly_of_rational_theta,
+)
 
 
 def brute_stern(m: int) -> int:
@@ -215,3 +223,29 @@ def rebuild_quotient_scan(eta: Fraction, side: Side, jmax: int) -> tuple:
         el = assembly_of_rational_theta(eta + h).field_element(disc)
         samples.append((h, (el - base_el).mul_fraction(1 / h)))
     return tuple(samples)
+
+
+def field_element_floor(x: FieldElement) -> int:
+    """floor((p + q sqrt d)/r): a guess from isqrt(q^2 d), then exact
+    comparisons with the neighbouring integers."""
+    s = isqrt(x.q * x.q * x.d)
+    a = (x.p + (s if x.q >= 0 else -(s + 1))) // x.r
+    while x.compare_fraction(Fraction(a + 1)) >= 0:
+        a += 1
+    while x.compare_fraction(Fraction(a)) < 0:
+        a -= 1
+    return a
+
+
+def field_element_cf(x: FieldElement) -> tuple[list, list]:
+    """Continued fraction of x as (prefix, cycle): floor, subtract, invert,
+    until a normalised element repeats."""
+    seen = {}
+    quots = []
+    while x.key() not in seen:
+        seen[x.key()] = len(quots)
+        a = field_element_floor(x)
+        quots.append(a)
+        x = x.sub_fraction(Fraction(a)).mobius(0, 1, 1, 0)
+    k = seen[x.key()]
+    return quots[:k], quots[k:]

@@ -29,6 +29,7 @@ from diatomic import (
     theta_of,
 )
 from diatomic.errors import InvalidPeriod, NonPositive, OutOfRange, PerfectSquare
+from oracles import field_element_cf, field_element_floor
 
 
 def _squarefree(n: int) -> int:
@@ -54,9 +55,9 @@ def test_field_element_sign_and_compare():
     assert x.compare_fraction(Fraction(13, 8)) < 0
     neg = FieldElement(-7, 3, 2, 5)
     assert neg.sign() < 0
-    assert neg.floor() == -1
-    assert FieldElement(-7, -3, 2, 5).floor() == -7
-    assert FieldElement(1, 1, 2, 5).floor() == 1
+    assert field_element_floor(neg) == -1
+    assert field_element_floor(FieldElement(-7, -3, 2, 5)) == -7
+    assert field_element_floor(FieldElement(1, 1, 2, 5)) == 1
 
 
 def test_field_element_mobius():
@@ -298,6 +299,35 @@ def test_sqrt_cf_basics():
     assert sqrt_cf(1, 3) == ([0, 1], [1, 2])
 
 
+@pytest.mark.parametrize("num, den, error", [
+    (-2, 1, NonPositive),
+    (0, 1, NonPositive),
+    (2, 0, NonPositive),
+    (2, -3, NonPositive),
+    (4, 1, PerfectSquare),
+    (1, 1, PerfectSquare),
+    (2, 8, PerfectSquare),
+    (9, 4, PerfectSquare),
+])
+def test_sqrt_cf_checks_its_input_first(num, den, error):
+    with pytest.raises(error):
+        sqrt_cf(num, den)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10**6), st.integers(1, 10**4))
+def test_sqrt_cf_matches_the_field_walk(num, den):
+    assume(isqrt(num * den) ** 2 != num * den)
+    assert sqrt_cf(num, den) == field_element_cf(FieldElement(0, 1, den, num * den))
+
+
+def test_sqrt_cf_of_a_large_prime():
+    d = 10**9 + 7
+    prefix, cycle = sqrt_cf(d, 1)
+    assert len(cycle) == 12352
+    assert cf_of_root(QuadIrr(1, 0, d)) == (prefix, cycle)
+
+
 # --- types and conjugates ----------------------------------------------------
 
 def test_type_examples():
@@ -399,6 +429,48 @@ def test_cf_of_root_examples():
     assert cf_of_root(golden) == ([], [1])
     root2 = quad_from_period(parse_design("1001"))
     assert cf_of_root(root2) == ([1], [2])
+    # 2 - sqrt(2): the walk starts at (-4 + sqrt(8))/(-2), whose upper
+    # bound (-4 + 2)/(-2) = 1 is an integer the value stays below
+    assert cf_of_root(QuadIrr(1, 4, -2, plus_branch=False)) == ([0, 1, 1], [2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 150), st.integers(0, 10**6))
+def test_cf_of_periodic_values_matches_the_field_walk(k, half, a):
+    # theta = a/(2^k q') with odd q' >= 3, kept off the dyadics
+    den = (2 * half + 1) << k
+    t = Fraction(a % den, den)
+    assume(t.denominator & (t.denominator - 1))
+    v = quad_of_periodic(design_of_theta(t))
+    assert cf_of_root(v) == field_element_cf(v.field_element())
+
+
+coefs = st.integers(1, 2000)
+
+
+@st.composite
+def quad_irrs(draw):
+    """Roots of either branch; the minus branch needs c0 < 0 < b1, and its
+    walk starts from the negative denominator -2 a2, kept small so that it
+    often divides the numerator's integer part."""
+    a2 = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        b1, c0, plus = draw(st.integers(-2000, 2000)), draw(st.integers(-2000, 2000)), True
+    else:
+        c0 = -draw(coefs)
+        b1, plus = isqrt(-4 * a2 * c0) + draw(coefs), False
+    disc = b1 * b1 + 4 * a2 * c0
+    assume(disc > 0 and isqrt(disc) ** 2 != disc)
+    try:
+        return QuadIrr(a2, b1, c0, plus)
+    except OutOfRange:
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(quad_irrs())
+def test_cf_of_root_matches_the_field_walk(x):
+    assert cf_of_root(x) == field_element_cf(x.field_element())
 
 
 # --- equivalence under a shared tail -----------------------------------------
