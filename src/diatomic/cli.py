@@ -18,6 +18,7 @@ import sys
 from . import assembly, derivative, design, matrix, quadratic
 from .errors import DesignSyntaxError, DomainError, OutOfRange
 from .rational import parse_fraction, parse_ratio
+from .sdi import sdi, stern
 
 
 def _required(value, what: str) -> str:
@@ -26,33 +27,22 @@ def _required(value, what: str) -> str:
     return value
 
 
-def _parse_design(text: str) -> design.Design:
-    return design.parse_design(text)
-
-
 def _finite(text: str) -> design.FiniteDesign:
-    d = _parse_design(text)
+    d = design.parse_design(text)
     if not isinstance(d, design.FiniteDesign):
         raise DomainError(f"expected a finite design, got {text!r}")
     return d
 
 
 def _cmd_stern(args) -> tuple[str, dict]:
-    if args.sdi is not None:
-        from .sdi import sdi
-
-        value = sdi(args.sdi, args.m)
-    else:
-        from .sdi import stern
-
-        value = stern(args.m)
+    value = stern(args.m) if args.sdi is None else sdi(args.sdi, args.m)
     return str(value), {"value": str(value)}
 
 
 def _design_from_ratio(text: str) -> design.Design:
     # keep the literal pair so a non-coprime input is reported, not reduced
     text = text.strip()
-    if "/" in text and text != "1/0":
+    if "/" in text and text not in ("0/1", "1/0"):
         a, b = text.split("/", 1)
         try:
             a, b = int(a), int(b)
@@ -67,13 +57,13 @@ def _cmd_design(args) -> tuple[str, dict]:
         d = _design_from_ratio(args.arg)
         return str(d), {"design": str(d)}
     if args.action == "theta":
-        t = design.theta_of(_parse_design(args.arg))
+        t = design.theta_of(design.parse_design(args.arg))
         return str(t), {"theta": str(t)}
     if args.action == "of-theta":
         d = design.design_of_theta(parse_fraction(args.arg))
         return str(d), {"design": str(d)}
     if args.action == "conj":
-        d = design.conjugate(_parse_design(args.arg))
+        d = design.conjugate(design.parse_design(args.arg))
         return str(d), {"design": str(d)}
     if args.action == "inv":
         d = design.inverse_design(_finite(args.arg))
@@ -81,7 +71,8 @@ def _cmd_design(args) -> tuple[str, dict]:
     if args.action == "reduce":
         d = design.reduce(_finite(args.arg))
         return str(d), {"design": str(d)}
-    d = design.compose(_finite(args.arg), _parse_design(_required(args.arg2, "second design")))
+    second = design.parse_design(_required(args.arg2, "second design"))
+    d = design.compose(_finite(args.arg), second)
     return str(d), {"design": str(d)}
 
 

@@ -83,7 +83,7 @@ def quotient_scan(eta: Fraction, side: Side, jmax: int) -> QuotientScan:
             gap = (assembly_theta(eta + h).as_fraction() - base) / h
             samples.append((h, ExtRational.from_fraction(gap)))
     else:
-        base = assembly_of_rational_theta(eta).field_element()
+        base = assembly_of_rational_theta(eta)
         for j in range(1, jmax + 1):
             h = Fraction(sgn, 1 << j)
             if not 0 < eta + h < 1:

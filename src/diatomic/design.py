@@ -31,8 +31,12 @@ from .errors import (
 )
 
 
+_BITS = str.maketrans("", "", "01")  # deletes the two letters
+_FLIP = str.maketrans("01", "10")
+
+
 def _check_word(word: str) -> None:
-    if word.strip("01"):
+    if word.translate(_BITS):
         raise DesignSyntaxError(f"design word may contain only 0 and 1: {word!r}")
 
 
@@ -158,7 +162,6 @@ def parse_design(text: str) -> Design:
         return make_periodic(head, per)
     if ")" in text:
         raise DesignSyntaxError(f"unbalanced period group in {text!r}")
-    _check_word(text)
     return FiniteDesign(text)
 
 
@@ -265,7 +268,7 @@ def conjugate(d: Design) -> Design:
 
 
 def _flip(word: str) -> str:
-    return word.translate(str.maketrans("01", "10"))
+    return word.translate(_FLIP)
 
 
 def inverse_design(d: FiniteDesign) -> FiniteDesign:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._backend import matrix_word, word_matrix
-from .design import FiniteDesign, inverse_design
+from .design import FiniteDesign, _flip, inverse_design
 from .errors import DesignSyntaxError, NegativeEntry, NotUnimodular, TerminalDesign
 from .rational import ExtRational
 
@@ -92,4 +92,4 @@ def matrix_symmetries(d: FiniteDesign) -> tuple[UniModMatrix, UniModMatrix, UniM
 
 def _bitflip(d: FiniteDesign) -> FiniteDesign:
     # complement word: m maps to 2^n - (m+1), not the conjugate's 2^n - m
-    return FiniteDesign(d.bits.translate(str.maketrans("01", "10")))
+    return FiniteDesign(_flip(d.bits))

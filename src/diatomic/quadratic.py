@@ -1,16 +1,15 @@
 """Periodic designs and the quadratic irrationals they evaluate to.
 
-A purely periodic design with period {m}_n pins its value as the positive
-root of  q3 X^2 - (q1 - q4) X - q2 = 0  built from the table quadruple at
-(n, m); a preperiod conjugates that fixed point by an integer unimodular
-matrix.  Exactness is kept throughout: roots are compared through integer
-sign tests, never floats.
+A periodic design's value is the attracting fixed point of one integer
+unimodular matrix: the period's, whose entries are the table quadruple at
+(n, m), conjugated by the preperiod's.  One exact type holds it: QuadIrr,
+a FieldElement (p + q sqrt(d))/r read back as its primitive equation.
+Roots are compared through integer sign tests, never floats.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -136,63 +135,67 @@ class FieldElement:
         return f"FieldElement({self.p}, {self.q}, {self.r}, d={self.d})"
 
 
-@dataclass(frozen=True)
-class QuadIrr:
+class QuadIrr(FieldElement):
     """A quadratic irrational as the selected root of a2 X^2 - b1 X - c0 = 0.
 
-    Coefficients are primitive with a2 >= 1; plus_branch picks
-    (b1 + sqrt(disc)) / (2 a2) over the minus sign.  The selected root is
-    always the positive one when the roots straddle 0 and is validated to
-    be positive in every case.
+    Coefficients are made primitive with a2 >= 1; plus_branch picks
+    (b1 + sqrt(disc)) / (2 a2) over the minus sign.  The root is stored as
+    that field element, (b1, +-1, 2 a2, disc), whose constructor checks the
+    discriminant; the coefficients are read back from it.  The selected
+    root is always the positive one when the roots straddle 0 and is
+    validated to be positive in every case.
     """
 
-    a2: int
-    b1: int
-    c0: int
-    plus_branch: bool = True
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a2 <= 0:
+    def __init__(self, a2: int, b1: int, c0: int, plus_branch: bool = True):
+        if a2 <= 0:
             raise OutOfRange("leading coefficient must be positive")
-        g = gcd(gcd(self.a2, abs(self.b1)), abs(self.c0))
-        if g > 1:
-            object.__setattr__(self, "a2", self.a2 // g)
-            object.__setattr__(self, "b1", self.b1 // g)
-            object.__setattr__(self, "c0", self.c0 // g)
-        disc = self.discriminant
-        if disc <= 0 or _is_square(disc):
-            raise OutOfRange(f"discriminant {disc} is not a positive nonsquare")
-        if self.field_element().sign() <= 0:
+        g = gcd(a2, b1, c0)
+        a2, b1, c0 = a2 // g, b1 // g, c0 // g
+        super().__init__(b1, 1 if plus_branch else -1, 2 * a2, b1 * b1 + 4 * a2 * c0)
+        if self.sign() <= 0:
             raise OutOfRange("selected root is not positive")
 
     @property
+    def a2(self) -> int:
+        return self.r >> 1
+
+    @property
+    def b1(self) -> int:
+        return self.p
+
+    @property
+    def c0(self) -> int:
+        return (self.d - self.p * self.p) // (2 * self.r)  # disc = b1^2 + 4 a2 c0
+
+    @property
+    def plus_branch(self) -> bool:
+        return self.q > 0
+
+    @property
     def discriminant(self) -> int:
-        return self.b1 * self.b1 + 4 * self.a2 * self.c0
+        return self.d
+
+    def __repr__(self) -> str:
+        return (f"QuadIrr(a2={self.a2}, b1={self.b1}, c0={self.c0}, "
+                f"plus_branch={self.plus_branch})")
 
     def field_element(self, d: int | None = None) -> FieldElement:
-        """The root as an exact field element over sqrt(d); d defaults to disc.
+        """The root over sqrt(d), where t^2 d = disc; d defaults to disc.
 
-        disc was checked on construction, and disc = t^2 d makes d a positive
-        nonsquare too, so d is not checked again.
+        disc was checked on construction, so d is not checked again.
         """
-        disc = self.discriminant
         if d is None:
-            d = disc
-        if d <= 0:
+            return self
+        t = isqrt(self.d // d) if d > 0 else 0
+        if t == 0 or t * t * d != self.d:
             raise OutOfRange(f"root lies outside Q(sqrt({d}))")
-        t2, rem = divmod(disc, d)
-        t = isqrt(t2)
-        if rem or t * t != t2:
-            raise OutOfRange(f"root lies outside Q(sqrt({d}))")
-        return FieldElement(self.b1, t if self.plus_branch else -t, 2 * self.a2, d,
-                            _checked=True)
+        return FieldElement(self.p, t * self.q, self.r, d, _checked=True)
 
     def conjugate_sign(self) -> int:
         """Sign of the other root; negative exactly when c0 > 0."""
         return -1 if self.c0 > 0 else 1
-
-    def compare_fraction(self, f: Fraction) -> int:
-        return self.field_element().compare_fraction(f)
 
     def compare_ext(self, v: ExtRational) -> int:
         if v.is_infinite:
@@ -231,33 +234,35 @@ def _check_period(period: FiniteDesign) -> FiniteDesign:
     return period
 
 
+def _fixed_point(a: int, b: int, c: int, d: int) -> QuadIrr:
+    """The attracting fixed point of x -> (a x + b)/(c x + d), det 1, trace > 2.
+
+    It solves c x^2 - (a - d) x - b = 0, and there the map's derivative is
+    1/(c x + d)^2 with c x + d = (a + d +- sqrt(disc))/2, so the attracting
+    root takes +sqrt(disc)/(2c): the plus branch exactly when c > 0.
+    """
+    if c > 0:
+        return QuadIrr(c, a - d, b)
+    return QuadIrr(-c, d - a, -b, plus_branch=False)
+
+
 def quad_from_period(period: FiniteDesign) -> QuadIrr:
     """Fixed-point equation of a purely periodic design with this period."""
     period = _check_period(period)
-    m, n = period.number, period.length
-    q1, q2, q3, q4 = sdi_quadruple(n, m)
-    return QuadIrr(q3, q1 - q4, q2)
+    return _fixed_point(*sdi_quadruple(period.length, period.number))
 
 
 def quad_of_periodic(pd: PeriodicDesign) -> QuadIrr:
-    """Value of a canonical periodic design; conjugates the pure fixed point."""
-    eta = quad_from_period(pd.period)
+    """Value of a canonical periodic design: with M the preperiod's matrix
+    and P the period's, the attracting fixed point of M P M^-1."""
     pre = pd.preperiod.bits
     if not pre:
-        return eta
+        return quad_from_period(pd.period)
+    e, f, g, h = sdi_quadruple(pd.period.length, pd.period.number)
     a, b, c, d = word_matrix(pre)
-    omega = eta.field_element().mobius(a, b, c, d)
-    return _quad_of_field_element(omega)
-
-
-def _quad_of_field_element(x: FieldElement) -> QuadIrr:
-    # (rx - p)^2 = q^2 d  =>  r^2 X^2 - 2pr X + (p^2 - q^2 d) = 0
-    if x.q == 0:
-        raise OutOfRange("element is rational, not quadratic")
-    a2 = x.r * x.r
-    b1 = 2 * x.p * x.r
-    c0 = x.q * x.q * x.d - x.p * x.p
-    return QuadIrr(a2, b1, c0, plus_branch=x.q > 0)
+    # M P = (ta tb; tc td), times M^-1 = (d -b; -c a)
+    ta, tb, tc, td = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return _fixed_point(ta * d - tb * c, tb * a - ta * b, tc * d - td * c, td * a - tc * b)
 
 
 def _cf_walk(p: int, q: int, d: int) -> tuple[list[int], list[int]]:

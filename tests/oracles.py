@@ -8,9 +8,10 @@ kernels by the one-letter-at-a-time loops they used before their product
 trees and half-gcd peel, canonical periodic designs by long division with
 a remainder dict and one-bit rotations, the order of 2 by doubling until
 1 comes back, quotient scans by rebuilding the periodic design at every
-probed point, and continued fractions of quadratic irrationals by field
-arithmetic (floor, subtract, invert) with a remainder dict on the
-normalised element.
+probed point, periodic values by moving the period's root with the
+preperiod's Moebius map and reading its equation back, and continued
+fractions of quadratic irrationals by field arithmetic (floor, subtract,
+invert) with a remainder dict on the normalised element.
 """
 
 from fractions import Fraction
@@ -21,8 +22,10 @@ from diatomic import (
     FieldElement,
     FiniteDesign,
     PeriodicDesign,
+    QuadIrr,
     Side,
     assembly_of_rational_theta,
+    sdm,
 )
 
 
@@ -249,3 +252,15 @@ def field_element_cf(x: FieldElement) -> tuple[list, list]:
         x = x.sub_fraction(Fraction(a)).mobius(0, 1, 1, 0)
     k = seen[x.key()]
     return quots[:k], quots[k:]
+
+
+def mobius_quad_of_periodic(pd: PeriodicDesign) -> QuadIrr:
+    """The value of a periodic design by field arithmetic: the period's root
+    moved by the preperiod's Moebius map, then read back as its equation."""
+    a, b, c, d = sdm(pd.period).entries()
+    # c x^2 - (a - d) x - b = 0, with c > 0 for a period that mixes 0s and 1s
+    x = FieldElement(a - d, 1, 2 * c, (a - d) ** 2 + 4 * b * c)
+    if pd.preperiod.bits:
+        x = x.mobius(*sdm(pd.preperiod).entries())
+    # (r X - p)^2 = q^2 d  =>  r^2 X^2 - 2 p r X + (p^2 - q^2 d) = 0
+    return QuadIrr(x.r * x.r, 2 * x.p * x.r, x.q * x.q * x.d - x.p * x.p, x.q > 0)

@@ -37,6 +37,17 @@ def test_design_commands(capsys):
     assert run(capsys, "design", "reduce", "10100")[1].strip() == "101"
 
 
+def test_design_from_ratio_end_points(capsys):
+    # 0/1 and 1/0 are coprime pairs: the empty design and the terminal one
+    assert run(capsys, "design", "from-ratio", "0/1")[:2] == (0, "\n")
+    assert run(capsys, "design", "from-ratio", "0")[:2] == (0, "\n")
+    assert run(capsys, "design", "from-ratio", "1/0")[:2] == (0, "t\n")
+    code, out, _ = run(capsys, "--json", "design", "from-ratio", "0/1")
+    assert code == 0 and json.loads(out) == {"design": ""}
+    code, out, _ = run(capsys, "--json", "design", "from-ratio", "1/0")
+    assert code == 0 and json.loads(out) == {"design": "t"}
+
+
 def test_design_error_exit(capsys):
     code, _, err = run(capsys, "design", "from-ratio", "6/3")
     assert code == 2 and "NotCoprime" in err

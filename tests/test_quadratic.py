@@ -29,7 +29,7 @@ from diatomic import (
     theta_of,
 )
 from diatomic.errors import InvalidPeriod, NonPositive, OutOfRange, PerfectSquare
-from oracles import field_element_cf, field_element_floor
+from oracles import field_element_cf, field_element_floor, mobius_quad_of_periodic
 
 
 def _squarefree(n: int) -> int:
@@ -164,6 +164,33 @@ def test_quad_irr_construction_guards():
     assert QuadIrr(2, 0, 4) == QuadIrr(1, 0, 2)  # primitive normalization
 
 
+def test_quad_irr_is_its_field_element():
+    x = QuadIrr(3, 5, 7)
+    assert isinstance(x, FieldElement)
+    assert x == FieldElement(5, 1, 6, 109)
+    assert QuadIrr(1, 4, -2, plus_branch=False) == FieldElement(4, -1, 2, 8)
+    y = QuadIrr(2, 8, -4, plus_branch=False)  # primitive (1, 4, -2): 2 - sqrt(2)
+    assert (y.a2, y.b1, y.c0, y.plus_branch, y.discriminant) == (1, 4, -2, False, 8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 60), st.integers(-2000, 2000), st.integers(-2000, 2000),
+       st.booleans(), st.integers(1, 9))
+def test_quad_irr_reads_back_its_primitive_equation(a2, b1, c0, plus, k):
+    disc = b1 * b1 + 4 * a2 * c0
+    assume(disc > 0 and isqrt(disc) ** 2 != disc)
+    g = gcd(a2, b1, c0)
+    a2, b1, c0, disc = a2 // g, b1 // g, c0 // g, disc // (g * g)
+    el = FieldElement(b1, 1 if plus else -1, 2 * a2, disc)
+    if el.sign() <= 0:
+        with pytest.raises(OutOfRange):
+            QuadIrr(k * a2, k * b1, k * c0, plus)
+        return
+    x = QuadIrr(k * a2, k * b1, k * c0, plus)
+    assert x == el
+    assert (x.a2, x.b1, x.c0, x.plus_branch, x.discriminant) == (a2, b1, c0, plus, disc)
+
+
 def test_purity_domain():
     with pytest.raises(OutOfRange):
         purity_test(Fraction(1))
@@ -227,6 +254,22 @@ def test_fixed_point_equation_matches_matrix():
         q = quad_from_period(parse_design(per))
         got = QuadIrr(m.c, m.a - m.d, m.b)
         assert got == q
+
+
+@st.composite
+def bit_words(draw, lo, hi):
+    n = draw(st.integers(lo, hi))
+    return format(draw(st.integers(0, (1 << n) - 1)), f"0{n}b") if n else ""
+
+
+@settings(max_examples=40, deadline=None)
+@given(bit_words(0, 64), bit_words(2, 4000))
+def test_periodic_value_matches_the_mobius_route(pre, per):
+    # the composition law at scale: the conjugated fixed point equals the
+    # period's root moved by the preperiod's matrix
+    d = make_periodic(pre, per)
+    assume(isinstance(d, PeriodicDesign))
+    assert quad_of_periodic(d) == mobius_quad_of_periodic(d)
 
 
 def test_random_periodic_roots_sit_inside_their_enclosures():
