@@ -1,46 +1,36 @@
 """Integer kernels.
 
-Each kernel forms one product of 2x2 integer matrices, or factors one back
-into its word: the generators U("1") = (1 1; 0 1) and U("0") = (1 0; 1 1)
-for the sequence pair and the word <-> matrix maps, and (k 1; 1 0) for the
-continuant fold.  Short inputs run a linear loop, one letter or item at a
-time.  Above a measured cutoff the products are built as a balanced tree, so
-the large multiplications fall where CPython's Karatsuba pays, and the
-factoring peels by a half-gcd on the top bits.  Inputs are pre-validated by
-the public modules.  All arithmetic is on Python ints, so there is no
-magnitude limit.
+Three loops do all the work.  The word product multiplies the generators
+U("1") = (1 1; 0 1) and U("0") = (1 0; 1 1) along a 0/1 word; the sequence
+pair is read off its top row.  The continuant fold multiplies the matrices
+(k 1; 1 0) along a list.  The peel factors a matrix back into its word.
+Short inputs run a linear loop, one letter or item at a time.  Above a
+measured cutoff the products are built as a balanced tree, so the large
+multiplications fall where CPython's Karatsuba pays, and the peel works by
+a half-gcd on the top bits.  Inputs are pre-validated by the public
+modules.  All arithmetic is on Python ints, so there is no magnitude limit.
 """
 
 BACKEND = "python"
 
 # Cutoffs, each where the fast route overtook its kernel's linear loop when
 # timed on random words and their run lengths (Python 3.11, see CHANGES.md).
-_LEAF_BITS = 128  # word letters per tree leaf; stern_pair takes the tree above one leaf
+_LEAF_BITS = 128  # word letters per tree leaf
 _WORD_BITS = 768  # word_matrix: word length above which the tree runs
 _LEAF_ITEMS = 64  # continuant items per tree leaf
 _CONT_ITEMS = 3072  # continuant_pair: list length above which the tree runs
 _HGCD_BITS = 4096  # matrix_word: entry size above which the half-gcd runs
 _PEEL_BITS = 384  # half-gcd: pair size peeled run by run
 
-_FLIP = str.maketrans("01", "10")
-
 
 def stern_pair(m):
     """Return (a_m, a_{m+1}) of the diatomic sequence.
 
-    The pair is the bottom row of the generator product along the
-    complement of bin(m), so long indices go through the product tree.
+    With n the bit length of m, the matrix of the n-bit word of m is the
+    table quadruple at (n, m), whose top row is (a_{m+1}, a_m).
     """
-    n = m.bit_length()
-    if n > _LEAF_BITS:
-        return _product(_word_leaves(format(m, "b").translate(_FLIP)))[2:]
-    a, b = 0, 1
-    for k in range(n - 1, -1, -1):
-        if (m >> k) & 1:
-            a, b = a + b, b
-        else:
-            a, b = a, a + b
-    return a, b
+    a, b, _, _ = word_matrix(format(m, "b"))
+    return b, a
 
 
 def continuant_pair(ks):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._backend import stern_pair
+from ._backend import word_matrix
 from .design import FiniteDesign, design_of_theta, euclidean_design
 from .errors import InsufficientBits, OutOfRange
 from .matrix import apply_mobius, sdm
@@ -19,12 +19,14 @@ from .rational import ExtRational
 
 
 def assembly_dyadic(m: int, n: int) -> ExtRational:
-    """Value at m/2**n; m = 2**n is allowed and gives infinity."""
+    """Value at m/2**n: b/d of the matrix of the n-bit word of m, the table
+    values at orders m and 2**n - m; m = 2**n is allowed and gives infinity."""
     if n < 0 or m < 0 or m > (1 << n):
         raise OutOfRange(f"need 0 <= m <= 2^n, got m={m}, n={n}")
-    num = stern_pair(m)[0]
-    den = stern_pair((1 << n) - m)[0]
-    return ExtRational(num, den)
+    if m == 1 << n:
+        return ExtRational.infinity()
+    _, b, _, d = word_matrix(format(m, f"0{n}b") if n else "")
+    return ExtRational(b, d)
 
 
 def assembly_theta(t: Fraction) -> ExtRational:

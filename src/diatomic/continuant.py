@@ -1,8 +1,8 @@
 """Continuants and continued fractions over exact integers.
 
-The continuant is evaluated by its linear recursion (empty word gives 1);
-continued fractions are folded right to left in the extended rationals,
-where 1/0 = inf and 1/inf = 0 are ordinary steps.
+A continuant is the fold of its recursion (empty word gives 1) and a continued
+fraction the ratio of two; tail values fold right to left in the extended
+rationals, where 1/0 = inf and 1/inf = 0 are ordinary steps.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ def _check_cf_word(ks) -> tuple[int, ...]:
 def cf_eval(ks) -> ExtRational:
     """Value of CF(k0, ..., k_{l-1}) in the extended rationals."""
     ks = _check_cf_word(ks)
-    v = ExtRational(ks[-1])
-    for k in reversed(ks[:-1]):
-        v = ExtRational(k) + v.reciprocal()
-    return v
+    # K(ks) / K(ks[1:]); consecutive continuants are coprime, so never 0/0
+    den, num = continuant_pair(ks[::-1])
+    return ExtRational(num, den)
 
 
 def sdi_from_runs(ks) -> int:

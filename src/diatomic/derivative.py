@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._backend import word_matrix
+from ._backend import continuant_pair, word_matrix
 from .assembly import assembly_of_rational_theta, assembly_theta
 from .design import FiniteDesign
 from .errors import OutOfRange, TerminalDesign, ZeroLength
@@ -27,10 +27,7 @@ def fib_continuant(m: int) -> int:
     """Continuant of m ones: 1, 2, 3, 5, 8, ... (the Fibonacci shift)."""
     if m < 1:
         raise ZeroLength(f"need m >= 1, got {m}")
-    prev, cur = 1, 1
-    for _ in range(m - 1):
-        prev, cur = cur, cur + prev
-    return cur
+    return continuant_pair([1] * m)[1]
 
 
 class Side(enum.Enum):
@@ -110,11 +107,13 @@ def derivative_at_rational(eta: Fraction) -> Verdict:
 def affine_derivative_factor(d: FiniteDesign, v: ExtRational) -> ExtRational:
     """Chain factor 2**n / (q3 * v + q4)**2 relating slopes across a prefix d.
 
-    v is the map's value at the suffix's theta.
+    v is the map's value at the suffix's theta; v = inf is allowed.
     """
     if d.terminal:
         raise TerminalDesign("prefix must be a plain word")
     m = sdm(d)
-    den = ExtRational(m.c * v.num + m.d * v.den, v.den)
     scale = ExtRational(1 << d.length)
+    if m.c == 0:  # d = 1^k with matrix (1 k; 0 1): the factor is 2**k at every v
+        return scale
+    den = ExtRational(m.c * v.num + m.d * v.den, v.den)
     return scale / (den * den)

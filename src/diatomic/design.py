@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+from ._backend import continuant_pair
 from .errors import (
     DesignSyntaxError,
     InvalidPeriod,
@@ -234,10 +235,8 @@ def realizing_pair(rs) -> tuple[int, int]:
         return 1, 1
     if not rs or rs[0] < 0 or any(r < 1 for r in rs[1:-1]) or rs[-1] < 2:
         raise MalformedRuns(f"not a quotient sequence: {rs}")
-    x, y = 1, 0
-    for r in reversed(rs):
-        x, y = x * r + y, x
-    return x, y
+    b, a = continuant_pair(rs[::-1])  # a continuant reads the same reversed
+    return a, b
 
 
 def euclidean_design(a: int, b: int) -> FiniteDesign:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._backend import stern_pair
+from ._backend import stern_pair, word_matrix
 from .errors import OutOfTable
 
 
@@ -34,14 +34,12 @@ def sdi_quadruple(depth: int, order: int) -> tuple[int, int, int, int]:
 
     ([2^n:m+1], [2^n:m], [2^n:2^n-(m+1)], [2^n:2^n-m])
 
-    Cached, bounded and read-through, so concurrent readers are safe.  A
-    quotient scan looks up only its base point's period, so the two sides
-    of one point share an address; whether that pays is an open question.
+    They are the matrix of the n-bit word of m, so a miss is one word
+    product.  Cached, bounded and read-through, so concurrent readers are
+    safe; the two sides of a quotient scan share their period's address.
     """
     _check_address(depth, order, limit_offset=1)
-    q2, q1 = stern_pair(order)
-    q3, q4 = stern_pair((1 << depth) - order - 1)
-    return q1, q2, q3, q4
+    return word_matrix(format(order, f"0{depth}b") if depth else "")
 
 
 def _check_address(depth: int, order: int, limit_offset: int) -> None:

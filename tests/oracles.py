@@ -5,13 +5,15 @@ the sequence by its literal recurrence, continuants by determinant
 expansion over permutations, Euler phi by gcd counting, the inverse
 question-mark by a mediant walk down the Farey tree, the four integer
 kernels by the one-letter-at-a-time loops they used before their product
-trees and half-gcd peel, canonical periodic designs by long division with
-a remainder dict and one-bit rotations, the order of 2 by doubling until
-1 comes back, quotient scans by rebuilding the periodic design at every
-probed point, periodic values by moving the period's root with the
-preperiod's Moebius map and reading its equation back, and continued
-fractions of quadratic irrationals by field arithmetic (floor, subtract,
-invert) with a remainder dict on the normalised element.
+trees and half-gcd peel, quotient pairs by a right-to-left fold,
+continued fractions by a tail fold in the extended rationals, canonical
+periodic designs by long division with a remainder dict and one-bit
+rotations, the order of 2 by doubling until 1 comes back, quotient scans
+by rebuilding the periodic design at every probed point, periodic values
+by moving the period's root with the preperiod's Moebius map and reading
+its equation back, and continued fractions of quadratic irrationals by
+field arithmetic (floor, subtract, invert) with a remainder dict on the
+normalised element.
 """
 
 from fractions import Fraction
@@ -19,6 +21,7 @@ from itertools import permutations
 from math import gcd, isqrt
 
 from diatomic import (
+    ExtRational,
     FieldElement,
     FiniteDesign,
     PeriodicDesign,
@@ -74,6 +77,22 @@ def linear_word_matrix(bits: str) -> tuple[int, int, int, int]:
             a = a + b
             c = c + d
     return a, b, c, d
+
+
+def folded_realizing_pair(rs) -> tuple[int, int]:
+    """The coprime pair of a valid quotient list, folded from the last quotient."""
+    x, y = 1, 0
+    for r in reversed(rs):
+        x, y = x * r + y, x
+    return x, y
+
+
+def folded_cf_eval(ks) -> ExtRational:
+    """CF(k0, ..., k_{l-1}) of a valid word by k + 1/v from the last entry."""
+    v = ExtRational(ks[-1])
+    for k in reversed(ks[:-1]):
+        v = ExtRational(k) + v.reciprocal()
+    return v
 
 
 def greedy_matrix_word(a: int, b: int, c: int, d: int) -> str:

@@ -124,6 +124,10 @@ def test_affine_factor_examples():
     assert affine_derivative_factor(FiniteDesign(""), one) == ExtRational(1)
     assert affine_derivative_factor(FiniteDesign("1"), one) == ExtRational(2)
     assert affine_derivative_factor(FiniteDesign("0"), one) == ExtRational(1, 2)
+    inf = ExtRational.infinity()  # the value A(1)
+    assert affine_derivative_factor(FiniteDesign(""), inf) == ExtRational(1)
+    assert affine_derivative_factor(FiniteDesign("11"), inf) == ExtRational(4)
+    assert affine_derivative_factor(FiniteDesign("10"), inf) == ExtRational(0)
     from diatomic.errors import TerminalDesign
 
     with pytest.raises(TerminalDesign):

@@ -3,7 +3,9 @@ inputs: the sequence by its recurrence table, the matrix product by
 explicit generator multiplication, and continuants by determinant
 expansion.  Property tests then hold the product trees and the half-gcd
 peel to the one-letter-at-a-time loops in oracles.py, at sizes on both
-sides of every cutoff in diatomic._backend."""
+sides of every cutoff in diatomic._backend, and the public values read off
+the kernels (assembly values, table quadruples, quotient pairs, continued
+fractions) to the same loops and folds at the same sizes."""
 
 import random
 
@@ -11,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diatomic import _backend
+from diatomic import _backend, assembly_dyadic, cf_eval, realizing_pair, sdi_quadruple
 from diatomic._backend import continuant_pair, matrix_word, stern_pair, word_matrix
 from diatomic.matrix import UniModMatrix
 from oracles import (
     det_continuant,
+    folded_cf_eval,
+    folded_realizing_pair,
     greedy_matrix_word,
     linear_continuant_pair,
     linear_stern_pair,
@@ -195,3 +199,67 @@ def test_matrix_word_rejects_big_non_monoid_matrices():
                 (-a, b, c, d)]:
         with pytest.raises(ValueError):
             matrix_word(*bad)
+
+
+# ------------------------------------- public values across the cutoffs
+
+
+def word_of(m, n):
+    return format(m, f"0{n}b") if n else ""
+
+
+@pytest.mark.parametrize("n", WORD_SIZES)
+@few(3)
+@given(seed=SEEDS)
+def test_assembly_dyadic_and_its_mirror_match_linear_loops(n, seed):
+    m = random.Random(seed).randrange((1 << n) + 1)
+    value = assembly_dyadic(m, n)
+    assert (value.num, value.den) == (linear_stern_pair(m)[0], linear_stern_pair((1 << n) - m)[0])
+    assert assembly_dyadic((1 << n) - m, n) == value.reciprocal()
+
+
+@pytest.mark.parametrize("n", WORD_SIZES)
+@few(3)
+@given(seed=SEEDS)
+def test_sdi_quadruple_matches_linear_loop(n, seed):
+    m = random.Random(seed).getrandbits(n)
+    assert sdi_quadruple(n, m) == linear_word_matrix(word_of(m, n))
+
+
+@pytest.mark.parametrize("n", [0] + WORD_SIZES)
+def test_sdi_quadruple_at_the_row_ends(n):
+    for m in (0, (1 << n) - 1):
+        assert sdi_quadruple(n, m) == linear_word_matrix(word_of(m, n))
+
+
+def quotient_list(rng, n, last):
+    """n quotients: a head that may be 0, interior items >= 1, then `last`."""
+    pool = [1, 1, 1, 2, 3, 7]
+    ks = [rng.getrandbits(64) | 1 if rng.random() < 0.01 else rng.choice(pool) for _ in range(n)]
+    ks[0] = rng.choice([0] + pool)
+    ks[-1] = last
+    return ks
+
+
+# The fold normalises a fraction of the whole list's size at every item, so
+# it takes about 20 s at 10^4 items (Python 3.11 on a 2-core x86-64 VM);
+# these counts stop just past the cutoff.
+CF_COUNTS = [1, 2, LEAF_ITEMS + 1, ITEMS - 1, ITEMS, ITEMS + 1]
+
+
+@pytest.mark.parametrize("n", ITEM_COUNTS)
+@few(4)
+@given(seed=SEEDS)
+def test_realizing_pair_matches_fold(n, seed):
+    rng = random.Random(seed)
+    rs = quotient_list(rng, n, rng.randrange(2, 9))
+    assert realizing_pair(rs) == folded_realizing_pair(rs)
+
+
+@pytest.mark.parametrize("n", CF_COUNTS)
+@few(2)
+@given(seed=SEEDS)
+def test_cf_eval_matches_fold(n, seed):
+    rng = random.Random(seed)
+    ks = quotient_list(rng, n, rng.randrange(0, 9))
+    assert cf_eval(ks) == folded_cf_eval(ks)
