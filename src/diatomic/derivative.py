@@ -6,6 +6,9 @@ are negative powers of two only, so every probed point stays inside that
 field: eta and eta + 2**-j share every bit past the j-th, and by the
 composition law (prepending a word applies the Moebius action of its
 matrix) the probed value is the base value moved by two j-bit matrices.
+Their product has determinant 1, so it moves the base's primitive equation
+to a primitive one of the same discriminant, and a sample at a non-dyadic
+point costs one gcd.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .assembly import assembly_of_rational_theta, assembly_theta
 from .design import FiniteDesign
 from .errors import OutOfRange, TerminalDesign, ZeroLength
 from .matrix import sdm
-from .quadratic import FieldElement
+from .quadratic import FieldElement, _moved_root
 from .rational import ExtRational
 
 
@@ -61,37 +64,38 @@ def quotient_scan(eta: Fraction, side: Side, jmax: int) -> QuotientScan:
     are quadratic irrationals and the quotients come back as exact field
     elements over the discriminant fixed by eta.  There the periodic design
     is built once: with u and w the first j bits of eta and of eta + h,
-    A(eta + h) = M(w) M(u)^-1 A(eta) by the composition law.  Each sample
-    then costs two normalisations, the Moebius map and one fused
-    subtract-and-scale by 1/h = (+/-)2**j, and no radicand check.
+    A(eta + h) = M(w) M(u)^-1 A(eta) by the composition law.  That matrix
+    has determinant 1, so the moved value is read off the base's equation
+    moved by it, already reduced, and each sample costs one gcd: the fused
+    subtract-and-scale by 1/h = (+/-)2**j.  No radicand is checked.
     """
     if not 0 < eta < 1:
         raise OutOfRange(f"eta must lie in (0, 1), got {eta}")
     if jmax < 1:
         raise OutOfRange(f"jmax must be >= 1, got {jmax}")
     sgn = 1 if side is Side.RIGHT else -1
+    num, den = eta.numerator, eta.denominator
+    # 0 < eta + h < 1 in integers
+    steps = [j for j in range(1, jmax + 1) if 0 < (num << j) + sgn * den < den << j]
     samples = []
     if _is_dyadic(eta):
         base = assembly_theta(eta).as_fraction()
-        for j in range(1, jmax + 1):
+        for j in steps:
             h = Fraction(sgn, 1 << j)
-            if not 0 < eta + h < 1:
-                continue
             gap = (assembly_theta(eta + h).as_fraction() - base) / h
             samples.append((h, ExtRational.from_fraction(gap)))
     else:
         base = assembly_of_rational_theta(eta)
-        for j in range(1, jmax + 1):
-            h = Fraction(sgn, 1 << j)
-            if not 0 < eta + h < 1:
-                continue
-            u = (eta.numerator << j) // eta.denominator
+        eq = base.a2, base.b1, base.c0, base.q, base.d
+        for j in steps:
+            u = (num << j) // den
             a, b, c, d = word_matrix(format(u, f"0{j}b"))
             wa, wb, wc, wd = word_matrix(format(u + sgn, f"0{j}b"))
             # M(w) times M(u)^-1 = (d -b; -c a), as M(u) has determinant 1
-            el = base.mobius(wa * d - wb * c, wb * a - wa * b,
+            el = _moved_root(eq, wa * d - wb * c, wb * a - wa * b,
                              wc * d - wd * c, wd * a - wc * b)
-            samples.append((h, el.sub_times(base, sgn << j)))  # (el - base) / h
+            samples.append((Fraction(sgn, 1 << j),
+                            el.sub_times(base, sgn << j)))  # (el - base) / h
     return QuotientScan(eta, side, tuple(samples))
 
 

@@ -16,7 +16,7 @@ Text grammar (also the CLI wire format):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -85,13 +85,20 @@ class PeriodicDesign:
 
     Invariants: the period is nonempty, not all one symbol, primitive
     (no shorter word repeats into it), and the preperiod cannot be
-    shortened by rotating a shared trailing bit into the period.
+    shortened by rotating a shared trailing bit into the period.  The
+    keyword _checked is internal: make_periodic passes it on the pair it
+    has just made canonical, to skip checking it again.  Callers must not
+    pass it.
     """
 
     preperiod: FiniteDesign
     period: FiniteDesign
+    _: KW_ONLY
+    _checked: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _checked: bool) -> None:
+        if _checked:
+            return
         if self.preperiod.terminal or self.period.terminal:
             raise DesignSyntaxError("periodic design parts must be plain words")
         per = self.period.bits
@@ -141,7 +148,7 @@ def make_periodic(pre: str, per: str) -> Design:
         c = (diff & -diff).bit_length() - 1 if diff else k
         r = c % n
         per, pre = per[n - r:] + per[:n - r], pre[:k - c]
-    return PeriodicDesign(FiniteDesign(pre), FiniteDesign(per))
+    return PeriodicDesign(FiniteDesign(pre), FiniteDesign(per), _checked=True)
 
 
 def parse_design(text: str) -> Design:

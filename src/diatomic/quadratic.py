@@ -246,6 +246,22 @@ def _fixed_point(a: int, b: int, c: int, d: int) -> QuadIrr:
     return QuadIrr(-c, d - a, -b, plus_branch=False)
 
 
+def _moved_root(eq: tuple[int, int, int, int, int],
+                a: int, b: int, c: int, e: int) -> FieldElement:
+    """(a x + b)/(c x + e) for a det-1 matrix, read off the moved equation.
+
+    eq = (a2, b1, c0, s, disc) gives x = (b1 + s sqrt(disc))/(2 a2), a root
+    of a2 X^2 - b1 X - c0 = 0.  Putting X = (e Y - b)/(a - c Y) gives
+    n2 Y^2 - n1 Y - n0 = 0 of the same discriminant, and the moved roots
+    differ by s sqrt(disc)/n2, so the branch stays s.  With q = s = +-1 the
+    result is already reduced: no square of x and no gcd of its size.
+    """
+    a2, b1, c0, s, disc = eq
+    n2 = (a2 * e + b1 * c) * e - c0 * c * c
+    n1 = 2 * a2 * b * e + b1 * (a * e + b * c) - 2 * c0 * a * c
+    return FieldElement(n1, s, 2 * n2, disc, _checked=True)
+
+
 def quad_from_period(period: FiniteDesign) -> QuadIrr:
     """Fixed-point equation of a purely periodic design with this period."""
     period = _check_period(period)

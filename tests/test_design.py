@@ -440,6 +440,34 @@ def test_make_periodic_rotates_past_a_full_period():
         assert make_periodic(pre, per) == rotating_make_periodic(pre, per)
 
 
+@st.composite
+def bit_words(draw, lo, hi):
+    n = draw(st.integers(lo, hi))
+    return format(draw(st.integers(0, (1 << n) - 1)), f"0{n}b") if n else ""
+
+
+@st.composite
+def raw_pairs(draw):
+    """(pre, per) of up to 4,000 bits each: single-letter and repeated roots,
+    preperiods that end in up to two periods' worth of rotatable bits."""
+    root = draw(st.sampled_from(["0", "1"]) | bit_words(1, 1000))
+    per = root * draw(st.integers(1, 4000 // len(root)))
+    head = draw(bit_words(0, 1000))
+    tail = draw(st.integers(0, min(2 * len(per), 4000 - len(head))))
+    return head + _periodic_tail(per, tail), per
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_pairs())
+def test_make_periodic_output_passes_the_public_checks(pair):
+    # make_periodic skips PeriodicDesign's checks on its own output
+    d = make_periodic(*pair)
+    if isinstance(d, PeriodicDesign):
+        assert PeriodicDesign(d.preperiod, d.period) == d
+    else:
+        assert len(set(pair[1])) == 1
+
+
 def test_primitive_word_check_matches_divisor_loop():
     for n in range(2, 13):
         for m in range(1, (1 << n) - 1):

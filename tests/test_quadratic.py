@@ -29,6 +29,7 @@ from diatomic import (
     theta_of,
 )
 from diatomic.errors import InvalidPeriod, NonPositive, OutOfRange, PerfectSquare
+from diatomic.quadratic import _moved_root
 from oracles import field_element_cf, field_element_floor, mobius_quad_of_periodic
 
 
@@ -270,6 +271,61 @@ def test_periodic_value_matches_the_mobius_route(pre, per):
     d = make_periodic(pre, per)
     assume(isinstance(d, PeriodicDesign))
     assert quad_of_periodic(d) == mobius_quad_of_periodic(d)
+
+
+# --- the det-1 action on a root's equation -------------------------------------
+
+entries = st.integers(-(2**16), 2**16)
+
+
+@st.composite
+def det_one_matrices(draw):
+    """(a b; c e) with a e - b c = 1, any signs, entries within about 2^16."""
+    a, c = draw(entries), draw(entries)
+    assume(gcd(a, c) == 1)
+    if c == 0:
+        return a, draw(entries), 0, a
+    e = pow(a, -1, abs(c)) - draw(st.sampled_from([0, abs(c)]))  # either sign
+    return a, (a * e - 1) // c, c, e
+
+
+def _equation(x):
+    return x.r >> 1, x.p, (x.d - x.p * x.p) // (2 * x.r), x.q, x.d
+
+
+def _assert_moved_like_mobius(x, m):
+    got, want = _moved_root(_equation(x), *m), x.mobius(*m)
+    assert (got.p, got.q, got.r, got.d) == (want.p, want.q, want.r, want.d)
+    return got
+
+
+@settings(max_examples=40, deadline=None)
+@given(bit_words(0, 64), bit_words(2, 8000), det_one_matrices())
+def test_moved_periodic_root_matches_mobius(pre, per, m):
+    d = make_periodic(pre, per)
+    assume(isinstance(d, PeriodicDesign))
+    _assert_moved_like_mobius(quad_of_periodic(d), m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2**64), st.integers(-(2**64), 2**64), st.integers(-(2**64), 2**64),
+       st.sampled_from([1, -1]), det_one_matrices())
+def test_moved_root_of_a_primitive_equation_matches_mobius(a2, b1, c0, s, m):
+    g = gcd(a2, b1, c0)
+    a2, b1, c0 = a2 // g, b1 // g, c0 // g
+    disc = b1 * b1 + 4 * a2 * c0
+    assume(disc > 0 and isqrt(disc) ** 2 != disc)
+    _assert_moved_like_mobius(FieldElement(b1, s, 2 * a2, disc), m)
+
+
+@pytest.mark.parametrize("x", [QuadIrr(1, 1, 1), QuadIrr(1, 5, -3, plus_branch=False),
+                               quad_of_periodic(parse_design("0110(10010)"))])
+def test_moved_root_flips_the_signs_when_the_new_leading_coefficient_is_negative(x):
+    # (k -1; 1 0) sends x to k - 1/x, with n2 = a2 x xbar = -c0
+    assert x.c0 != 0
+    for k in (-3, 0, 5):
+        got = _assert_moved_like_mobius(x, (k, -1, 1, 0))
+        assert (got.q == x.q) == (x.c0 < 0)
 
 
 def test_random_periodic_roots_sit_inside_their_enclosures():
