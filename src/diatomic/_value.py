@@ -1,0 +1,41 @@
+"""The one idiom for small exact values: a class names its fields once,
+``__slots__ = _fields = (...)``, and its ``__init__`` stores them with
+``_set`` after its checks.  Values are immutable, equal and hashable by
+class and fields, printed in the dataclass style, and copied or pickled
+field by field.
+"""
+
+from operator import attrgetter
+
+_set = object.__setattr__
+
+
+class Value:
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = attrgetter(*cls._fields)  # a tuple: every class has two or more
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):  # rebuilt without __init__: the fields were checked once
+        return object.__new__, (type(self),), self._values(self)
+
+    def __setstate__(self, values: tuple) -> None:
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)

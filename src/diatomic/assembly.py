@@ -7,10 +7,10 @@ at order 2**n - m; the map extends to a strictly increasing bijection of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._backend import word_matrix
+from ._value import Value, _set
 from .design import FiniteDesign, design_of_theta, euclidean_design
 from .errors import InsufficientBits, OutOfRange
 from .matrix import apply_mobius, sdm
@@ -46,13 +46,15 @@ def assembly_inverse(v: ExtRational) -> FiniteDesign:
     return euclidean_design(v.num, v.den)
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(Value):
     """Exact bracket of the value at any theta with the given bit prefix."""
 
-    lo: ExtRational
-    hi: ExtRational
-    bits_used: int
+    __slots__ = _fields = ("lo", "hi", "bits_used")
+
+    def __init__(self, lo: ExtRational, hi: ExtRational, bits_used: int):
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "bits_used", bits_used)
 
     def width(self) -> ExtRational:
         return self.hi - self.lo

@@ -14,10 +14,10 @@ point costs one gcd.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._backend import continuant_pair, word_matrix
+from ._value import Value, _set
 from .assembly import assembly_of_rational_theta, assembly_theta
 from .design import FiniteDesign
 from .errors import OutOfRange, TerminalDesign, ZeroLength
@@ -43,13 +43,16 @@ class Verdict(enum.Enum):
     ZERO_IF_DIFFERENTIABLE = "zero-if-differentiable"
 
 
-@dataclass(frozen=True)
-class QuotientScan:
+class QuotientScan(Value):
     """Exact one-sided difference quotients at eta, h = (+/-)2**-j."""
 
-    eta: Fraction
-    side: Side
-    samples: tuple[tuple[Fraction, ExtRational | FieldElement], ...]
+    __slots__ = _fields = ("eta", "side", "samples")
+
+    def __init__(self, eta: Fraction, side: Side,
+                 samples: tuple[tuple[Fraction, ExtRational | FieldElement], ...]):
+        _set(self, "eta", eta)
+        _set(self, "side", side)
+        _set(self, "samples", samples)
 
 
 def _is_dyadic(t: Fraction) -> bool:

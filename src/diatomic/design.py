@@ -16,11 +16,11 @@ Text grammar (also the CLI wire format):
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, InitVar, dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
 from ._backend import continuant_pair
+from ._value import Value, _set
 from .errors import (
     DesignSyntaxError,
     InvalidPeriod,
@@ -45,17 +45,17 @@ def _terminal_word(n: int) -> str:
     return "1" + "0" * (n - 1) if n else ""
 
 
-@dataclass(frozen=True)
-class FiniteDesign:
+class FiniteDesign(Value):
     """A finite design; ``terminal`` marks the row-end value 2**n."""
 
-    bits: str
-    terminal: bool = False
+    __slots__ = _fields = ("bits", "terminal")
 
-    def __post_init__(self) -> None:
-        _check_word(self.bits)
-        if self.terminal and self.bits != _terminal_word(len(self.bits)):
+    def __init__(self, bits: str, terminal: bool = False):
+        _check_word(bits)
+        if terminal and bits != _terminal_word(len(bits)):
             raise DesignSyntaxError("terminal design carries only its length")
+        _set(self, "bits", bits)
+        _set(self, "terminal", terminal)
 
     @classmethod
     def terminal_of(cls, n: int) -> "FiniteDesign":
@@ -79,34 +79,32 @@ class FiniteDesign:
         return self.bits + ("t" if self.terminal else "")
 
 
-@dataclass(frozen=True)
-class PeriodicDesign:
+class PeriodicDesign(Value):
     """Canonical eventually periodic design.
 
     Invariants: the period is nonempty, not all one symbol, primitive
     (no shorter word repeats into it), and the preperiod cannot be
     shortened by rotating a shared trailing bit into the period.  The
-    keyword _checked is internal: make_periodic passes it on the pair it
-    has just made canonical, to skip checking it again.  Callers must not
-    pass it.
+    keyword _checked is internal: make_periodic and conjugate pass it on a
+    pair they know to be canonical, to skip checking it again.  Callers
+    must not pass it.
     """
 
-    preperiod: FiniteDesign
-    period: FiniteDesign
-    _: KW_ONLY
-    _checked: InitVar[bool] = False
+    __slots__ = _fields = ("preperiod", "period")
 
-    def __post_init__(self, _checked: bool) -> None:
+    def __init__(self, preperiod: FiniteDesign, period: FiniteDesign, *, _checked: bool = False):
+        _set(self, "preperiod", preperiod)
+        _set(self, "period", period)
         if _checked:
             return
-        if self.preperiod.terminal or self.period.terminal:
+        if preperiod.terminal or period.terminal:
             raise DesignSyntaxError("periodic design parts must be plain words")
-        per = self.period.bits
+        per = period.bits
         if not per or not per.strip("0") or not per.strip("1"):
             raise InvalidPeriod(f"period {per!r} must mix 0s and 1s")
         if not _is_primitive_word(per):
             raise InvalidPeriod(f"period {per!r} repeats a shorter word")
-        if self.preperiod.bits and self.preperiod.bits[-1] == per[-1]:
+        if preperiod.bits and preperiod.bits[-1] == per[-1]:
             raise InvalidPeriod("preperiod can be rotated into the period")
 
     def __str__(self) -> str:
@@ -261,9 +259,9 @@ def euclidean_design(a: int, b: int) -> FiniteDesign:
 def conjugate(d: Design) -> Design:
     """Finite: the design of 2**n - m at the same length.  Periodic: flip bits."""
     if isinstance(d, PeriodicDesign):
-        return PeriodicDesign(
-            FiniteDesign(_flip(d.preperiod.bits)), FiniteDesign(_flip(d.period.bits))
-        )
+        # flipping every bit keeps a canonical design canonical
+        return PeriodicDesign(FiniteDesign(_flip(d.preperiod.bits)),
+                              FiniteDesign(_flip(d.period.bits)), _checked=True)
     n = d.length
     if d.terminal:
         return FiniteDesign("0" * n)

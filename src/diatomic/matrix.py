@@ -9,28 +9,27 @@ every non-identity step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._backend import matrix_word, word_matrix
-from .design import FiniteDesign, _flip, inverse_design
+from ._value import Value, _set
+from .design import FiniteDesign
 from .errors import DesignSyntaxError, NegativeEntry, NotUnimodular, TerminalDesign
 from .rational import ExtRational
 
 
-@dataclass(frozen=True)
-class UniModMatrix:
+class UniModMatrix(Value):
     """Row-major entries (a b; c d) with a*d - b*c = 1, all nonnegative."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = _fields = ("a", "b", "c", "d")
 
-    def __post_init__(self) -> None:
-        if min(self.a, self.b, self.c, self.d) < 0:
-            raise NegativeEntry(f"negative entry in {self.entries()}")
-        if self.a * self.d - self.b * self.c != 1:
-            raise NotUnimodular(f"determinant of {self.entries()} is not 1")
+    def __init__(self, a: int, b: int, c: int, d: int):
+        if min(a, b, c, d) < 0:
+            raise NegativeEntry(f"negative entry in {(a, b, c, d)}")
+        if a * d - b * c != 1:
+            raise NotUnimodular(f"determinant of {(a, b, c, d)} is not 1")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
 
     @classmethod
     def identity(cls) -> "UniModMatrix":
@@ -79,17 +78,7 @@ def apply_mobius(m: UniModMatrix, x: ExtRational) -> ExtRational:
 
 
 def matrix_symmetries(d: FiniteDesign) -> tuple[UniModMatrix, UniModMatrix, UniModMatrix]:
-    """Matrices of the run-reversal, its bit-flip, and the bit-flip of d.
-
-    Their entries are the (d b; c a), (a c; b d) and (d c; b a)
-    permutations of sdm(d).
-    """
-    if d.terminal:
-        raise TerminalDesign("terminal designs have no matrix")
-    inv = inverse_design(d)
-    return sdm(inv), sdm(_bitflip(inv)), sdm(_bitflip(d))
-
-
-def _bitflip(d: FiniteDesign) -> FiniteDesign:
-    # complement word: m maps to 2^n - (m+1), not the conjugate's 2^n - m
-    return FiniteDesign(_flip(d.bits))
+    """Matrices of the run-reversal, its bit-flip, and the bit-flip of d:
+    the (d b; c a), (a c; b d) and (d c; b a) permutations of sdm(d)."""
+    a, b, c, e = sdm(d).entries()
+    return UniModMatrix(e, b, c, a), UniModMatrix(a, c, b, e), UniModMatrix(e, c, b, a)

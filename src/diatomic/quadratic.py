@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from ._backend import word_matrix
+from ._value import Value
 from .design import (
     FiniteDesign,
     PeriodicDesign,
@@ -46,7 +47,7 @@ def _sign_p_q_sqrt(p: int, q: int, d: int) -> int:
     return 1 if q * q * d > p * p else -1
 
 
-class FieldElement:
+class FieldElement(Value):
     """Exact (p + q*sqrt(d)) / r with integer components and fixed d.
 
     The keyword _checked is internal: the library's own arithmetic passes
@@ -55,7 +56,7 @@ class FieldElement:
     nonsquare.
     """
 
-    __slots__ = ("p", "q", "r", "d")
+    __slots__ = _fields = ("p", "q", "r", "d")
 
     def __init__(self, p: int, q: int, r: int, d: int, *, _checked: bool = False):
         if r == 0:
@@ -65,7 +66,10 @@ class FieldElement:
         if r < 0:
             p, q, r = -p, -q, -r
         g = gcd(p, q, r)
-        self.p, self.q, self.r, self.d = p // g, q // g, r // g, d
+        _P(self, p // g)
+        _Q(self, q // g)
+        _R(self, r // g)
+        _D(self, d)
 
     def key(self) -> tuple[int, int, int]:
         return self.p, self.q, self.r
@@ -115,13 +119,12 @@ class FieldElement:
     def compare_fraction(self, f: Fraction) -> int:
         return self.sub_fraction(f).sign()
 
-    def __eq__(self, other: object) -> bool:
+    def __eq__(self, other: object) -> bool:  # a QuadIrr equals its FieldElement
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.d == other.d and self.key() == other.key()
+        return self._values(self) == other._values(other)
 
-    def __hash__(self) -> int:
-        return hash((self.key(), self.d))
+    __hash__ = Value.__hash__
 
     def __str__(self) -> str:
         rat = Fraction(self.p, self.r)
@@ -133,6 +136,10 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"FieldElement({self.p}, {self.q}, {self.r}, d={self.d})"
+
+
+# the hot constructor stores through each slot's own setter: one C call, cheaper than _set
+_P, _Q, _R, _D = (FieldElement.__dict__[n].__set__ for n in FieldElement._fields)
 
 
 class QuadIrr(FieldElement):

@@ -10,13 +10,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from ._value import Value, _set
 from .errors import DomainError, OutOfRange
 
 
-class ExtRational:
+class ExtRational(Value):
     """Immutable num/den pair, gcd-reduced, den == 0 encodes infinity."""
 
-    __slots__ = ("num", "den")
+    __slots__ = _fields = ("num", "den")
 
     def __init__(self, num: int, den: int = 1):
         if num < 0 or den < 0:
@@ -24,11 +25,8 @@ class ExtRational:
         if num == 0 and den == 0:
             raise DomainError("0/0 is not a value")
         g = gcd(num, den)
-        object.__setattr__(self, "num", num // g)
-        object.__setattr__(self, "den", den // g)
-
-    def __setattr__(self, *_):
-        raise AttributeError("ExtRational is immutable")
+        _set(self, "num", num // g)
+        _set(self, "den", den // g)
 
     @classmethod
     def infinity(cls) -> "ExtRational":
@@ -72,11 +70,6 @@ class ExtRational:
     def __truediv__(self, other: "ExtRational") -> "ExtRational":
         return ExtRational(self.num * other.den, self.den * other.num)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExtRational):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
     def __lt__(self, other: "ExtRational") -> bool:
         return self.num * other.den < other.num * self.den
 
@@ -88,9 +81,6 @@ class ExtRational:
 
     def __ge__(self, other: "ExtRational") -> bool:
         return other <= self
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return f"ExtRational({self.num}, {self.den})"

@@ -7,10 +7,10 @@ rest of the library keys on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from ._backend import stern_pair, word_matrix
+from ._value import Value, _set
 from .errors import OutOfTable
 
 
@@ -28,15 +28,15 @@ def sdi(depth: int, order: int) -> int:
     return stern_pair(order)[0]
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=8)
 def sdi_quadruple(depth: int, order: int) -> tuple[int, int, int, int]:
     """The four row-n values around order m:
 
     ([2^n:m+1], [2^n:m], [2^n:2^n-(m+1)], [2^n:2^n-m])
 
     They are the matrix of the n-bit word of m, so a miss is one word
-    product.  Cached, bounded and read-through, so concurrent readers are
-    safe; the two sides of a quotient scan share their period's address.
+    product.  Cached in a few entries, read-through, so concurrent readers
+    are safe; the two sides of a quotient scan share their period's address.
     """
     _check_address(depth, order, limit_offset=1)
     return word_matrix(format(order, f"0{depth}b") if depth else "")
@@ -45,22 +45,22 @@ def sdi_quadruple(depth: int, order: int) -> tuple[int, int, int, int]:
 def _check_address(depth: int, order: int, limit_offset: int) -> None:
     if depth < 0 or order < 0:
         raise OutOfTable(f"negative address ({depth}, {order})")
-    if order > (1 << depth) - limit_offset:
+    if (order + limit_offset - 1) >> depth > 0:  # order > 2^depth - offset, no 2^depth
         raise OutOfTable(
             f"order {order} exceeds row end 2^{depth}"
             + (" - 1" if limit_offset else "")
         )
 
 
-@dataclass(frozen=True)
-class SdiAddress:
+class SdiAddress(Value):
     """A (depth, order) position in the table."""
 
-    depth: int
-    order: int
+    __slots__ = _fields = ("depth", "order")
 
-    def __post_init__(self) -> None:
-        _check_address(self.depth, self.order, limit_offset=0)
+    def __init__(self, depth: int, order: int):
+        _check_address(depth, order, limit_offset=0)
+        _set(self, "depth", depth)
+        _set(self, "order", order)
 
     def value(self) -> int:
         return sdi(self.depth, self.order)

@@ -5,15 +5,15 @@ the sequence by its literal recurrence, continuants by determinant
 expansion over permutations, Euler phi by gcd counting, the inverse
 question-mark by a mediant walk down the Farey tree, the four integer
 kernels by the one-letter-at-a-time loops they used before their product
-trees and half-gcd peel, quotient pairs by a right-to-left fold,
-continued fractions by a tail fold in the extended rationals, canonical
-periodic designs by long division with a remainder dict and one-bit
-rotations, the order of 2 by doubling until 1 comes back, quotient scans
-by rebuilding the periodic design at every probed point, periodic values
-by moving the period's root with the preperiod's Moebius map and reading
-its equation back, and continued fractions of quadratic irrationals by
-field arithmetic (floor, subtract, invert) with a remainder dict on the
-normalised element.
+trees and half-gcd peel, the matrix symmetries by three word products,
+quotient pairs by a right-to-left fold, continued fractions by a tail
+fold in the extended rationals, canonical periodic designs by long
+division with a remainder dict and one-bit rotations, the order of 2 by
+doubling until 1 comes back, quotient scans by rebuilding the periodic
+design at every probed point, periodic values by moving the period's
+root with the preperiod's Moebius map and reading its equation back, and
+continued fractions of quadratic irrationals by field arithmetic (floor,
+subtract, invert) with a remainder dict on the normalised element.
 """
 
 from fractions import Fraction
@@ -28,6 +28,7 @@ from diatomic import (
     QuadIrr,
     Side,
     assembly_of_rational_theta,
+    inverse_design,
     sdm,
 )
 
@@ -77,6 +78,14 @@ def linear_word_matrix(bits: str) -> tuple[int, int, int, int]:
             a = a + b
             c = c + d
     return a, b, c, d
+
+
+def word_symmetries(d: FiniteDesign) -> tuple:
+    """The matrices of the run-reversed word, of its bit-flip, and of the
+    bit-flip of d (the complement word, m -> 2^n - (m+1), not the conjugate)."""
+    flip = str.maketrans("01", "10")
+    rev = inverse_design(d).bits
+    return tuple(sdm(FiniteDesign(w)) for w in (rev, rev.translate(flip), d.bits.translate(flip)))
 
 
 def folded_realizing_pair(rs) -> tuple[int, int]:

@@ -468,6 +468,18 @@ def test_make_periodic_output_passes_the_public_checks(pair):
         assert len(set(pair[1])) == 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(raw_pairs())
+def test_conjugate_of_a_periodic_design_passes_the_public_checks(pair):
+    # conjugate skips PeriodicDesign's checks on the flipped design
+    d = make_periodic(*pair)
+    assume(isinstance(d, PeriodicDesign))
+    c = conjugate(d)
+    assert PeriodicDesign(c.preperiod, c.period) == c
+    assert theta_of(c) == 1 - theta_of(d)
+    assert conjugate(c) == d
+
+
 def test_primitive_word_check_matches_divisor_loop():
     for n in range(2, 13):
         for m in range(1, (1 << n) - 1):

@@ -17,6 +17,8 @@ from diatomic import (
 )
 from diatomic.errors import NegativeEntry, NotUnimodular, TerminalDesign
 
+from oracles import word_symmetries
+
 
 def rand_word(rng, lo=0, hi=12):
     return "".join(rng.choice("01") for _ in range(rng.randrange(lo, hi)))
@@ -123,13 +125,10 @@ def test_mobius_is_a_monoid_action():
 def test_symmetry_permutations():
     rng = random.Random(53)
     cases = ["11001", "1", "0", "10", ""] + [rand_word(rng) for _ in range(100)]
+    cases += [rand_word(rng, 100, 400) for _ in range(20)]
     for w in cases:
         d = FiniteDesign(w)
-        a, b, c, dd = sdm(d).entries()
-        m_rev, m_revflip, m_flip = matrix_symmetries(d)
-        assert m_rev.entries() == (dd, b, c, a)
-        assert m_revflip.entries() == (a, c, b, dd)
-        assert m_flip.entries() == (dd, c, b, a)
+        assert matrix_symmetries(d) == word_symmetries(d)
 
 
 def test_to_design_inverts_word_construction():

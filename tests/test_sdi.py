@@ -1,9 +1,11 @@
 import random
+import tracemalloc
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from diatomic import SdiAddress, sdi, sdi_quadruple, stern
+from diatomic import SdiAddress, Side, quotient_scan, sdi, sdi_quadruple, stern
 from diatomic.errors import OutOfTable
 
 from oracles import stern_table
@@ -122,6 +124,40 @@ def test_address_type():
     assert addr.quadruple()[1] == 12
     with pytest.raises(OutOfTable):
         SdiAddress(2, 5)
+
+
+def test_row_end_checks_at_every_order_near_the_end():
+    for n in range(8):
+        for m in range((1 << n) + 3):
+            for check, end, tail in ((sdi, 1 << n, ""), (sdi_quadruple, (1 << n) - 1, " - 1")):
+                if m <= end:
+                    check(n, m)
+                    continue
+                with pytest.raises(OutOfTable) as err:
+                    check(n, m)
+                assert str(err.value) == f"order {m} exceeds row end 2^{n}{tail}"
+
+
+def test_a_deep_address_is_checked_without_building_its_row_end():
+    # 2^depth at depth 10^7 is a 1.25 MB integer
+    tracemalloc.start()
+    try:
+        assert sdi(10**7, 1) == 1
+        assert SdiAddress(10**7, 3).order == 3
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_quadruple_cache_is_small_and_keeps_the_second_side_of_a_scan():
+    sdi_quadruple.cache_clear()
+    for eta in (Fraction(2000, 8093), Fraction(2, 3), Fraction(1, 5)):
+        for side in Side:
+            quotient_scan(eta, side, 4)
+    info = sdi_quadruple.cache_info()
+    assert info.maxsize <= 8
+    assert (info.hits, info.misses) == (3, 3)
 
 
 def test_quadruple_cache_is_thread_safe():
