@@ -11,7 +11,6 @@ success and 2 on any usage or domain error.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
@@ -223,6 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:  # DomainError is a ValueError
         name = type(exc).__name__
         if args.json:
+            import json  # only --json pays for it
             print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
         elif isinstance(exc, DomainError):
             print(f"error: {name}: {exc}", file=sys.stderr)
@@ -230,6 +230,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
+        import json
         print(json.dumps(obj))
     else:
         print(human)

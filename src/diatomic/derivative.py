@@ -16,13 +16,13 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from ._backend import continuant_pair, word_matrix
+from ._backend import continuant_pair
 from ._value import Value, _set
 from .assembly import assembly_of_rational_theta, assembly_theta
 from .design import FiniteDesign
 from .errors import OutOfRange, TerminalDesign, ZeroLength
 from .matrix import sdm
-from .quadratic import FieldElement, _moved_root
+from .quadratic import FieldElement, _moved_gap
 from .rational import ExtRational
 
 
@@ -63,14 +63,13 @@ def _is_dyadic(t: Fraction) -> bool:
 def quotient_scan(eta: Fraction, side: Side, jmax: int) -> QuotientScan:
     """Quotients (A(eta+h) - A(eta))/h for h = (+/-)2**-j, j = 1..jmax.
 
-    Steps that leave (0, 1) are skipped.  At a non-dyadic eta the values
-    are quadratic irrationals and the quotients come back as exact field
-    elements over the discriminant fixed by eta.  There the periodic design
-    is built once: with u and w the first j bits of eta and of eta + h,
-    A(eta + h) = M(w) M(u)^-1 A(eta) by the composition law.  That matrix
-    has determinant 1, so the moved value is read off the base's equation
-    moved by it, already reduced, and each sample costs one gcd: the fused
-    subtract-and-scale by 1/h = (+/-)2**j.  No radicand is checked.
+    Steps that leave (0, 1) are skipped; a scan with none left raises.  At
+    a non-dyadic eta the quotients are exact field elements over the
+    discriminant fixed by eta.  With u and w the first j bits of eta and of
+    eta + h, A(eta + h) = M(w) M(u)^-1 A(eta) by the composition law, and
+    one walk over eta's bits grows M(u) and M(w) by a letter each per step.
+    The moved value is read off the base's equation moved by that det-1
+    matrix, so each sample is one normalisation.  No radicand is checked.
     """
     if not 0 < eta < 1:
         raise OutOfRange(f"eta must lie in (0, 1), got {eta}")
@@ -78,27 +77,35 @@ def quotient_scan(eta: Fraction, side: Side, jmax: int) -> QuotientScan:
         raise OutOfRange(f"jmax must be >= 1, got {jmax}")
     sgn = 1 if side is Side.RIGHT else -1
     num, den = eta.numerator, eta.denominator
-    # 0 < eta + h < 1 in integers
-    steps = [j for j in range(1, jmax + 1) if 0 < (num << j) + sgn * den < den << j]
+    # 0 < eta + h < 1 exactly when x 2^j > den, x the gap to the far end
+    first = (den // (den - num if sgn > 0 else num)).bit_length()
+    if first > jmax:
+        raise OutOfRange(f"jmax must be >= {first} for a step inside (0, 1), got {jmax}")
     samples = []
     if _is_dyadic(eta):
         base = assembly_theta(eta).as_fraction()
-        for j in steps:
+        for j in range(first, jmax + 1):
             h = Fraction(sgn, 1 << j)
             gap = (assembly_theta(eta + h).as_fraction() - base) / h
             samples.append((h, ExtRational.from_fraction(gap)))
     else:
         base = assembly_of_rational_theta(eta)
         eq = base.a2, base.b1, base.c0, base.q, base.d
-        for j in steps:
-            u = (num << j) // den
-            a, b, c, d = word_matrix(format(u, f"0{j}b"))
-            wa, wb, wc, wd = word_matrix(format(u + sgn, f"0{j}b"))
-            # M(w) times M(u)^-1 = (d -b; -c a), as M(u) has determinant 1
-            el = _moved_root(eq, wa * d - wb * c, wb * a - wa * b,
-                             wc * d - wd * c, wd * a - wc * b)
-            samples.append((Fraction(sgn, 1 << j),
-                            el.sub_times(base, sgn << j)))  # (el - base) / h
+        # w = u + sgn starts at the first bit `start` as the old M(u) times the
+        # other letter; then it takes the letter u does not, as the carry runs
+        start, r = int(sgn < 0), num
+        a, b, c, d, wa, wb, wc, wd = 1, 0, 0, 1, 0, 0, 0, 0
+        for j in range(1, jmax + 1):
+            bit, r = divmod(r << 1, den)
+            if bit == start:
+                wa, wb, wc, wd = a, b, c, d
+            if bit:  # M(u) takes "1", M(w) takes "0"
+                b, d, wa, wc = a + b, c + d, wa + wb, wc + wd
+            else:
+                a, c, wb, wd = a + b, c + d, wa + wb, wc + wd
+            if j >= first:  # M(w) times M(u)^-1 = (d -b; -c a), as det M(u) = 1
+                m = wa * d - wb * c, wb * a - wa * b, wc * d - wd * c, wd * a - wc * b
+                samples.append((Fraction(sgn, 1 << j), _moved_gap(eq, *m, sgn << j)))
     return QuotientScan(eta, side, tuple(samples))
 
 

@@ -138,9 +138,13 @@ def make_periodic(pre: str, per: str) -> Design:
         if m == 1 << len(pre):
             return FiniteDesign.terminal_of(0)
         return FiniteDesign(format(m, f"0{len(pre)}b"))
-    per = per[:(per + per).find(per, 1)]  # primitive root
+    return _canonical(pre, per[:(per + per).find(per, 1)])  # primitive root
+
+
+def _canonical(pre: str, per: str) -> PeriodicDesign:
+    """The canonical pair for a primitive period that mixes 0s and 1s:
+    every trailing preperiod bit that the period repeats rotates into it."""
     if pre:
-        # rotate every trailing preperiod bit that the period repeats into it
         n, k = len(per), len(pre)
         diff = int(pre, 2) ^ int((per * (k // n + 1))[-k:], 2)
         c = (diff & -diff).bit_length() - 1 if diff else k
@@ -360,7 +364,7 @@ def design_of_theta(t: Fraction) -> Design:
     k-bit preperiod is the integer part of 2**k * t, and the period has
     length n = ord_q'(2), found in O(sqrt(q')) steps (O(n) when n is at
     most sqrt(q')): its bits are the remainder r of 2**k * t times
-    (2**n - 1) / q', one big-int quotient.  make_periodic canonicalises.
+    (2**n - 1) / q', one big-int quotient.  _canonical rotates the tail.
     """
     if t < 0 or t > 1:
         raise OutOfRange(f"theta must lie in [0, 1], got {t}")
@@ -375,4 +379,6 @@ def design_of_theta(t: Fraction) -> Design:
     head, r = divmod(t.numerator, odd)
     n = _order_of_two(odd)
     pre = format(head, f"0{k}b") if k else ""
-    return make_periodic(pre, format(r * ((1 << n) - 1) // odd, f"0{n}b"))
+    # r is prime to q' > 1, so r/q' has least period n: the word is primitive,
+    # and 0 < r < q' keeps it off all 0s and all 1s
+    return _canonical(pre, format(r * ((1 << n) - 1) // odd, f"0{n}b"))

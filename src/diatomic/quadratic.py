@@ -18,6 +18,7 @@ from ._value import Value
 from .design import (
     FiniteDesign,
     PeriodicDesign,
+    _flip,
     inverse_design,
     make_periodic,
     runs,
@@ -253,26 +254,35 @@ def _fixed_point(a: int, b: int, c: int, d: int) -> QuadIrr:
     return QuadIrr(-c, d - a, -b, plus_branch=False)
 
 
-def _moved_root(eq: tuple[int, int, int, int, int],
-                a: int, b: int, c: int, e: int) -> FieldElement:
-    """(a x + b)/(c x + e) for a det-1 matrix, read off the moved equation.
+def _moved_gap(eq: tuple, a: int, b: int, c: int, e: int, k: int) -> FieldElement:
+    """((a x + b)/(c x + e) - x) * k for a det-1 matrix, normalised once.
 
     eq = (a2, b1, c0, s, disc) gives x = (b1 + s sqrt(disc))/(2 a2), a root
     of a2 X^2 - b1 X - c0 = 0.  Putting X = (e Y - b)/(a - c Y) gives
     n2 Y^2 - n1 Y - n0 = 0 of the same discriminant, and the moved roots
-    differ by s sqrt(disc)/n2, so the branch stays s.  With q = s = +-1 the
-    result is already reduced: no square of x and no gcd of its size.
+    differ by s sqrt(disc)/n2, so the branch stays s.  The gap over the
+    denominator 2 a2 n2 is one field element: no square of x, one gcd.
     """
     a2, b1, c0, s, disc = eq
     n2 = (a2 * e + b1 * c) * e - c0 * c * c
     n1 = 2 * a2 * b * e + b1 * (a * e + b * c) - 2 * c0 * a * c
-    return FieldElement(n1, s, 2 * n2, disc, _checked=True)
+    return FieldElement((n1 * a2 - b1 * n2) * k, s * (a2 - n2) * k, 2 * a2 * n2, disc,
+                        _checked=True)
+
+
+def _period_matrix(period: FiniteDesign) -> tuple[int, int, int, int]:
+    """Flipping every letter conjugates a word's matrix (a b; c d) by (0 1; 1 0)
+    to (d c; b a), so a period h + flip(h) takes the product of half the word."""
+    w, n = period.bits, period.length >> 1
+    if not len(w) & 1 and w[n:] == _flip(w[:n]):
+        a, b, c, d = sdi_quadruple(n, int(w[:n], 2))
+        return a * d + b * b, a * c + b * a, c * d + d * b, c * c + d * a
+    return sdi_quadruple(period.length, period.number)
 
 
 def quad_from_period(period: FiniteDesign) -> QuadIrr:
     """Fixed-point equation of a purely periodic design with this period."""
-    period = _check_period(period)
-    return _fixed_point(*sdi_quadruple(period.length, period.number))
+    return _fixed_point(*_period_matrix(_check_period(period)))
 
 
 def quad_of_periodic(pd: PeriodicDesign) -> QuadIrr:
@@ -281,7 +291,7 @@ def quad_of_periodic(pd: PeriodicDesign) -> QuadIrr:
     pre = pd.preperiod.bits
     if not pre:
         return quad_from_period(pd.period)
-    e, f, g, h = sdi_quadruple(pd.period.length, pd.period.number)
+    e, f, g, h = _period_matrix(pd.period)
     a, b, c, d = word_matrix(pre)
     # M P = (ta tb; tc td), times M^-1 = (d -b; -c a)
     ta, tb, tc, td = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h

@@ -137,6 +137,7 @@ def test_boundary_values(capsys):
     (("assembly", "inverse", "-2/3"), "OutOfRange"),
     (("design", "from-ratio", "-3/2"), "ZeroInput"),
     (("--json", "design", "from-ratio", "-3/2"), "ZeroInput"),
+    (("deriv", "scan", "1/3", "--side", "left", "--jmax", "1"), "OutOfRange"),
 ])
 def test_bad_input_names_its_domain_error(capsys, argv, error):
     code, out, err = run(capsys, *argv)

@@ -72,6 +72,19 @@ def test_scan_rejects_endpoints():
             quotient_scan(Fraction(1, 2), Side.RIGHT, jmax)
 
 
+@pytest.mark.parametrize("eta, side, first", [
+    (Fraction(1, 2), Side.RIGHT, 2), (Fraction(1, 3), Side.LEFT, 2),
+    (Fraction(1, 1023), Side.LEFT, 10), (Fraction(1022, 1023), Side.RIGHT, 10),
+    (Fraction(1, 4 * 4093), Side.LEFT, 14), (Fraction(3, 4), Side.RIGHT, 3),
+])
+def test_empty_scan_names_the_smallest_jmax(eta, side, first):
+    for jmax in (1, first - 1):
+        with pytest.raises(OutOfRange, match=f"jmax must be >= {first}"):
+            quotient_scan(eta, side, jmax)
+    assert [h for h, _ in quotient_scan(eta, side, first).samples] == [
+        Fraction(1 if side is Side.RIGHT else -1, 1 << first)]
+
+
 def test_dyadic_quotients_blow_up_everywhere():
     # both one-sided quotients pass 2^10; j <= 22 is the exact budget the
     # slowest k=6 points need
@@ -186,20 +199,39 @@ def test_nondyadic_scan_is_exact_in_the_period_field():
 
 # --- the composition-law scan against a rebuild of every probed point ------
 
+def _assert_scan_matches_rebuild(eta, side, jmax):
+    want = rebuild_quotient_scan(eta, side, jmax)
+    if not want:  # no step stays inside (0, 1)
+        with pytest.raises(OutOfRange):
+            quotient_scan(eta, side, jmax)
+    else:
+        assert quotient_scan(eta, side, jmax).samples == want
+
+
 @pytest.mark.parametrize("k", range(5))  # 2-part of the denominator: 0 is pure
 @settings(max_examples=20, deadline=None)
 @given(odd=st.integers(1, 1500).map(lambda i: 2 * i + 1), data=st.data(),
-       jmax=st.integers(1, 40))
+       jmax=st.integers(1, 64))
 def test_scan_matches_rebuild_oracle(k, odd, data, jmax):
     q = odd << k
     eta = Fraction(data.draw(st.integers(1, q - 1)), q)
     assume(eta.denominator & (eta.denominator - 1))
     for side in Side:
-        assert quotient_scan(eta, side, jmax).samples == rebuild_quotient_scan(eta, side, jmax)
+        _assert_scan_matches_rebuild(eta, side, jmax)
 
 
 def test_scan_matches_rebuild_oracle_on_a_long_period():
     # 2 is a primitive root mod 8069, so the period has 8068 bits
     for eta in (Fraction(2000, 8069), Fraction(2000, 4 * 8069)):
         for side in Side:
-            assert quotient_scan(eta, side, 12).samples == rebuild_quotient_scan(eta, side, 12)
+            _assert_scan_matches_rebuild(eta, side, 12)
+
+
+@pytest.mark.parametrize("eta", [
+    Fraction(1, 1023), Fraction(1022, 1023), Fraction(1, 4 * 4093), Fraction(4092, 4093),
+    Fraction(2, 3), Fraction(5, 12)])
+def test_scan_matches_rebuild_oracle_past_long_runs(eta):
+    # the first four open with a long run of 0s or of 1s, so on one side
+    # M(w) starts late in the walk over eta's bits
+    for side in Side:
+        _assert_scan_matches_rebuild(eta, side, 64)

@@ -386,6 +386,20 @@ def test_design_of_theta_matches_long_division_near_the_top():
             assert design_of_theta(t) == long_division_design(t)
 
 
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(0, 8), data=st.data())
+def test_design_of_theta_skips_only_checks_that_cannot_fail(k, data):
+    # the period of a/(2^k q') is built primitive and mixed, so the public
+    # constructor accepts the pair and make_periodic leaves it as it is
+    odd = data.draw(st.integers(1, ((10**5 >> k) - 1) // 2)) * 2 + 1
+    q = odd << k
+    t = Fraction(data.draw(st.integers(1, q - 1)), q)
+    assume(t.denominator & (t.denominator - 1))
+    d = design_of_theta(t)
+    assert PeriodicDesign(d.preperiod, d.period) == d
+    assert make_periodic(d.preperiod.bits, d.period.bits) == d
+
+
 # --- the order of 2 by baby steps and giant steps ------------------------------
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import gcd, isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,12 +25,13 @@ from diatomic import (
     quad_from_period,
     quad_of_periodic,
     runs,
+    sdi_quadruple,
     sdm,
     sqrt_cf,
     theta_of,
 )
 from diatomic.errors import InvalidPeriod, NonPositive, OutOfRange, PerfectSquare
-from diatomic.quadratic import _moved_root
+from diatomic.quadratic import _moved_gap
 from oracles import field_element_cf, field_element_floor, mobius_quad_of_periodic
 
 
@@ -273,6 +275,43 @@ def test_periodic_value_matches_the_mobius_route(pre, per):
     assert quad_of_periodic(d) == mobius_quad_of_periodic(d)
 
 
+def _value_and_depths(d):
+    """quad_of_periodic(d), and the depths it asked the table for."""
+    with mock.patch("diatomic.quadratic.sdi_quadruple", wraps=sdi_quadruple) as spy:
+        x = quad_of_periodic(d)
+    return x, [call.args[0] for call in spy.call_args_list]
+
+
+_FLIP = str.maketrans("01", "10")
+
+
+@settings(max_examples=40, deadline=None)
+@given(bit_words(0, 64), bit_words(1, 4000))
+def test_anti_periodic_value_reads_half_the_period(pre, half):
+    # a period h + flip(h) stays one under rotation and under its primitive root
+    d = make_periodic(pre, half + half.translate(_FLIP))
+    x, depths = _value_and_depths(d)
+    assert depths == [d.period.length // 2]
+    assert x == mobius_quad_of_periodic(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bit_words(0, 64), bit_words(1, 4000), st.data())
+def test_near_anti_periodic_value_reads_the_whole_period(pre, half, data):
+    per = half + half.translate(_FLIP)
+    if data.draw(st.booleans(), label="odd length"):
+        per = per[:-1]
+    else:
+        i = data.draw(st.integers(0, len(per) - 1), label="changed bit")
+        per = per[:i] + per[i].translate(_FLIP) + per[i + 1:]
+    d = make_periodic(pre, per)
+    # a primitive root shorter than the word may be anti-periodic again
+    assume(isinstance(d, PeriodicDesign) and d.period.length == len(per))
+    x, depths = _value_and_depths(d)
+    assert depths == [len(per)]
+    assert x == mobius_quad_of_periodic(d)
+
+
 # --- the det-1 action on a root's equation -------------------------------------
 
 entries = st.integers(-(2**16), 2**16)
@@ -293,39 +332,44 @@ def _equation(x):
     return x.r >> 1, x.p, (x.d - x.p * x.p) // (2 * x.r), x.q, x.d
 
 
-def _assert_moved_like_mobius(x, m):
-    got, want = _moved_root(_equation(x), *m), x.mobius(*m)
+# the scale of a scan sample: 1/h = +-2^j
+scales = st.builds(lambda s, j: s << j, st.sampled_from([1, -1]), st.integers(0, 64))
+
+
+def _assert_gap_like_mobius(x, m, k):
+    got, want = _moved_gap(_equation(x), *m, k), x.mobius(*m).sub_times(x, k)
     assert (got.p, got.q, got.r, got.d) == (want.p, want.q, want.r, want.d)
     return got
 
 
 @settings(max_examples=40, deadline=None)
-@given(bit_words(0, 64), bit_words(2, 8000), det_one_matrices())
-def test_moved_periodic_root_matches_mobius(pre, per, m):
+@given(bit_words(0, 64), bit_words(2, 8000), det_one_matrices(), scales)
+def test_moved_periodic_gap_matches_mobius(pre, per, m, k):
     d = make_periodic(pre, per)
     assume(isinstance(d, PeriodicDesign))
-    _assert_moved_like_mobius(quad_of_periodic(d), m)
+    _assert_gap_like_mobius(quad_of_periodic(d), m, k)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 2**64), st.integers(-(2**64), 2**64), st.integers(-(2**64), 2**64),
-       st.sampled_from([1, -1]), det_one_matrices())
-def test_moved_root_of_a_primitive_equation_matches_mobius(a2, b1, c0, s, m):
+       st.sampled_from([1, -1]), det_one_matrices(), scales)
+def test_moved_gap_of_a_primitive_equation_matches_mobius(a2, b1, c0, s, m, k):
     g = gcd(a2, b1, c0)
     a2, b1, c0 = a2 // g, b1 // g, c0 // g
     disc = b1 * b1 + 4 * a2 * c0
     assume(disc > 0 and isqrt(disc) ** 2 != disc)
-    _assert_moved_like_mobius(FieldElement(b1, s, 2 * a2, disc), m)
+    _assert_gap_like_mobius(FieldElement(b1, s, 2 * a2, disc), m, k)
 
 
 @pytest.mark.parametrize("x", [QuadIrr(1, 1, 1), QuadIrr(1, 5, -3, plus_branch=False),
                                quad_of_periodic(parse_design("0110(10010)"))])
-def test_moved_root_flips_the_signs_when_the_new_leading_coefficient_is_negative(x):
-    # (k -1; 1 0) sends x to k - 1/x, with n2 = a2 x xbar = -c0
+def test_moved_gap_flips_signs_when_the_new_leading_coefficient_is_negative(x):
+    # (t -1; 1 0) sends x to t - 1/x, with n2 = a2 x xbar = -c0: the common
+    # denominator 2 a2 n2 of the gap is negative exactly when c0 > 0
     assert x.c0 != 0
-    for k in (-3, 0, 5):
-        got = _assert_moved_like_mobius(x, (k, -1, 1, 0))
-        assert (got.q == x.q) == (x.c0 < 0)
+    for t in (-3, 0, 5):
+        for k in (1, -2, 1 << 64, -(1 << 64)):
+            assert _assert_gap_like_mobius(x, (t, -1, 1, 0), k).r > 0
 
 
 def test_random_periodic_roots_sit_inside_their_enclosures():

@@ -143,11 +143,12 @@ def test_copy_deepcopy_and_pickle_rebuild_an_equal_value(value, text, by_keyword
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # the two modules cost about a third of the CLI's import time
+    # the two modules cost about a third of the CLI's import time, and only
+    # --json needs json
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys, diatomic.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
