@@ -3,12 +3,13 @@
 Three loops do all the work.  The word product multiplies the generators
 U("1") = (1 1; 0 1) and U("0") = (1 0; 1 1) along a 0/1 word; the sequence
 pair is read off its top row.  The continuant fold multiplies the matrices
-(k 1; 1 0) along a list.  The peel factors a matrix back into its word.
-Short inputs run a linear loop, one letter or item at a time.  Above a
+(k 1; 1 0) along a list.  The pair walk reads off the Stern-Brocot path of
+a coprime pair: a matrix's word, and a ratio's reduced design.  Above a
 measured cutoff the products are built as a balanced tree, so the large
-multiplications fall where CPython's Karatsuba pays, and the peel works by
-a half-gcd on the top bits.  Inputs are pre-validated by the public
-modules.  All arithmetic is on Python ints, so there is no magnitude limit.
+multiplications fall where CPython's Karatsuba pays, and the walk starts
+with half-gcd rounds on the top bits.  Inputs are pre-validated by the
+public modules.  All arithmetic is on Python ints, so there is no
+magnitude limit.
 """
 
 BACKEND = "python"
@@ -19,7 +20,7 @@ _LEAF_BITS = 128  # word letters per tree leaf
 _WORD_BITS = 768  # word_matrix: word length above which the tree runs
 _LEAF_ITEMS = 64  # continuant items per tree leaf
 _CONT_ITEMS = 3072  # continuant_pair: list length above which the tree runs
-_HGCD_BITS = 4096  # matrix_word: entry size above which the half-gcd runs
+_HGCD_BITS = 4096  # _pair_word: pair size above which the half-gcd runs
 _PEEL_BITS = 384  # half-gcd: pair size peeled run by run
 
 
@@ -62,28 +63,43 @@ def word_matrix(bits):
 
 
 def matrix_word(a, b, c, d):
-    """Factor a nonnegative determinant-1 matrix into its unique 0/1 word.
+    """Factor a nonnegative determinant-1 matrix into its unique 0/1 word: the
+    path of (a + b, c + d), the image of (1, 1).  ValueError outside the monoid."""
+    if (a | b | c | d) < 0 or a * d - b * c != 1:
+        raise ValueError("matrix is not in the nonnegative unimodular monoid")
+    # (a + b) d - (c + d) b = 1, so the pair is coprime and positive.
+    return _pair_word(a + b, c + d)
 
-    Greedy row peeling: exactly one row dominates the other at every
-    non-identity step, which pins the leading letter.  Large or negative
-    entries go to the half-gcd peel, which checks the monoid up front.
+
+def _pair_word(x, y):
+    """The Stern-Brocot path of a coprime positive pair: "1" while x > y
+    (x -= y), "0" while y > x (y -= x), until (1, 1).  Above the cutoff,
+    half-gcd rounds take the pair down to _PEEL_BITS first.  A run of 2**16
+    letters or more is one division, so a huge one fails at once in "1" * j.
     """
-    if (a | b | c | d) >> _HGCD_BITS:
-        return _half_gcd_word(a, b, c, d)
     out = []
-    while True:
-        if a == d == 1 and b == c == 0:
-            return "".join(out)
-        if a >= c and b >= d:
+    if (x | y) >> _HGCD_BITS:
+        while max(x, y).bit_length() > _PEEL_BITS:
+            prefix, _, x, y = _half(x, y)
+            if not prefix:  # a run too long for a half step: walk the rest
+                break
+            out += prefix
+    while x != y:
+        if x >> 16 > y:
+            j = (x - 1) // y
+            x -= j * y
+            out.append("1" * j)
+        while x > y:
+            x -= y
             out.append("1")
-            a -= c
-            b -= d
-        elif c >= a and d >= b:
+        if y >> 16 > x:
+            j = (y - 1) // x
+            y -= j * x
+            out.append("0" * j)
+        while y > x:
+            y -= x
             out.append("0")
-            c -= a
-            d -= b
-        else:
-            raise ValueError("matrix is not in the nonnegative unimodular monoid")
+    return "".join(out)
 
 
 # ------------------------------------------------------------ product tree
@@ -129,26 +145,9 @@ def _continuant_leaf(ks):
 
 # ---------------------------------------------------------- half-gcd peel
 #
-# M = (a b; c d) maps (1, 1) to (x, y) = (a + b, c + d), and the word of M
-# is the Stern-Brocot path of (x, y): "1" while x > y (x -= y), "0" while
-# y > x (y -= x), until (1, 1).  A word p is a prefix of that path exactly
-# when P^-1 (x, y) is strictly positive, P the matrix of p.  The peels
-# below return the runs of a prefix, its matrix P and P^-1 (x, y).
-
-
-def _half_gcd_word(a, b, c, d):
-    if min(a, b, c, d) < 0 or a * d - b * c != 1:
-        raise ValueError("matrix is not in the nonnegative unimodular monoid")
-    # (a + b) d - (c + d) b = 1, so the pair is coprime and the path ends at (1, 1).
-    x, y = a + b, c + d
-    runs = []
-    while max(x, y).bit_length() > _PEEL_BITS:
-        prefix, _, x, y = _half(x, y)
-        if not prefix:  # a run too long for a half step: peel the rest run by run
-            break
-        runs += prefix
-    runs += _peel(x, y, 1)[0]
-    return "".join(runs)
+# A word p is a prefix of the path of (x, y) exactly when P^-1 (x, y) is
+# strictly positive, P the matrix of p.  The peels below return the runs of
+# a prefix, its matrix P and P^-1 (x, y).
 
 
 def _half(x, y):

@@ -66,8 +66,8 @@ class Enclosure(Value):
 def assembly_enclose(bits: str, n: int) -> Enclosure:
     """Bracket from the first n bits: [value at prefix, value one ulp up].
 
-    The width is exactly 1 / (q4 * q3) for the quadruple at the truncated
-    address, so it shrinks to 0 as n grows.
+    The prefix followed by 0s, and by 1s, gives b/d and a/c for its matrix
+    (a b; c d), so the width is exactly 1 / (c * d) and shrinks to 0.
     """
     if n < 0:
         raise OutOfRange(f"n must be >= 0, got {n}")
@@ -75,8 +75,8 @@ def assembly_enclose(bits: str, n: int) -> Enclosure:
         raise InsufficientBits(f"need {n} bits, got {len(bits)}")
     if bits.strip("01"):
         raise OutOfRange(f"bits must be 0/1, got {bits!r}")
-    m = int(bits[:n], 2) if n else 0
-    return Enclosure(assembly_dyadic(m, n), assembly_dyadic(m + 1, n), n)
+    a, b, c, d = word_matrix(bits[:n])
+    return Enclosure(ExtRational(b, d), ExtRational(a, c), n)  # a/0 is infinity
 
 
 def assembly_of_rational_theta(t: Fraction) -> ExtRational | QuadIrr:

@@ -7,8 +7,7 @@ field: eta and eta + 2**-j share every bit past the j-th, and by the
 composition law (prepending a word applies the Moebius action of its
 matrix) the probed value is the base value moved by two j-bit matrices.
 Their product has determinant 1, so it moves the base's primitive equation
-to a primitive one of the same discriminant, and a sample at a non-dyadic
-point costs one gcd.
+(a dyadic base's reduced value) to another, and a sample costs one gcd.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from fractions import Fraction
 
 from ._backend import continuant_pair
 from ._value import Value, _set
-from .assembly import assembly_of_rational_theta, assembly_theta
+from .assembly import assembly_of_rational_theta
 from .design import FiniteDesign
 from .errors import OutOfRange, TerminalDesign, ZeroLength
 from .matrix import sdm
@@ -55,21 +54,16 @@ class QuotientScan(Value):
         _set(self, "samples", samples)
 
 
-def _is_dyadic(t: Fraction) -> bool:
-    q = t.denominator
-    return q & (q - 1) == 0
-
-
 def quotient_scan(eta: Fraction, side: Side, jmax: int) -> QuotientScan:
     """Quotients (A(eta+h) - A(eta))/h for h = (+/-)2**-j, j = 1..jmax.
 
-    Steps that leave (0, 1) are skipped; a scan with none left raises.  At
-    a non-dyadic eta the quotients are exact field elements over the
+    Steps that leave (0, 1) are skipped; a scan with none left raises.  The
+    quotients are rationals at a dyadic eta, else field elements over the
     discriminant fixed by eta.  With u and w the first j bits of eta and of
     eta + h, A(eta + h) = M(w) M(u)^-1 A(eta) by the composition law, and
     one walk over eta's bits grows M(u) and M(w) by a letter each per step.
-    The moved value is read off the base's equation moved by that det-1
-    matrix, so each sample is one normalisation.  No radicand is checked.
+    A sample moves the base value (or equation) by that det-1 matrix: one
+    normalisation.  No radicand is checked.
     """
     if not 0 < eta < 1:
         raise OutOfRange(f"eta must lie in (0, 1), got {eta}")
@@ -81,39 +75,41 @@ def quotient_scan(eta: Fraction, side: Side, jmax: int) -> QuotientScan:
     first = (den // (den - num if sgn > 0 else num)).bit_length()
     if first > jmax:
         raise OutOfRange(f"jmax must be >= {first} for a step inside (0, 1), got {jmax}")
-    samples = []
-    if _is_dyadic(eta):
-        base = assembly_theta(eta).as_fraction()
-        for j in range(first, jmax + 1):
-            h = Fraction(sgn, 1 << j)
-            gap = (assembly_theta(eta + h).as_fraction() - base) / h
-            samples.append((h, ExtRational.from_fraction(gap)))
+    base = assembly_of_rational_theta(eta)
+    if isinstance(base, ExtRational):  # dyadic eta
+        moved, at = _moved_ratio_gap, (base.num, base.den)
     else:
-        base = assembly_of_rational_theta(eta)
-        eq = base.a2, base.b1, base.c0, base.q, base.d
-        # w = u + sgn starts at the first bit `start` as the old M(u) times the
-        # other letter; then it takes the letter u does not, as the carry runs
-        start, r = int(sgn < 0), num
-        a, b, c, d, wa, wb, wc, wd = 1, 0, 0, 1, 0, 0, 0, 0
-        for j in range(1, jmax + 1):
-            bit, r = divmod(r << 1, den)
-            if bit == start:
-                wa, wb, wc, wd = a, b, c, d
-            if bit:  # M(u) takes "1", M(w) takes "0"
-                b, d, wa, wc = a + b, c + d, wa + wb, wc + wd
-            else:
-                a, c, wb, wd = a + b, c + d, wa + wb, wc + wd
-            if j >= first:  # M(w) times M(u)^-1 = (d -b; -c a), as det M(u) = 1
-                m = wa * d - wb * c, wb * a - wa * b, wc * d - wd * c, wd * a - wc * b
-                samples.append((Fraction(sgn, 1 << j), _moved_gap(eq, *m, sgn << j)))
+        moved, at = _moved_gap, (base.a2, base.b1, base.c0, base.q, base.d)
+    # w = u + sgn starts at the first bit `start` as the old M(u) times the
+    # other letter; then it takes the letter u does not, as the carry runs
+    start, r = int(sgn < 0), num
+    a, b, c, d, wa, wb, wc, wd = 1, 0, 0, 1, 0, 0, 0, 0
+    samples = []
+    for j in range(1, jmax + 1):
+        bit, r = divmod(r << 1, den)
+        if bit == start:
+            wa, wb, wc, wd = a, b, c, d
+        if bit:  # M(u) takes "1", M(w) takes "0"
+            b, d, wa, wc = a + b, c + d, wa + wb, wc + wd
+        else:
+            a, c, wb, wd = a + b, c + d, wa + wb, wc + wd
+        if j >= first:  # M(w) times M(u)^-1 = (d -b; -c a), as det M(u) = 1
+            m = wa * d - wb * c, wb * a - wa * b, wc * d - wd * c, wd * a - wc * b
+            samples.append((Fraction(sgn, 1 << j), moved(at, *m, sgn << j)))
     return QuotientScan(eta, side, tuple(samples))
+
+
+def _moved_ratio_gap(at: tuple, a: int, b: int, c: int, e: int, k: int) -> ExtRational:
+    """((a x + b)/(c x + e) - x) * k at x = v/w, at = (v, w), over one denominator."""
+    v, w = at
+    return ExtRational((b * w * w + (a - e) * v * w - c * v * v) * k, (c * v + e * w) * w)
 
 
 def derivative_at_rational(eta: Fraction) -> Verdict:
     """Dyadic points blow up on both sides; elsewhere a derivative, if any, is 0."""
     if not 0 < eta < 1:
         raise OutOfRange(f"eta must lie in (0, 1), got {eta}")
-    if _is_dyadic(eta):
+    if eta.denominator & (eta.denominator - 1) == 0:
         return Verdict.DIVERGES_TO_INFINITY
     return Verdict.ZERO_IF_DIFFERENTIABLE
 

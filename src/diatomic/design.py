@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from ._backend import continuant_pair
+from ._backend import _pair_word, continuant_pair
 from ._value import Value, _set
 from .errors import (
     DesignSyntaxError,
@@ -249,15 +249,13 @@ def realizing_pair(rs) -> tuple[int, int]:
 
 
 def euclidean_design(a: int, b: int) -> FiniteDesign:
-    """The reduced design built from the quotients of a generated by b."""
-    if (a, b) == (1, 1):
-        return FiniteDesign("1")
-    rs = partial_quotients(a, b)
-    t = len(rs)
-    blocks = [("1" if i % 2 == 0 else "0") * r for i, r in enumerate(rs)]
-    if t % 2 == 0:
-        blocks[-1] = "0" * (rs[-1] - 1) + "1"
-    return FiniteDesign("".join(blocks))
+    """The reduced design of a/b: the Stern-Brocot path of (a, b), then "1".
+    Its runs are the partial quotients of a/b, the last one short by 1."""
+    if a < 1 or b < 1:
+        raise ZeroInput(f"need positive integers, got ({a}, {b})")
+    if gcd(a, b) != 1:
+        raise NotCoprime(f"({a}, {b}) share a factor")
+    return FiniteDesign(_pair_word(a, b) + "1")
 
 
 def conjugate(d: Design) -> Design:

@@ -2,9 +2,9 @@
 
 The map word -> matrix is the monoid isomorphism onto determinant-1
 matrices with nonnegative entries, generated by U("1") = (1 1; 0 1) and
-U("0") = (1 0; 1 1).  Factorisation back to the word peels whichever row
-dominates; exactness of the determinant guarantees exactly one choice at
-every non-identity step.
+U("0") = (1 0; 1 1).  Factorisation back to the word walks the
+Stern-Brocot path of the image of (1, 1); the determinant makes that pair
+coprime, so the path ends at (1, 1).
 """
 
 from __future__ import annotations

@@ -10,10 +10,13 @@ quotient pairs by a right-to-left fold, continued fractions by a tail
 fold in the extended rationals, canonical periodic designs by long
 division with a remainder dict and one-bit rotations, the order of 2 by
 doubling until 1 comes back, quotient scans by rebuilding the periodic
-design at every probed point, periodic values by moving the period's
-root with the preperiod's Moebius map and reading its equation back, and
-continued fractions of quadratic irrationals by field arithmetic (floor,
-subtract, invert) with a remainder dict on the normalised element.
+design (or the dyadic value) at every probed point, enclosures by two
+assembly values one ulp apart, reduced designs of a ratio by laying out
+its partial quotients as alternating blocks, periodic values by moving
+the period's root with the preperiod's Moebius map and reading its
+equation back, and continued fractions of quadratic irrationals by field
+arithmetic (floor, subtract, invert) with a remainder dict on the
+normalised element.
 """
 
 from fractions import Fraction
@@ -27,8 +30,11 @@ from diatomic import (
     PeriodicDesign,
     QuadIrr,
     Side,
+    assembly_dyadic,
     assembly_of_rational_theta,
+    assembly_theta,
     inverse_design,
+    partial_quotients,
     sdm,
 )
 
@@ -240,20 +246,40 @@ def linear_order_of_two(q: int) -> int:
 
 
 def rebuild_quotient_scan(eta: Fraction, side: Side, jmax: int) -> tuple:
-    """(h, quotient) samples at a non-dyadic eta, each probed value rebuilt
-    from its own periodic design and fixed point."""
+    """(h, quotient) samples at eta, each probed value rebuilt on its own:
+    from its word at a dyadic eta, else from its periodic design and fixed
+    point."""
     sgn = 1 if side is Side.RIGHT else -1
+    steps = [Fraction(sgn, 1 << j) for j in range(1, jmax + 1)]
+    steps = [h for h in steps if 0 < eta + h < 1]
+    q = eta.denominator
+    if q & (q - 1) == 0:
+        base = assembly_theta(eta).as_fraction()
+        return tuple((h, ExtRational.from_fraction((assembly_theta(eta + h).as_fraction() - base) / h))
+                     for h in steps)
     base = assembly_of_rational_theta(eta)
     disc = base.discriminant
     base_el = base.field_element()
-    samples = []
-    for j in range(1, jmax + 1):
-        h = Fraction(sgn, 1 << j)
-        if not 0 < eta + h < 1:
-            continue
-        el = assembly_of_rational_theta(eta + h).field_element(disc)
-        samples.append((h, (el - base_el).mul_fraction(1 / h)))
-    return tuple(samples)
+    return tuple((h, (assembly_of_rational_theta(eta + h).field_element(disc) - base_el)
+                  .mul_fraction(1 / h)) for h in steps)
+
+
+def two_value_enclose(bits: str, n: int) -> tuple[ExtRational, ExtRational]:
+    """(lo, hi) of the enclosure by n bits: the values at m/2^n and (m+1)/2^n."""
+    m = int(bits[:n], 2) if n else 0
+    return assembly_dyadic(m, n), assembly_dyadic(m + 1, n)
+
+
+def quotient_block_design(a: int, b: int) -> FiniteDesign:
+    """Reduced design of a/b: partial quotients as alternating runs of 1s and
+    0s; an even count turns the last block 0^r into 0^(r-1) 1."""
+    if (a, b) == (1, 1):
+        return FiniteDesign("1")
+    rs = partial_quotients(a, b)
+    blocks = [("1" if i % 2 == 0 else "0") * r for i, r in enumerate(rs)]
+    if len(rs) % 2 == 0:
+        blocks[-1] = "0" * (rs[-1] - 1) + "1"
+    return FiniteDesign("".join(blocks))
 
 
 def field_element_floor(x: FieldElement) -> int:

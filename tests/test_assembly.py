@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diatomic import (
     ExtRational,
@@ -25,7 +27,7 @@ from diatomic import (
 from diatomic.errors import InsufficientBits, OutOfRange
 from diatomic.quadratic import QuadIrr
 
-from oracles import mediant_question_mark_inverse
+from oracles import mediant_question_mark_inverse, two_value_enclose
 
 
 def test_exact_values():
@@ -110,6 +112,17 @@ def test_enclosure_widths_shrink_and_nest():
         prev = e
 
 
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 200), seed=st.integers(0, 2**64), ones=st.booleans())
+def test_enclosure_matches_two_values_one_ulp_apart(n, seed, ones):
+    # an all-1 prefix has its upper end at infinity
+    extra = random.Random(seed).getrandbits(n + 3)
+    bits = "1" * (n + 3) if ones else format(extra, f"0{n + 3}b")
+    e = assembly_enclose(bits, n)
+    assert (e.lo, e.hi) == two_value_enclose(bits, n)
+    assert e.bits_used == n
+
+
 def test_enclosures_converge_on_the_quadratic_root():
     cases = {"110011": 6, "1001": 2, "010": None}
     for per, q in cases.items():
@@ -179,3 +192,32 @@ def test_question_mark_inverse_matches_mediant_walk():
             got = question_mark_inverse(t)
             want = mediant_question_mark_inverse(t)
             assert got == ExtRational(want.numerator, want.denominator)
+
+
+# --- theta -> value -> design at 10^3..10^5 bits, through the half-gcd walk --
+
+SIZES = [1000, 3162, 10000, 31623, 100000]
+
+
+def reduced_design(m, n):
+    return FiniteDesign(format(m, f"0{n}b").rstrip("0"))
+
+
+@pytest.mark.parametrize("n", SIZES)
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**64))
+def test_inverse_recovers_the_reduced_design_at_size(n, seed):
+    rng = random.Random(seed)
+    m = rng.getrandbits(n)
+    if rng.random() < 0.3:  # a long run of one letter
+        i, j = sorted(rng.sample(range(n + 1), 2))
+        mask = ((1 << (j - i)) - 1) << i
+        m = m | mask if rng.random() < 0.5 else m & ~mask
+    assert assembly_inverse(assembly_dyadic(m, n)) == reduced_design(m, n)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_inverse_at_the_row_ends_at_size(n):
+    for m in (0, 1, (1 << n) - 1):
+        assert assembly_inverse(assembly_dyadic(m, n)) == reduced_design(m, n)
+    assert assembly_inverse(assembly_dyadic(1 << n, n)) == FiniteDesign.terminal_of(0)

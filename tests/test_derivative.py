@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diatomic import (
@@ -198,6 +198,9 @@ def test_nondyadic_scan_is_exact_in_the_period_field():
 
 
 # --- the composition-law scan against a rebuild of every probed point ------
+#
+# The scan moves the base value by one det-1 matrix per step, at dyadic and
+# non-dyadic points alike; the oracle rebuilds each probed value on its own.
 
 def _assert_scan_matches_rebuild(eta, side, jmax):
     want = rebuild_quotient_scan(eta, side, jmax)
@@ -214,8 +217,15 @@ def _assert_scan_matches_rebuild(eta, side, jmax):
        jmax=st.integers(1, 64))
 def test_scan_matches_rebuild_oracle(k, odd, data, jmax):
     q = odd << k
-    eta = Fraction(data.draw(st.integers(1, q - 1)), q)
-    assume(eta.denominator & (eta.denominator - 1))
+    eta = Fraction(data.draw(st.integers(1, q - 1)), q)  # dyadic when odd divides it
+    for side in Side:
+        _assert_scan_matches_rebuild(eta, side, jmax)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 12), data=st.data(), jmax=st.integers(1, 64))
+def test_dyadic_scan_matches_rebuild_oracle(k, data, jmax):
+    eta = Fraction(2 * data.draw(st.integers(0, (1 << (k - 1)) - 1)) + 1, 1 << k)
     for side in Side:
         _assert_scan_matches_rebuild(eta, side, jmax)
 

@@ -36,7 +36,12 @@ from diatomic.errors import (
 )
 from diatomic.design import _is_primitive_word, _order_of_two
 
-from oracles import linear_order_of_two, long_division_design, rotating_make_periodic
+from oracles import (
+    linear_order_of_two,
+    long_division_design,
+    quotient_block_design,
+    rotating_make_periodic,
+)
 
 words = st.text(alphabet="01", max_size=12)
 
@@ -221,6 +226,28 @@ def test_reduced_design_recovers_its_quotients():
                 rs = ks[:-2] + (ks[-2] + 1,)
             a, b = realizing_pair(rs)
             assert euclidean_design(a, b) == d
+
+
+def test_euclidean_design_matches_quotient_blocks():
+    for a in range(1, 80):
+        for b in range(1, 80):
+            if gcd(a, b) == 1:
+                assert euclidean_design(a, b) == quotient_block_design(a, b)
+
+
+@pytest.mark.parametrize("n", [1000, 3162, 10000, 31623, 100000])
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**64), swap=st.booleans())
+def test_euclidean_design_matches_quotient_blocks_at_size(n, seed, swap):
+    # random n-bit pairs, past the half-gcd cutoff from 10^4 bits on, and
+    # now and then a pair whose first quotient is about 2^20
+    rng = random.Random(seed)
+    b = rng.getrandbits(n) | 1
+    a = rng.getrandbits(n) if rng.random() < 0.7 else b * (rng.getrandbits(20) | 1 << 19)
+    a += rng.getrandbits(n - 1) | 1
+    g = gcd(a, b)
+    a, b = (b // g, a // g) if swap else (a // g, b // g)
+    assert euclidean_design(a, b) == quotient_block_design(a, b)
 
 
 # --- conjugate / inverse / compose / reduce ----------------------------------

@@ -1,11 +1,12 @@
 """The four integer kernels against independent routes on seeded random
 inputs: the sequence by its recurrence table, the matrix product by
 explicit generator multiplication, and continuants by determinant
-expansion.  Property tests then hold the product trees and the half-gcd
-peel to the one-letter-at-a-time loops in oracles.py, at sizes on both
-sides of every cutoff in diatomic._backend, and the public values read off
-the kernels (assembly values, table quadruples, quotient pairs, continued
-fractions) to the same loops and folds at the same sizes."""
+expansion.  Property tests then hold the product trees and the pair walk
+with its half-gcd rounds to the one-letter-at-a-time loops in oracles.py,
+at sizes on both sides of every cutoff in diatomic._backend, and the
+public values read off the kernels (assembly values, table quadruples,
+quotient pairs, continued fractions) to the same loops and folds at the
+same sizes."""
 
 import random
 
@@ -66,10 +67,10 @@ def test_continuant_pair_matches_determinant():
 
 
 def test_matrix_word_reports_stalled_peel():
-    with pytest.raises(ValueError):
-        matrix_word(0, 1, 1, 0)
-    with pytest.raises(ValueError):
-        matrix_word(3, 0, 0, 1)
+    # singular matrices, the zero matrix among them, raise rather than loop
+    for bad in [(0, 1, 1, 0), (3, 0, 0, 1), (1, 1, 1, 1), (2, 2, 1, 1), (0, 0, 0, 0)]:
+        with pytest.raises(ValueError):
+            matrix_word(*bad)
 
 
 def test_no_overflow_at_large_magnitude():
@@ -154,6 +155,9 @@ def run_heavy_words():
         for ch in "01":
             yield random_bits(rng, 9000) + ch * run + random_bits(rng, 9000)
     yield random_bits(rng, 12000) + "1" * 5000 + random_bits(rng, 64) + "0" * 5000
+    # runs past 2^16 letters, which the pair walk takes in one division
+    yield "01" + "1" * 70000 + "0" * 70000 + "10"
+    yield random_bits(rng, 9000) + "0" * 70000 + "1" * 70000 + random_bits(rng, 9000)
 
 
 @pytest.mark.parametrize("w", list(run_heavy_words()), ids=lambda w: f"{w[:2]}-{len(w)}")
@@ -164,14 +168,16 @@ def test_matrix_word_inverts_run_heavy_words(w):
 @few(60)
 @given(n=st.integers(0, 1500), seed=SEEDS)
 def test_half_gcd_peel_below_its_cutoff(n, seed):
-    # The half-gcd route, called directly where matrix_word would peel
-    # greedily: pairs from a few bits up to past its own base-peel size.
+    # The half-gcd route, forced where the pair walk would go letter by
+    # letter: pairs from a few bits up to past its own base-peel size.
     rng = random.Random(seed)
     w = random_bits(rng, n)
     if n and rng.random() < 0.3:
         i = rng.randrange(n)
         w = w[:i] + rng.choice("01") * rng.randrange(1, 400) + w[i:]
-    assert _backend._half_gcd_word(*word_matrix(w)) == w
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_backend, "_HGCD_BITS", 0)
+        assert matrix_word(*word_matrix(w)) == w
 
 
 def test_lift_check_trims_prefixes_that_overshoot(monkeypatch):
@@ -183,10 +189,11 @@ def test_lift_check_trims_prefixes_that_overshoot(monkeypatch):
         return peel(x, y, 1 << (floor.bit_length() // 3))
 
     monkeypatch.setattr(_backend, "_peel", overshooting_peel)
+    monkeypatch.setattr(_backend, "_HGCD_BITS", 0)
     rng = random.Random(13)
     for n in (600, 1500, 5000, 20000):
         w = random_bits(rng, n)
-        assert _backend._half_gcd_word(*word_matrix(w)) == w
+        assert matrix_word(*word_matrix(w)) == w
 
 
 def test_matrix_word_rejects_big_non_monoid_matrices():
