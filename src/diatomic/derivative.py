@@ -7,7 +7,9 @@ field: eta and eta + 2**-j share every bit past the j-th, and by the
 composition law (prepending a word applies the Moebius action of its
 matrix) the probed value is the base value moved by two j-bit matrices.
 Their product has determinant 1, so it moves the base's primitive equation
-(a dyadic base's reduced value) to another, and a sample costs one gcd.
+to another; a sample takes big-by-small products and one gcd against a2,
+the equation's leading coefficient.  At a dyadic point it moves the reduced
+value, and a sample is one normalisation.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .assembly import assembly_of_rational_theta
 from .design import FiniteDesign
 from .errors import OutOfRange, TerminalDesign, ZeroLength
 from .matrix import sdm
-from .quadratic import FieldElement, _moved_gap
+from .quadratic import FieldElement, _gap_frame, _moved_gap
 from .rational import ExtRational
 
 
@@ -62,7 +64,9 @@ def quotient_scan(eta: Fraction, side: Side, jmax: int) -> QuotientScan:
     discriminant fixed by eta.  With u and w the first j bits of eta and of
     eta + h, A(eta + h) = M(w) M(u)^-1 A(eta) by the composition law, and
     one walk over eta's bits grows M(u) and M(w) by a letter each per step.
-    A sample moves the base value (or equation) by that det-1 matrix: one
+    A sample moves the base equation by that det-1 matrix, with big-by-small
+    products of the coefficient products formed once per scan and one gcd
+    against a2, or at a dyadic eta moves the base value with one
     normalisation.  No radicand is checked.
     """
     if not 0 < eta < 1:
@@ -79,7 +83,7 @@ def quotient_scan(eta: Fraction, side: Side, jmax: int) -> QuotientScan:
     if isinstance(base, ExtRational):  # dyadic eta
         moved, at = _moved_ratio_gap, (base.num, base.den)
     else:
-        moved, at = _moved_gap, (base.a2, base.b1, base.c0, base.q, base.d)
+        moved, at = _moved_gap, _gap_frame(base)
     # w = u + sgn starts at the first bit `start` as the old M(u) times the
     # other letter; then it takes the letter u does not, as the carry runs
     start, r = int(sgn < 0), num

@@ -29,6 +29,7 @@ from .errors import (
     OutOfRange,
     TerminalDesign,
     ZeroInput,
+    operand_text,
 )
 
 
@@ -219,16 +220,20 @@ def design_number(d: FiniteDesign) -> tuple[int, int]:
     return d.number, d.length
 
 
+def _check_coprime_pair(a: int, b: int) -> None:
+    if a < 1 or b < 1:
+        raise ZeroInput(f"need positive integers, got ({operand_text(a)}, {operand_text(b)})")
+    if gcd(a, b) != 1:
+        raise NotCoprime(f"({operand_text(a)}, {operand_text(b)}) share a factor")
+
+
 def partial_quotients(a: int, b: int) -> tuple[int, ...]:
     """Euclidean quotients of a generated by b, for coprime positive a, b.
 
     The first quotient may be 0 (when a < b); the last is >= 2 except for
     the single case (1, 1) -> (1,).
     """
-    if a < 1 or b < 1:
-        raise ZeroInput(f"need positive integers, got ({a}, {b})")
-    if gcd(a, b) != 1:
-        raise NotCoprime(f"({a}, {b}) share a factor")
+    _check_coprime_pair(a, b)
     rs = []
     hi, lo = a, b
     while lo:
@@ -251,10 +256,7 @@ def realizing_pair(rs) -> tuple[int, int]:
 def euclidean_design(a: int, b: int) -> FiniteDesign:
     """The reduced design of a/b: the Stern-Brocot path of (a, b), then "1".
     Its runs are the partial quotients of a/b, the last one short by 1."""
-    if a < 1 or b < 1:
-        raise ZeroInput(f"need positive integers, got ({a}, {b})")
-    if gcd(a, b) != 1:
-        raise NotCoprime(f"({a}, {b}) share a factor")
+    _check_coprime_pair(a, b)
     return FiniteDesign(_pair_word(a, b) + "1")
 
 

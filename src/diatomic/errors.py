@@ -5,6 +5,15 @@ catch one type and map it to a diagnostic exit.
 """
 
 
+def operand_text(n: int) -> str:
+    """n in decimal for an error message, or n named by its bit length where
+    the interpreter's digit limit would refuse the conversion."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{'-' if n < 0 else ''}{n.bit_length()}-bit integer>"
+
+
 class DomainError(ValueError):
     """Base class for all contract violations."""
 

@@ -12,8 +12,12 @@ from __future__ import annotations
 from ._backend import matrix_word, word_matrix
 from ._value import Value, _set
 from .design import FiniteDesign
-from .errors import DesignSyntaxError, NegativeEntry, NotUnimodular, TerminalDesign
+from .errors import DesignSyntaxError, NegativeEntry, NotUnimodular, TerminalDesign, operand_text
 from .rational import ExtRational
+
+
+def _entries_text(*entries: int) -> str:
+    return f"({', '.join(map(operand_text, entries))})"
 
 
 class UniModMatrix(Value):
@@ -23,9 +27,9 @@ class UniModMatrix(Value):
 
     def __init__(self, a: int, b: int, c: int, d: int):
         if min(a, b, c, d) < 0:
-            raise NegativeEntry(f"negative entry in {(a, b, c, d)}")
+            raise NegativeEntry(f"negative entry in {_entries_text(a, b, c, d)}")
         if a * d - b * c != 1:
-            raise NotUnimodular(f"determinant of {(a, b, c, d)} is not 1")
+            raise NotUnimodular(f"determinant of {_entries_text(a, b, c, d)} is not 1")
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "c", c)

@@ -23,7 +23,7 @@ from .design import (
     make_periodic,
     runs,
 )
-from .errors import InvalidPeriod, NonPositive, OutOfRange, PerfectSquare
+from .errors import InvalidPeriod, NonPositive, OutOfRange, PerfectSquare, operand_text
 from .rational import ExtRational
 from .sdi import sdi_quadruple
 
@@ -63,7 +63,7 @@ class FieldElement(Value):
         if r == 0:
             raise ZeroDivisionError("zero denominator in field element")
         if not _checked and (d <= 0 or _is_square(d)):
-            raise OutOfRange(f"radicand must be a positive nonsquare, got {d}")
+            raise OutOfRange(f"radicand must be a positive nonsquare, got {operand_text(d)}")
         if r < 0:
             p, q, r = -p, -q, -r
         g = gcd(p, q, r)
@@ -139,8 +139,10 @@ class FieldElement(Value):
         return f"FieldElement({self.p}, {self.q}, {self.r}, d={self.d})"
 
 
-# the hot constructor stores through each slot's own setter: one C call, cheaper than _set
+# the hot constructor stores through each slot's own setter: one C call, cheaper than _set;
+# _moved_gap stores its already normalised parts through them, past __init__
 _P, _Q, _R, _D = (FieldElement.__dict__[n].__set__ for n in FieldElement._fields)
+_new = object.__new__
 
 
 class QuadIrr(FieldElement):
@@ -150,19 +152,27 @@ class QuadIrr(FieldElement):
     (b1 + sqrt(disc)) / (2 a2) over the minus sign.  The root is stored as
     that field element, (b1, +-1, 2 a2, disc), whose constructor checks the
     discriminant; the coefficients are read back from it.  The selected
-    root is always the positive one when the roots straddle 0 and is
-    validated to be positive in every case.
+    root is always the positive one when the roots straddle 0, and the
+    public constructor validates it to be positive in every case.
+
+    The keyword _checked is internal, as for FieldElement: the library
+    passes it only on an equation whose discriminant is known to be a
+    nonsquare and whose selected root is known to be positive, to skip the
+    isqrt of the discriminant and the sign test.  The coefficients are
+    still made primitive.
     """
 
     __slots__ = ()
 
-    def __init__(self, a2: int, b1: int, c0: int, plus_branch: bool = True):
+    def __init__(self, a2: int, b1: int, c0: int, plus_branch: bool = True, *,
+                 _checked: bool = False):
         if a2 <= 0:
             raise OutOfRange("leading coefficient must be positive")
         g = gcd(a2, b1, c0)
         a2, b1, c0 = a2 // g, b1 // g, c0 // g
-        super().__init__(b1, 1 if plus_branch else -1, 2 * a2, b1 * b1 + 4 * a2 * c0)
-        if self.sign() <= 0:
+        super().__init__(b1, 1 if plus_branch else -1, 2 * a2, b1 * b1 + 4 * a2 * c0,
+                         _checked=_checked)
+        if not _checked and self.sign() <= 0:
             raise OutOfRange("selected root is not positive")
 
     @property
@@ -243,31 +253,76 @@ def _check_period(period: FiniteDesign) -> FiniteDesign:
 
 
 def _fixed_point(a: int, b: int, c: int, d: int) -> QuadIrr:
-    """The attracting fixed point of x -> (a x + b)/(c x + d), det 1, trace > 2.
+    """The attracting fixed point of x -> (a x + b)/(c x + d), det 1, trace > 2,
+    for a period's matrix, conjugated by a preperiod's or not.
 
     It solves c x^2 - (a - d) x - b = 0, and there the map's derivative is
     1/(c x + d)^2 with c x + d = (a + d +- sqrt(disc))/2, so the attracting
     root takes +sqrt(disc)/(2c): the plus branch exactly when c > 0.
+
+    The root is built on the trusted path.  Its discriminant is
+    (a - d)^2 + 4 b c = t^2 - 4 for the trace t >= 3, never a square:
+    t^2 - 4 = u^2 with u >= 0 gives (t - u)(t + u) = 4, two factors of one
+    parity, so t - u = t + u = 2 and t = 2.  Dividing the equation by its
+    content g divides the discriminant by g^2, which keeps it a nonsquare.
+    The root is positive: it is the value of a periodic design, M(y) for
+    the preperiod's matrix M and the period's attracting fixed point y.  A
+    period mixes both letters, so its matrix is positive and maps [0, inf]
+    into (0, inf), where y lies; a nonnegative det-1 M keeps (0, inf).
     """
     if c > 0:
-        return QuadIrr(c, a - d, b)
-    return QuadIrr(-c, d - a, -b, plus_branch=False)
+        return QuadIrr(c, a - d, b, _checked=True)
+    return QuadIrr(-c, d - a, -b, plus_branch=False, _checked=True)
 
 
-def _moved_gap(eq: tuple, a: int, b: int, c: int, e: int, k: int) -> FieldElement:
-    """((a x + b)/(c x + e) - x) * k for a det-1 matrix, normalised once.
+def _gap_frame(x: FieldElement) -> tuple:
+    """What every gap moved from x reads, computed once: for x stored as a
+    QuadIrr stores its root, (b1 + s sqrt(disc))/(2 a2) with the primitive
+    equation a2 X^2 - b1 X - c0 = 0, the tuple (a2, b1, c0, s, disc) and the
+    products 2 a2^2, a2 b1, 2 a2 b1, 2 a2 c0, b1 c0 and b1^2."""
+    b1, s, a2, disc = x.p, x.q, x.r >> 1, x.d
+    bb = b1 * b1
+    ac = (disc - bb) >> 2  # disc = b1^2 + 4 a2 c0
+    c0, ab = ac // a2, a2 * b1
+    return a2, b1, c0, s, disc, 2 * a2 * a2, ab, 2 * ab, 2 * ac, b1 * c0, bb
 
-    eq = (a2, b1, c0, s, disc) gives x = (b1 + s sqrt(disc))/(2 a2), a root
+
+def _moved_gap(frame: tuple, a: int, b: int, c: int, e: int, k: int) -> FieldElement:
+    """((a x + b)/(c x + e) - x) * k for a det-1 matrix: big-by-small
+    products and one gcd against a2.
+
+    The frame (see _gap_frame) gives x = (b1 + s sqrt(disc))/(2 a2), a root
     of a2 X^2 - b1 X - c0 = 0.  Putting X = (e Y - b)/(a - c Y) gives
-    n2 Y^2 - n1 Y - n0 = 0 of the same discriminant, and the moved roots
-    differ by s sqrt(disc)/n2, so the branch stays s.  The gap over the
-    denominator 2 a2 n2 is one field element: no square of x, one gcd.
+    n2 Y^2 - n1 Y - n0 = 0 of the same discriminant, with
+    n2 = a2 e^2 + b1 c e - c0 c^2 and n1 = 2 a2 b e + b1 (a e + b c) - 2 c0 a c,
+    and the moved roots differ by s sqrt(disc)/n2, so the branch stays s.
+    The gap is (p + q sqrt(disc))/r with p = (a2 n1 - b1 n2) k,
+    q = s (a2 - n2) k and r = 2 a2 n2.  Over the frame's products, and with
+    a e + b c = 2 b c + 1, each term of p and r is a frame value times a
+    small entry of the step.
+
+    With h = gcd(a2, n2), g = gcd(p, q, r) divides 2 h^2 k: at a prime l,
+    if l divides a2 and n2 to different orders, the smaller order is l's in
+    h and a2 - n2 has exactly that order, so l's order in q is at most
+    l's in h k; otherwise l's order in r is that of 2 h^2.  So g is
+    gcd(2 h^2 k, p, q, r), whose first operand is small.
     """
-    a2, b1, c0, s, disc = eq
-    n2 = (a2 * e + b1 * c) * e - c0 * c * c
-    n1 = 2 * a2 * b * e + b1 * (a * e + b * c) - 2 * c0 * a * c
-    return FieldElement((n1 * a2 - b1 * n2) * k, s * (a2 - n2) * k, 2 * a2 * n2, disc,
-                        _checked=True)
+    a2, b1, c0, s, disc, aa2, ab, ab2, ac2, bc, bb = frame
+    ee, ce, cc = e * e, c * e, c * c
+    n2 = (a2 * e + b1 * c) * e - c0 * cc
+    p = (b * e * aa2 + (2 * b * c + 1 - ee) * ab - a * c * ac2 - ce * bb + cc * bc) * k
+    q = (a2 - n2) * s * k
+    r = ee * aa2 + ce * ab2 - cc * ac2
+    h = gcd(a2, n2)
+    g = gcd(2 * h * h * k, p, q, r)
+    if r < 0:
+        g = -g
+    gap = _new(FieldElement)
+    _P(gap, p // g)
+    _Q(gap, q // g)
+    _R(gap, r // g)
+    _D(gap, disc)
+    return gap
 
 
 def _period_matrix(period: FiniteDesign) -> tuple[int, int, int, int]:

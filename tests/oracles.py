@@ -14,9 +14,10 @@ design (or the dyadic value) at every probed point, enclosures by two
 assembly values one ulp apart, reduced designs of a ratio by laying out
 its partial quotients as alternating blocks, periodic values by moving
 the period's root with the preperiod's Moebius map and reading its
-equation back, and continued fractions of quadratic irrationals by field
+equation back, continued fractions of quadratic irrationals by field
 arithmetic (floor, subtract, invert) with a remainder dict on the
-normalised element.
+normalised element, and moved gaps of a root by its moved equation
+over full products with one three-way gcd.
 """
 
 from fractions import Fraction
@@ -318,3 +319,15 @@ def mobius_quad_of_periodic(pd: PeriodicDesign) -> QuadIrr:
         x = x.mobius(*sdm(pd.preperiod).entries())
     # (r X - p)^2 = q^2 d  =>  r^2 X^2 - 2 p r X + (p^2 - q^2 d) = 0
     return QuadIrr(x.r * x.r, 2 * x.p * x.r, x.q * x.q * x.d - x.p * x.p, x.q > 0)
+
+
+def equation_moved_gap(eq: tuple, a: int, b: int, c: int, e: int, k: int) -> FieldElement:
+    """((a x + b)/(c x + e) - x) * k for a det-1 matrix, at the root
+    x = (b1 + s sqrt(disc))/(2 a2) of eq = (a2, b1, c0, s, disc): the moved
+    equation n2 Y^2 - n1 Y - n0 = 0 keeps the discriminant and the branch,
+    so the gap is one element over 2 a2 n2, made primitive by the public
+    constructor."""
+    a2, b1, c0, s, disc = eq
+    n2 = (a2 * e + b1 * c) * e - c0 * c * c
+    n1 = 2 * a2 * b * e + b1 * (a * e + b * c) - 2 * c0 * a * c
+    return FieldElement((n1 * a2 - b1 * n2) * k, s * (a2 - n2) * k, 2 * a2 * n2, disc)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,12 +12,14 @@ from diatomic import (
     Side,
     Verdict,
     affine_derivative_factor,
+    assembly_of_rational_theta,
     assembly_theta,
     derivative_at_rational,
     fib_continuant,
     quotient_scan,
     theta_of,
 )
+from diatomic import derivative, quadratic
 from diatomic.errors import OutOfRange, ZeroLength
 
 from oracles import fib, rebuild_quotient_scan
@@ -231,10 +234,45 @@ def test_dyadic_scan_matches_rebuild_oracle(k, data, jmax):
 
 
 def test_scan_matches_rebuild_oracle_on_a_long_period():
-    # 2 is a primitive root mod 8069, so the period has 8068 bits
-    for eta in (Fraction(2000, 8069), Fraction(2000, 4 * 8069)):
+    # 2 is a primitive root mod 1019, 4021 and 8069, so the periods have
+    # 1018, 4020 and 8068 bits
+    for eta in (Fraction(300, 1019), Fraction(1340, 4021), Fraction(2000, 8069),
+                Fraction(2000, 4 * 8069)):
         for side in Side:
             _assert_scan_matches_rebuild(eta, side, 12)
+
+
+def test_scan_samples_take_no_gcd_past_a2_but_big_by_small(monkeypatch):
+    # A sample takes one gcd against a2 and one that starts from the small
+    # 2 h^2 k.  The gap's parts p and r have about twice a2's bits; a gcd
+    # step that meets one of them with another long operand (q has a2's
+    # bits) costs a long division and a long gcd, more than the rest of
+    # the sample.
+    eta = Fraction(2000, 8069)  # an 8068-bit period
+    limit = assembly_of_rational_theta(eta).a2.bit_length() + 64
+    pairs, in_sample = [], []
+
+    def folding_gcd(*args):
+        # math.gcd folds its operands from the left: record each pair it meets
+        g = args[0]
+        for x in args[1:]:
+            if in_sample:
+                pairs.append(sorted((g.bit_length(), x.bit_length())))
+            g = math.gcd(g, x)
+        return abs(g)
+
+    def sample(*args, moved_gap=derivative._moved_gap):
+        in_sample.append(True)
+        try:
+            return moved_gap(*args)
+        finally:
+            in_sample.pop()
+
+    monkeypatch.setattr(quadratic, "gcd", folding_gcd)
+    monkeypatch.setattr(derivative, "_moved_gap", sample)
+    samples = sum(len(quotient_scan(eta, side, 12).samples) for side in Side)
+    assert samples == 22 and len(pairs) >= 2 * samples
+    assert [(lo, hi) for lo, hi in pairs if hi > limit and lo > 64] == []
 
 
 @pytest.mark.parametrize("eta", [

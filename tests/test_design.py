@@ -180,6 +180,19 @@ def test_euclidean_design_rejects_bad_input():
         euclidean_design(0, 3)
 
 
+@pytest.mark.parametrize("walk", [euclidean_design, partial_quotients])
+def test_pair_errors_name_a_huge_operand_by_its_bit_length(walk, huge):
+    # a decimal form past the digit limit would raise a plain ValueError
+    with pytest.raises(NotCoprime, match=r"^\(<20001-bit integer>, <20001-bit integer>\) share"):
+        walk(3 * huge, 3 * (huge + 2))
+    with pytest.raises(ZeroInput, match=r"got \(<-20000-bit integer>, 5\)$"):
+        walk(-huge, 5)
+    with pytest.raises(NotCoprime, match=r"^\(6, 3\) share a factor$"):
+        walk(6, 3)
+    with pytest.raises(ZeroInput, match=r"^need positive integers, got \(0, 3\)$"):
+        walk(0, 3)
+
+
 def test_partial_quotients_examples():
     assert partial_quotients(7, 3) == (2, 3)
     assert partial_quotients(1, 1) == (1,)

@@ -54,6 +54,17 @@ def test_matrix_validation():
         parse_matrix("1,2;1,2")
 
 
+def test_matrix_errors_name_a_huge_entry_by_its_bit_length(huge):
+    with pytest.raises(NotUnimodular, match=r"^determinant of \(<20000-bit integer>, 1, 1, 1\) is"):
+        UniModMatrix(huge, 1, 1, 1)
+    with pytest.raises(NegativeEntry, match=r"^negative entry in \(1, <-20000-bit integer>, 0, 1\)$"):
+        UniModMatrix(1, -huge, 0, 1)
+    with pytest.raises(NotUnimodular, match=r"^determinant of \(2, 2, 1, 1\) is not 1$"):
+        UniModMatrix(2, 2, 1, 1)
+    with pytest.raises(NegativeEntry, match=r"^negative entry in \(2, -1, 1, 0\)$"):
+        UniModMatrix(2, -1, 1, 0)
+
+
 def test_design_of_matrix_examples():
     assert design_of_matrix(parse_matrix("5,7;2,3")).bits == "11001"
     assert design_of_matrix(parse_matrix("8,3;5,2")).bits == "10100"

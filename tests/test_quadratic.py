@@ -31,8 +31,13 @@ from diatomic import (
     theta_of,
 )
 from diatomic.errors import InvalidPeriod, NonPositive, OutOfRange, PerfectSquare
-from diatomic.quadratic import _moved_gap
-from oracles import field_element_cf, field_element_floor, mobius_quad_of_periodic
+from diatomic.quadratic import _fixed_point, _gap_frame, _moved_gap
+from oracles import (
+    equation_moved_gap,
+    field_element_cf,
+    field_element_floor,
+    mobius_quad_of_periodic,
+)
 
 
 def _squarefree(n: int) -> int:
@@ -76,6 +81,13 @@ def test_field_element_rejects_square_radicand():
         FieldElement(1, 1, 1, 9)
     with pytest.raises(OutOfRange):
         FieldElement(1, 1, 2, 5) - FieldElement(1, 1, 2, 3)
+
+
+def test_radicand_error_names_a_huge_radicand_by_its_bit_length(huge):
+    with pytest.raises(OutOfRange, match=r"nonsquare, got <\d+-bit integer>$"):
+        FieldElement(1, 1, 2, huge * huge)
+    with pytest.raises(OutOfRange, match=r"nonsquare, got 9$"):
+        FieldElement(1, 1, 2, 9)
 
 
 def test_public_constructor_checks_the_radicand():
@@ -275,6 +287,40 @@ def test_periodic_value_matches_the_mobius_route(pre, per):
     assert quad_of_periodic(d) == mobius_quad_of_periodic(d)
 
 
+def _random_periodic_designs(seed, lengths):
+    """Two random periodic designs per period length, preperiods up to 64 bits."""
+    rng = random.Random(seed)
+    for n in lengths:
+        count = 2
+        while count:
+            pre = format(rng.getrandbits(64), "064b")[:rng.randint(0, 64)]
+            d = make_periodic(pre, format(rng.getrandbits(n), f"0{n}b"))
+            if isinstance(d, PeriodicDesign) and d.period.length == n:
+                count -= 1
+                yield d
+
+
+@pytest.mark.parametrize(
+    "d", _random_periodic_designs(2024, (2, 3, 5, 9, 40, 130, 500, 1000, 2000, 4000, 6000, 8000)),
+    ids=lambda d: f"{d.preperiod.length}+{d.period.length}")
+def test_trusted_fixed_point_equals_the_checked_constructor(d):
+    # _fixed_point skips the discriminant's isqrt and the root's sign test;
+    # the public constructor runs both on the same equation and must agree
+    a, b, c, e = sdm(d.preperiod).entries()
+    pa, pb, pc, pe = sdm(d.period).entries()
+    # M P M^-1 with M^-1 = (e -b; -c a)
+    ta, tb, tc, te = a * pa + b * pc, a * pb + b * pe, c * pa + e * pc, c * pb + e * pe
+    m = ta * e - tb * c, tb * a - ta * b, tc * e - te * c, te * a - tc * b
+    if m[2] > 0:
+        want = QuadIrr(m[2], m[0] - m[3], m[1])
+    else:
+        want = QuadIrr(-m[2], m[3] - m[0], -m[1], plus_branch=False)
+    got = _fixed_point(*m)
+    assert type(got) is QuadIrr
+    assert (got.p, got.q, got.r, got.d) == (want.p, want.q, want.r, want.d)
+    assert got == quad_of_periodic(d)
+
+
 def _value_and_depths(d):
     """quad_of_periodic(d), and the depths it asked the table for."""
     with mock.patch("diatomic.quadratic.sdi_quadruple", wraps=sdi_quadruple) as spy:
@@ -337,8 +383,10 @@ scales = st.builds(lambda s, j: s << j, st.sampled_from([1, -1]), st.integers(0,
 
 
 def _assert_gap_like_mobius(x, m, k):
-    got, want = _moved_gap(_equation(x), *m, k), x.mobius(*m).sub_times(x, k)
+    got, want = _moved_gap(_gap_frame(x), *m, k), x.mobius(*m).sub_times(x, k)
+    assert type(got) is FieldElement
     assert (got.p, got.q, got.r, got.d) == (want.p, want.q, want.r, want.d)
+    assert got.key() == equation_moved_gap(_equation(x), *m, k).key()
     return got
 
 
@@ -370,6 +418,55 @@ def test_moved_gap_flips_signs_when_the_new_leading_coefficient_is_negative(x):
     for t in (-3, 0, 5):
         for k in (1, -2, 1 << 64, -(1 << 64)):
             assert _assert_gap_like_mobius(x, (t, -1, 1, 0), k).r > 0
+
+
+@pytest.mark.parametrize("x", [QuadIrr(1, 1, 1), QuadIrr(59, 6, 5), QuadIrr(3, 0, 1),
+                               quad_of_periodic(parse_design("0110(10010)"))])
+@pytest.mark.parametrize("k", [1, -1, 3, -5, 7 << 10, 1 << 64])
+def test_moved_gap_of_a_translation_is_the_shift(x, k):
+    # (1 b; 0 1) moves x to x + b: n2 = a2, so h = a2, q = 0 and
+    # r = 2 a2^2, and the gap is the integer b k: g is all of r
+    for b in (-7, -1, 1, 4):
+        got = _assert_gap_like_mobius(x, (1, b, 0, 1), k)
+        assert (got.p, got.q, got.r) == (b * k, 0, 1)
+
+
+@pytest.mark.parametrize("k", [1, -2, 3, -5, 9 << 20])
+def test_moved_gap_takes_an_odd_common_factor_of_a2_and_n2(k):
+    # x = 1/sqrt(3), a root of 3 X^2 - 1 = 0, moved by (1 0; 3 1) to
+    # x/(3 x + 1): n2 = 3 - 9 = -6 shares 3 with a2 = 3, and the gap's
+    # three parts share 9 = h^2 before the factors of k
+    x = QuadIrr(3, 0, 1)
+    frame = _gap_frame(x)
+    assert frame[:5] == (3, 0, 1, 1, 12)
+    got = _assert_gap_like_mobius(x, (1, 0, 3, 1), k)
+    raw_r = 2 * 3 * -6  # 2 a2 n2
+    assert raw_r % got.r == 0 and (raw_r // -got.r) % 9 == 0
+    # a second step with the same n2
+    _assert_gap_like_mobius(x, (2, -1, 3, -1), k)
+
+
+def test_moved_gap_matches_the_oracle_on_every_small_equation_and_step():
+    # primitive equations and det-1 steps with small entries, at odd and
+    # even k: many have h = gcd(a2, n2) > 1, odd or even
+    seen_odd_h = 0
+    steps = [(a, (a * e - 1) // c, c, e) for c in range(-3, 4) for e in range(-3, 4)
+             for a in range(-3, 4) if c and (a * e - 1) % c == 0]
+    steps += [(1, 2, 0, 1), (-1, 3, 0, -1)]
+    for a2 in range(1, 13):
+        for b1 in range(-3, 4):
+            for c0 in range(-3, 4):
+                disc = b1 * b1 + 4 * a2 * c0
+                if gcd(a2, b1, c0) != 1 or disc <= 0 or isqrt(disc) ** 2 == disc:
+                    continue
+                for s in (1, -1):
+                    x = FieldElement(b1, s, 2 * a2, disc)
+                    for m in steps:
+                        h = gcd(a2, a2 * m[3] ** 2 + b1 * m[2] * m[3] - c0 * m[2] ** 2)
+                        seen_odd_h += h > 1 and h % 2 == 1
+                        for k in (-3, 4):
+                            _assert_gap_like_mobius(x, m, k)
+    assert seen_odd_h > 100
 
 
 def test_random_periodic_roots_sit_inside_their_enclosures():

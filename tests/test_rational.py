@@ -10,6 +10,13 @@ from diatomic.errors import DomainError, OutOfRange
 nonneg = st.fractions(min_value=0, max_denominator=50)
 
 
+def test_negative_component_names_a_huge_operand_by_its_bit_length(huge):
+    with pytest.raises(OutOfRange, match=r"^negative component <-20000-bit integer>/1$"):
+        ExtRational(-huge, 1)
+    with pytest.raises(OutOfRange, match=r"^negative component 2/-3$"):
+        ExtRational(2, -3)
+
+
 def test_normalization():
     assert ExtRational(6, 4) == ExtRational(3, 2)
     assert ExtRational(0, 7) == ExtRational(0)
