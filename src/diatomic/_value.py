@@ -2,7 +2,9 @@
 ``__slots__ = _fields = (...)``, and its ``__init__`` stores them with
 ``_set`` after its checks.  Values are immutable, equal and hashable by
 class and fields, printed in the dataclass style, and copied or pickled
-field by field.
+field by field.  Where the library wraps fields it has just made and can
+prove valid, it builds the value with a ``trusted`` maker instead, which
+skips the checks: every public constructor still runs all of them.
 """
 
 from operator import attrgetter
@@ -39,3 +41,35 @@ class Value:
     def __setstate__(self, values: tuple) -> None:
         for name, value in zip(self._fields, values):
             _set(self, name, value)
+
+
+def trusted(cls):
+    """A maker that builds a two- or four-field cls from its fields, in
+    order, without running cls.__init__: no check and no normalisation.
+
+    Use it only on fields proved valid for cls, and state the proof in one
+    line at the call site.  The object comes from object.__new__ and each
+    field goes through its slot's own setter, one store per line: a loop
+    over the setters costs as much as the checks it skips.
+    """
+    new = object.__new__
+    setters = [getattr(cls, name).__set__ for name in cls._fields]
+    if len(setters) == 2:
+        s0, s1 = setters
+
+        def make(f0, f1):
+            v = new(cls)
+            s0(v, f0)
+            s1(v, f1)
+            return v
+    else:
+        s0, s1, s2, s3 = setters
+
+        def make(f0, f1, f2, f3):
+            v = new(cls)
+            s0(v, f0)
+            s1(v, f1)
+            s2(v, f2)
+            s3(v, f3)
+            return v
+    return make

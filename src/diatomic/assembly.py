@@ -12,28 +12,28 @@ from fractions import Fraction
 from ._backend import word_matrix
 from ._value import Value, _set
 from .design import FiniteDesign, design_of_theta, euclidean_design
-from .errors import InsufficientBits, OutOfRange
+from .errors import InsufficientBits, OutOfRange, operand_text
 from .matrix import apply_mobius, sdm
 from .quadratic import QuadIrr, quad_of_periodic
-from .rational import ExtRational
+from .rational import ExtRational, _ratio
 
 
 def assembly_dyadic(m: int, n: int) -> ExtRational:
     """Value at m/2**n: b/d of the matrix of the n-bit word of m, the table
     values at orders m and 2**n - m; m = 2**n is allowed and gives infinity."""
     if n < 0 or m < 0 or m > (1 << n):
-        raise OutOfRange(f"need 0 <= m <= 2^n, got m={m}, n={n}")
+        raise OutOfRange(f"need 0 <= m <= 2^n, got m={operand_text(m)}, n={operand_text(n)}")
     if m == 1 << n:
         return ExtRational.infinity()
     _, b, _, d = word_matrix(format(m, f"0{n}b") if n else "")
-    return ExtRational(b, d)
+    return _ratio(b, d)  # ad - bc = 1 makes b, d coprime, and d >= 1
 
 
 def assembly_theta(t: Fraction) -> ExtRational:
     """Value at a dyadic theta given as an exact fraction."""
     q = t.denominator
     if t < 0 or t > 1 or q & (q - 1):
-        raise OutOfRange(f"need a dyadic in [0, 1], got {t}")
+        raise OutOfRange(f"need a dyadic in [0, 1], got {operand_text(t)}")
     return assembly_dyadic(t.numerator, q.bit_length() - 1)
 
 
@@ -70,19 +70,21 @@ def assembly_enclose(bits: str, n: int) -> Enclosure:
     (a b; c d), so the width is exactly 1 / (c * d) and shrinks to 0.
     """
     if n < 0:
-        raise OutOfRange(f"n must be >= 0, got {n}")
+        raise OutOfRange(f"n must be >= 0, got {operand_text(n)}")
     if len(bits) < n:
-        raise InsufficientBits(f"need {n} bits, got {len(bits)}")
+        raise InsufficientBits(f"need {operand_text(n)} bits, got {len(bits)}")
     if bits.strip("01"):
         raise OutOfRange(f"bits must be 0/1, got {bits!r}")
     a, b, c, d = word_matrix(bits[:n])
-    return Enclosure(ExtRational(b, d), ExtRational(a, c), n)  # a/0 is infinity
+    # ad - bc = 1: both pairs are coprime, d >= 1, and c = 0 only for an
+    # all-ones prefix, (1 n; 0 1), whose a/c is the canonical infinity 1/0
+    return Enclosure(_ratio(b, d), _ratio(a, c), n)
 
 
 def assembly_of_rational_theta(t: Fraction) -> ExtRational | QuadIrr:
     """Exact value at rational theta: rational if dyadic, else quadratic."""
     if t < 0 or t > 1:
-        raise OutOfRange(f"theta must lie in [0, 1], got {t}")
+        raise OutOfRange(f"theta must lie in [0, 1], got {operand_text(t)}")
     d = design_of_theta(t)
     if isinstance(d, FiniteDesign):
         return assembly_theta(t)
@@ -102,4 +104,4 @@ def compose_action(d: FiniteDesign, v: ExtRational) -> ExtRational:
 def question_mark_inverse(t: Fraction) -> ExtRational:
     """Inverse Minkowski question mark at a dyadic, as v/(v+1) of the value."""
     v = assembly_theta(t)
-    return ExtRational(v.num, v.num + v.den)
+    return _ratio(v.num, v.num + v.den)  # gcd(n, n + d) = gcd(n, d) = 1, and n + d >= 1

@@ -21,7 +21,7 @@ from ._backend import continuant_pair
 from ._value import Value, _set
 from .assembly import assembly_of_rational_theta
 from .design import FiniteDesign
-from .errors import OutOfRange, TerminalDesign, ZeroLength
+from .errors import OutOfRange, TerminalDesign, ZeroLength, operand_text
 from .matrix import sdm
 from .quadratic import FieldElement, _gap_frame, _moved_gap
 from .rational import ExtRational
@@ -30,7 +30,7 @@ from .rational import ExtRational
 def fib_continuant(m: int) -> int:
     """Continuant of m ones: 1, 2, 3, 5, 8, ... (the Fibonacci shift)."""
     if m < 1:
-        raise ZeroLength(f"need m >= 1, got {m}")
+        raise ZeroLength(f"need m >= 1, got {operand_text(m)}")
     return continuant_pair([1] * m)[1]
 
 
@@ -70,9 +70,9 @@ def quotient_scan(eta: Fraction, side: Side, jmax: int) -> QuotientScan:
     normalisation.  No radicand is checked.
     """
     if not 0 < eta < 1:
-        raise OutOfRange(f"eta must lie in (0, 1), got {eta}")
+        raise OutOfRange(f"eta must lie in (0, 1), got {operand_text(eta)}")
     if jmax < 1:
-        raise OutOfRange(f"jmax must be >= 1, got {jmax}")
+        raise OutOfRange(f"jmax must be >= 1, got {operand_text(jmax)}")
     sgn = 1 if side is Side.RIGHT else -1
     num, den = eta.numerator, eta.denominator
     # 0 < eta + h < 1 exactly when x 2^j > den, x the gap to the far end
@@ -112,7 +112,7 @@ def _moved_ratio_gap(at: tuple, a: int, b: int, c: int, e: int, k: int) -> ExtRa
 def derivative_at_rational(eta: Fraction) -> Verdict:
     """Dyadic points blow up on both sides; elsewhere a derivative, if any, is 0."""
     if not 0 < eta < 1:
-        raise OutOfRange(f"eta must lie in (0, 1), got {eta}")
+        raise OutOfRange(f"eta must lie in (0, 1), got {operand_text(eta)}")
     if eta.denominator & (eta.denominator - 1) == 0:
         return Verdict.DIVERGES_TO_INFINITY
     return Verdict.ZERO_IF_DIFFERENTIABLE

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from ._backend import _pair_word, continuant_pair
-from ._value import Value, _set
+from ._value import Value, _set, trusted
 from .errors import (
     DesignSyntaxError,
     InvalidPeriod,
@@ -30,6 +30,7 @@ from .errors import (
     TerminalDesign,
     ZeroInput,
     operand_text,
+    operands_text,
 )
 
 
@@ -86,18 +87,14 @@ class PeriodicDesign(Value):
     Invariants: the period is nonempty, not all one symbol, primitive
     (no shorter word repeats into it), and the preperiod cannot be
     shortened by rotating a shared trailing bit into the period.  The
-    keyword _checked is internal: make_periodic and conjugate pass it on a
-    pair they know to be canonical, to skip checking it again.  Callers
-    must not pass it.
+    constructor checks them all; the library's own canonicalisation and
+    conjugation build a pair they know to be canonical with the trusted
+    maker instead, so as not to check it again.
     """
 
     __slots__ = _fields = ("preperiod", "period")
 
-    def __init__(self, preperiod: FiniteDesign, period: FiniteDesign, *, _checked: bool = False):
-        _set(self, "preperiod", preperiod)
-        _set(self, "period", period)
-        if _checked:
-            return
+    def __init__(self, preperiod: FiniteDesign, period: FiniteDesign):
         if preperiod.terminal or period.terminal:
             raise DesignSyntaxError("periodic design parts must be plain words")
         per = period.bits
@@ -107,12 +104,19 @@ class PeriodicDesign(Value):
             raise InvalidPeriod(f"period {per!r} repeats a shorter word")
         if preperiod.bits and preperiod.bits[-1] == per[-1]:
             raise InvalidPeriod("preperiod can be rotated into the period")
+        _set(self, "preperiod", preperiod)
+        _set(self, "period", period)
 
     def __str__(self) -> str:
         return f"{self.preperiod.bits}({self.period.bits})"
 
 
 Design = FiniteDesign | PeriodicDesign
+
+# makers for a word known to hold only 0s and 1s (with terminal False), and
+# for a canonical pair of plain words
+_word = trusted(FiniteDesign)
+_periodic = trusted(PeriodicDesign)
 
 EMPTY = FiniteDesign("")
 
@@ -151,7 +155,8 @@ def _canonical(pre: str, per: str) -> PeriodicDesign:
         c = (diff & -diff).bit_length() - 1 if diff else k
         r = c % n
         per, pre = per[n - r:] + per[:n - r], pre[:k - c]
-    return PeriodicDesign(FiniteDesign(pre), FiniteDesign(per), _checked=True)
+    # slices and rotations of checked words, or bits printed by format()
+    return _periodic(_word(pre, False), _word(per, False))
 
 
 def parse_design(text: str) -> Design:
@@ -200,11 +205,11 @@ def _runs_of_word(word: str) -> tuple[int, ...]:
 def check_runs(ks) -> tuple[int, ...]:
     ks = tuple(ks)
     if len(ks) % 2 == 0:
-        raise MalformedRuns(f"run list length must be odd: {ks}")
+        raise MalformedRuns(f"run list length must be odd: {operands_text(ks)}")
     if any(k < 0 for k in ks):
-        raise MalformedRuns(f"negative run in {ks}")
+        raise MalformedRuns(f"negative run in {operands_text(ks)}")
     if any(k < 1 for k in ks[1:-1]):
-        raise MalformedRuns(f"interior runs must be positive: {ks}")
+        raise MalformedRuns(f"interior runs must be positive: {operands_text(ks)}")
     return ks
 
 
@@ -248,7 +253,7 @@ def realizing_pair(rs) -> tuple[int, int]:
     if rs == (1,):
         return 1, 1
     if not rs or rs[0] < 0 or any(r < 1 for r in rs[1:-1]) or rs[-1] < 2:
-        raise MalformedRuns(f"not a quotient sequence: {rs}")
+        raise MalformedRuns(f"not a quotient sequence: {operands_text(rs)}")
     b, a = continuant_pair(rs[::-1])  # a continuant reads the same reversed
     return a, b
 
@@ -257,15 +262,15 @@ def euclidean_design(a: int, b: int) -> FiniteDesign:
     """The reduced design of a/b: the Stern-Brocot path of (a, b), then "1".
     Its runs are the partial quotients of a/b, the last one short by 1."""
     _check_coprime_pair(a, b)
-    return FiniteDesign(_pair_word(a, b) + "1")
+    return _word(_pair_word(a, b) + "1", False)  # the walk writes only 0s and 1s
 
 
 def conjugate(d: Design) -> Design:
     """Finite: the design of 2**n - m at the same length.  Periodic: flip bits."""
     if isinstance(d, PeriodicDesign):
         # flipping every bit keeps a canonical design canonical
-        return PeriodicDesign(FiniteDesign(_flip(d.preperiod.bits)),
-                              FiniteDesign(_flip(d.period.bits)), _checked=True)
+        return _periodic(_word(_flip(d.preperiod.bits), False),
+                         _word(_flip(d.period.bits), False))
     n = d.length
     if d.terminal:
         return FiniteDesign("0" * n)
@@ -367,13 +372,13 @@ def design_of_theta(t: Fraction) -> Design:
     (2**n - 1) / q', one big-int quotient.  _canonical rotates the tail.
     """
     if t < 0 or t > 1:
-        raise OutOfRange(f"theta must lie in [0, 1], got {t}")
+        raise OutOfRange(f"theta must lie in [0, 1], got {operand_text(t)}")
     if t == 1:
         return FiniteDesign.terminal_of(0)
     q = t.denominator
     if q & (q - 1) == 0:
         n = q.bit_length() - 1
-        return FiniteDesign(format(t.numerator, f"0{n}b") if n else "")
+        return _word(format(t.numerator, f"0{n}b") if n else "", False)  # binary digits
     k = (q & -q).bit_length() - 1
     odd = q >> k
     head, r = divmod(t.numerator, odd)

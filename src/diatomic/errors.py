@@ -5,13 +5,27 @@ catch one type and map it to a diagnostic exit.
 """
 
 
-def operand_text(n: int) -> str:
-    """n in decimal for an error message, or n named by its bit length where
-    the interpreter's digit limit would refuse the conversion."""
+def operand_text(n) -> str:
+    """An int or a Fraction n as str() prints it for an error message, but
+    with an integer part that the interpreter's digit limit would refuse to
+    convert named by its bit length."""
     try:
         return str(n)
     except ValueError:
-        return f"<{'-' if n < 0 else ''}{n.bit_length()}-bit integer>"
+        num, den = n.numerator, n.denominator
+        if den != 1:
+            return f"{operand_text(num)}/{operand_text(den)}"
+        return f"<{'-' if num < 0 else ''}{num.bit_length()}-bit integer>"
+
+
+def operands_text(ks: tuple) -> str:
+    """A tuple of ints as str() prints it for an error message, or named by
+    its length and its largest item's bit length where an item passes the
+    interpreter's digit limit."""
+    try:
+        return str(ks)
+    except ValueError:
+        return f"<tuple of length {len(ks)}, items up to {max(k.bit_length() for k in ks)} bits>"
 
 
 class DomainError(ValueError):

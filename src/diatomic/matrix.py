@@ -10,10 +10,10 @@ coprime, so the path ends at (1, 1).
 from __future__ import annotations
 
 from ._backend import matrix_word, word_matrix
-from ._value import Value, _set
-from .design import FiniteDesign
+from ._value import Value, _set, trusted
+from .design import FiniteDesign, _word
 from .errors import DesignSyntaxError, NegativeEntry, NotUnimodular, TerminalDesign, operand_text
-from .rational import ExtRational
+from .rational import ExtRational, _ratio
 
 
 def _entries_text(*entries: int) -> str:
@@ -54,6 +54,9 @@ class UniModMatrix(Value):
         return f"{self.a},{self.b};{self.c},{self.d}"
 
 
+_matrix = trusted(UniModMatrix)  # for nonnegative entries of determinant 1
+
+
 def parse_matrix(text: str) -> UniModMatrix:
     """Parse the wire format 'a,b;c,d'."""
     try:
@@ -68,17 +71,21 @@ def sdm(d: FiniteDesign) -> UniModMatrix:
     """The table matrix of a finite design: generator product along its word."""
     if d.terminal:
         raise TerminalDesign("terminal designs have no matrix")
-    return UniModMatrix(*word_matrix(d.bits))
+    return _matrix(*word_matrix(d.bits))  # a generator product: nonnegative, determinant 1
 
 
 def design_of_matrix(m: UniModMatrix) -> FiniteDesign:
     """The unique design word with sdm(word) == m, possibly unreduced."""
-    return FiniteDesign(matrix_word(*m.entries()))
+    # matrix_word checks the sign and the determinant (a singular matrix
+    # would walk forever), and its path is made of 0s and 1s only
+    return _word(matrix_word(*m.entries()), False)
 
 
 def apply_mobius(m: UniModMatrix, x: ExtRational) -> ExtRational:
     """(a x + b)/(c x + d) on the extended rationals; infinity maps to a/c."""
-    return ExtRational(m.a * x.num + m.b * x.den, m.c * x.num + m.d * x.den)
+    # a determinant-1 matrix keeps the gcd of the pair it moves: a reduced
+    # x, never 0/0, has a reduced image, never 0/0
+    return _ratio(m.a * x.num + m.b * x.den, m.c * x.num + m.d * x.den)
 
 
 def matrix_symmetries(d: FiniteDesign) -> tuple[UniModMatrix, UniModMatrix, UniModMatrix]:

@@ -208,7 +208,7 @@ class QuadIrr(FieldElement):
             return self
         t = isqrt(self.d // d) if d > 0 else 0
         if t == 0 or t * t * d != self.d:
-            raise OutOfRange(f"root lies outside Q(sqrt({d}))")
+            raise OutOfRange(f"root lies outside Q(sqrt({operand_text(d)}))")
         return FieldElement(self.p, t * self.q, self.r, d, _checked=True)
 
     def conjugate_sign(self) -> int:
@@ -378,9 +378,10 @@ def _cf_walk(p: int, q: int, d: int) -> tuple[list[int], list[int]]:
 def sqrt_cf(num: int, den: int) -> tuple[list[int], list[int]]:
     """Continued fraction of sqrt(num/den): (prefix, repeating cycle)."""
     if num < 1 or den < 1:
-        raise NonPositive(f"need a positive rational, got {num}/{den}")
+        raise NonPositive(
+            f"need a positive rational, got {operand_text(num)}/{operand_text(den)}")
     if _is_square(num * den):
-        raise PerfectSquare(f"sqrt({Fraction(num, den)}) is rational")
+        raise PerfectSquare(f"sqrt({operand_text(Fraction(num, den))}) is rational")
     return _cf_walk(0, den, num * den)
 
 
@@ -434,7 +435,7 @@ def conjugate_root_design(period: FiniteDesign) -> FiniteDesign:
 def purity_test(t: Fraction) -> Purity:
     """Classify the value at rational theta by the denominator's 2-part."""
     if t < 0 or t >= 1:
-        raise OutOfRange(f"theta must lie in [0, 1), got {t}")
+        raise OutOfRange(f"theta must lie in [0, 1), got {operand_text(t)}")
     q = t.denominator
     if q & (q - 1) == 0:
         return Purity.RATIONAL

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from ._value import Value, _set
+from ._value import Value, _set, trusted
 from .errors import DomainError, OutOfRange, operand_text
 
 
@@ -46,7 +46,7 @@ class ExtRational(Value):
         return Fraction(self.num, self.den)
 
     def reciprocal(self) -> "ExtRational":
-        return ExtRational(self.den, self.num)
+        return _ratio(self.den, self.num)  # a reduced pair swapped; 0/1 and 1/0 trade places
 
     def __add__(self, other: "ExtRational") -> "ExtRational":
         if self.is_infinite or other.is_infinite:
@@ -91,6 +91,10 @@ class ExtRational(Value):
         if self.den == 1:
             return str(self.num)
         return f"{self.num}/{self.den}"
+
+
+# an ExtRational from a coprime nonnegative pair, which is never 0/0
+_ratio = trusted(ExtRational)
 
 
 def parse_ratio(text: str) -> ExtRational:

@@ -51,6 +51,15 @@ def test_rejects_out_of_range():
         assembly_theta(Fraction(1, 3))
 
 
+def test_range_error_names_a_huge_operand_by_its_bit_length(huge):
+    with pytest.raises(OutOfRange, match=r"got m=<20000-bit integer>, n=3$"):
+        assembly_dyadic(huge, 3)
+    with pytest.raises(OutOfRange, match=r"got m=-1, n=<20000-bit integer>$"):
+        assembly_dyadic(-1, huge)
+    with pytest.raises(OutOfRange, match=r"^need 0 <= m <= 2\^n, got m=9, n=3$"):
+        assembly_dyadic(9, 3)
+
+
 def test_inverse_examples():
     d = assembly_inverse(ExtRational(7, 3))
     assert d.bits == "11001"

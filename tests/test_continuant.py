@@ -96,6 +96,14 @@ def test_cf_eval_rejects_interior_zero():
         cf_eval(())
 
 
+def test_cf_word_error_names_a_huge_entry_by_its_bit_length(huge):
+    with pytest.raises(MalformedRuns, match=r"^bad continued fraction word "
+                       r"<tuple of length 3, items up to 20000 bits>$"):
+        cf_eval((huge, 0, 1))
+    with pytest.raises(MalformedRuns, match=r"^bad continued fraction word \(1, 0, 1\)$"):
+        cf_eval((1, 0, 1))
+
+
 def test_sdi_from_runs_examples():
     assert sdi_from_runs((2, 2, 1)) == 7
     assert sdi_from_runs((0,)) == 0
@@ -200,4 +208,12 @@ def test_tail_product_rejects_short_zero_tail():
     with pytest.raises(MalformedRuns):
         cf_product_decomposition((0,))
     with pytest.raises(MalformedRuns):
+        cf_product_decomposition((3, 0))
+
+
+def test_tail_error_names_a_huge_entry_by_its_bit_length(huge):
+    with pytest.raises(MalformedRuns, match=r"^no tail decomposition for "
+                       r"<tuple of length 2, items up to 20000 bits>$"):
+        cf_product_decomposition((huge, 0))
+    with pytest.raises(MalformedRuns, match=r"^no tail decomposition for \(3, 0\)$"):
         cf_product_decomposition((3, 0))

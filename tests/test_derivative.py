@@ -75,6 +75,21 @@ def test_scan_rejects_endpoints():
             quotient_scan(Fraction(1, 2), Side.RIGHT, jmax)
 
 
+def test_scan_errors_name_a_huge_operand_by_its_bit_length(huge):
+    # a jmax below the first useful step is below eta's denominator's bit
+    # length, so only eta and a negative jmax can be huge
+    with pytest.raises(OutOfRange, match=r"got <20000-bit integer>/3$"):
+        quotient_scan(Fraction(huge, 3), Side.RIGHT, 3)
+    with pytest.raises(OutOfRange, match=r"got -1/<20000-bit integer>$"):
+        quotient_scan(Fraction(-1, huge), Side.LEFT, 3)
+    with pytest.raises(OutOfRange, match=r"^jmax must be >= 1, got <-20000-bit integer>$"):
+        quotient_scan(Fraction(1, 3), Side.RIGHT, -huge)
+    with pytest.raises(OutOfRange, match=r"^eta must lie in \(0, 1\), got 3/2$"):
+        quotient_scan(Fraction(3, 2), Side.LEFT, 3)
+    with pytest.raises(OutOfRange, match=r"^jmax must be >= 1, got -3$"):
+        quotient_scan(Fraction(1, 2), Side.RIGHT, -3)
+
+
 @pytest.mark.parametrize("eta, side, first", [
     (Fraction(1, 2), Side.RIGHT, 2), (Fraction(1, 3), Side.LEFT, 2),
     (Fraction(1, 1023), Side.LEFT, 10), (Fraction(1022, 1023), Side.RIGHT, 10),

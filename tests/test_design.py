@@ -157,6 +157,22 @@ def test_from_runs_rejects_malformed():
             from_runs(bad)
 
 
+def test_run_errors_name_a_huge_run_by_its_bit_length(huge):
+    named = r"<tuple of length {}, items up to 20000 bits>$"
+    with pytest.raises(MalformedRuns, match=r"^run list length must be odd: " + named.format(2)):
+        from_runs((huge, 1))
+    with pytest.raises(MalformedRuns, match=r"^negative run in " + named.format(3)):
+        from_runs((1, 2, -huge))
+    with pytest.raises(MalformedRuns, match=r"^interior runs must be positive: " + named.format(3)):
+        from_runs((huge, 0, 1))
+    with pytest.raises(MalformedRuns, match=r"^run list length must be odd: \(1, 1\)$"):
+        from_runs((1, 1))
+    with pytest.raises(MalformedRuns, match=r"^negative run in \(2, 2, -1\)$"):
+        from_runs((2, 2, -1))
+    with pytest.raises(MalformedRuns, match=r"^interior runs must be positive: \(1, 0, 1\)$"):
+        from_runs((1, 0, 1))
+
+
 # --- design numbers ----------------------------------------------------------
 
 def test_design_number_examples():
@@ -178,6 +194,14 @@ def test_euclidean_design_rejects_bad_input():
         euclidean_design(6, 3)
     with pytest.raises(ZeroInput):
         euclidean_design(0, 3)
+
+
+def test_quotient_error_names_a_huge_quotient_by_its_bit_length(huge):
+    with pytest.raises(MalformedRuns,
+                       match=r"^not a quotient sequence: <tuple of length 2, items up to 20000 bits>$"):
+        realizing_pair((huge, 1))
+    with pytest.raises(MalformedRuns, match=r"^not a quotient sequence: \(3, 1\)$"):
+        realizing_pair((3, 1))
 
 
 @pytest.mark.parametrize("walk", [euclidean_design, partial_quotients])

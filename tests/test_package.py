@@ -1,8 +1,22 @@
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import diatomic
 from diatomic import _backend
+from diatomic.errors import (
+    InsufficientBits,
+    NonPositive,
+    OutOfRange,
+    OutOfTable,
+    PerfectSquare,
+    ZeroLength,
+    operand_text,
+    operands_text,
+)
+from diatomic.quadratic import QuadIrr
 
 
 def test_every_exported_name_resolves():
@@ -32,3 +46,48 @@ def test_benchmark_hooks_resolve():
     diatomic.sdi_quadruple.cache_info()
     assert callable(diatomic.sdi_quadruple.cache_clear)
     assert isinstance(diatomic.BACKEND, str)
+
+
+# (call on the huge operand h, error type, end of the message)
+HUGE_OPERAND_ERRORS = {
+    "assembly_theta": (lambda h: diatomic.assembly_theta(Fraction(1, 3 * h)), OutOfRange,
+                       "got 1/<20001-bit integer>"),
+    "assembly_enclose n": (lambda h: diatomic.assembly_enclose("01", -h), OutOfRange,
+                           "got <-20000-bit integer>"),
+    "assembly_enclose bits": (lambda h: diatomic.assembly_enclose("01", h), InsufficientBits,
+                              "need <20000-bit integer> bits, got 2"),
+    "assembly_of_rational_theta": (lambda h: diatomic.assembly_of_rational_theta(Fraction(h, 3)),
+                                   OutOfRange, "got <20000-bit integer>/3"),
+    "fib_continuant": (lambda h: diatomic.fib_continuant(-h), ZeroLength,
+                       "got <-20000-bit integer>"),
+    "design_of_theta": (lambda h: diatomic.design_of_theta(Fraction(h, 3)), OutOfRange,
+                        "got <20000-bit integer>/3"),
+    "field_element": (lambda h: QuadIrr(1, 0, 2).field_element(h), OutOfRange,
+                      "outside Q(sqrt(<20000-bit integer>))"),
+    "sqrt_cf nonpositive": (lambda h: diatomic.sqrt_cf(-h, 1), NonPositive,
+                            "got <-20000-bit integer>/1"),
+    "sqrt_cf square": (lambda h: diatomic.sqrt_cf(h * h, 1), PerfectSquare,
+                       "sqrt(<39999-bit integer>) is rational"),
+    "purity_test": (lambda h: diatomic.purity_test(Fraction(h, 3)), OutOfRange,
+                    "got <20000-bit integer>/3"),
+    "stern": (lambda h: diatomic.stern(-h), OutOfTable, "got <-20000-bit integer>"),
+    "sdi address": (lambda h: diatomic.sdi(-h, 0), OutOfTable,
+                    "negative address (<-20000-bit integer>, 0)"),
+    "sdi order": (lambda h: diatomic.SdiAddress(3, h), OutOfTable,
+                  "order <20000-bit integer> exceeds row end 2^3"),
+}
+
+
+@pytest.mark.parametrize("site", HUGE_OPERAND_ERRORS)
+def test_error_names_a_huge_operand_by_its_bit_length(site, huge):
+    # a decimal form past the digit limit would raise a plain ValueError
+    call, error, tail = HUGE_OPERAND_ERRORS[site]
+    with pytest.raises(error) as info:
+        call(huge)
+    assert str(info.value).endswith(tail)
+
+
+def test_operand_text_is_str_below_the_digit_limit():
+    for x in (0, -5, 10**100, Fraction(3, 4), Fraction(-7), Fraction(1, 10**100)):
+        assert operand_text(x) == str(x)
+    assert operands_text((1, -2, 10**100)) == str((1, -2, 10**100))

@@ -1,0 +1,205 @@
+"""Values the library builds without their checks.
+
+Where the library wraps fields it has just made and can prove valid (a
+generator product, a Stern-Brocot path, b/d of a determinant-1 matrix), it
+skips the constructor's checks.  Each such value must equal what the public,
+checked constructor builds from the same fields, and none of those paths may
+run a constructor's checks or the rational gcd again.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diatomic import (
+    ExtRational,
+    FiniteDesign,
+    PeriodicDesign,
+    UniModMatrix,
+    apply_mobius,
+    assembly_dyadic,
+    assembly_enclose,
+    compose_action,
+    conjugate,
+    design_of_matrix,
+    design_of_theta,
+    euclidean_design,
+    make_periodic,
+    question_mark_inverse,
+    sdm,
+)
+from diatomic import matrix, rational
+
+INF = ExtRational.infinity()
+
+# words of 0 to 10^4 bits, every length about as likely
+words = st.integers(0, 10**4).flatmap(
+    lambda n: st.integers(0, (1 << n) - 1).map(lambda m: format(m, f"0{n}b") if n else ""))
+
+
+def rebuilt(v):
+    """v built again from its fields by its public, checked constructor."""
+    fields = [rebuilt(f) if isinstance(f, FiniteDesign) else f for f in v._values(v)]
+    return type(v)(*fields)
+
+
+def assert_checked(v):
+    # equal by class and fields: a pair left unreduced, or a noncanonical
+    # infinity, would come back reduced from ExtRational's constructor
+    assert rebuilt(v) == v
+
+
+def value_of(word):
+    return assembly_dyadic(int(word, 2) if word else 0, len(word))
+
+
+@settings(max_examples=60, deadline=None)
+@given(word=words, other=words, cut=st.floats(0, 1))
+def test_trusted_values_equal_the_checked_ones(word, other, cut):
+    n = len(word)
+    m = sdm(FiniteDesign(word))
+    assert_checked(m)
+    back = design_of_matrix(m)
+    assert_checked(back)
+    assert back.bits == word
+    v = value_of(word)
+    assert_checked(v)
+    assert_checked(v.reciprocal())
+    if v.num:
+        assert_checked(euclidean_design(v.num, v.den))
+    for k in (n, int(cut * n)):
+        e = assembly_enclose(word, k)
+        assert_checked(e.lo)
+        assert_checked(e.hi)
+    for x in (value_of(other), value_of(other).reciprocal(), ExtRational(0), INF):
+        assert_checked(apply_mobius(m, x))
+    t = Fraction(int(word, 2) if word else 0, 1 << n)
+    assert_checked(question_mark_inverse(t))
+    assert_checked(design_of_theta(t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pre=words, per=words.filter(lambda w: "0" in w and "1" in w))
+def test_trusted_periodic_designs_equal_the_checked_ones(pre, per):
+    d = make_periodic(pre, per)
+    assert isinstance(d, PeriodicDesign)
+    assert_checked(d)
+    assert_checked(conjugate(d))
+    assert conjugate(conjugate(d)) == d
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=0, max_value=1, max_denominator=5000))
+def test_canonical_designs_of_theta_equal_the_checked_ones(t):
+    d = design_of_theta(t)
+    assert_checked(d)
+    if isinstance(d, PeriodicDesign):
+        assert_checked(conjugate(d))
+
+
+def test_trusted_edge_cases():
+    # the empty word, n = 0 and m = 0
+    empty = FiniteDesign("")
+    assert sdm(empty) == UniModMatrix(1, 0, 0, 1)
+    assert design_of_matrix(UniModMatrix(1, 0, 0, 1)) == empty
+    assert value_of("") == ExtRational(0) and value_of("000") == ExtRational(0)
+    assert assembly_dyadic(0, 0) == ExtRational(0)
+    assert assembly_enclose("", 0).lo == ExtRational(0)
+    assert assembly_enclose("", 0).hi == INF
+    assert design_of_theta(Fraction(0)) == empty
+    assert question_mark_inverse(Fraction(0)) == ExtRational(0)
+    assert question_mark_inverse(Fraction(1)) == ExtRational(1)
+    # an all-ones prefix: (1 k; 0 1), whose hi is the canonical 1/0
+    for k in (1, 5, 3000):
+        e = assembly_enclose("1" * k + "0", k)
+        assert (e.lo, e.hi) == (ExtRational(k), INF)
+        assert (e.hi.num, e.hi.den) == (1, 0)
+    # apply_mobius on 0 and on infinity: b/d and a/c
+    m = UniModMatrix(5, 7, 2, 3)
+    assert apply_mobius(m, ExtRational(0)) == ExtRational(7, 3)
+    assert apply_mobius(m, INF) == ExtRational(5, 2)
+    assert apply_mobius(UniModMatrix(1, 4, 0, 1), INF) == INF
+    assert apply_mobius(UniModMatrix(1, 0, 4, 1), ExtRational(0)) == ExtRational(0)
+    assert ExtRational(0).reciprocal() == INF and INF.reciprocal() == ExtRational(0)
+    # conjugate of a periodic design flips every bit and stays canonical
+    d = make_periodic("0", "110")  # the preperiod rotates into the period
+    assert str(d) == "(011)" and str(conjugate(d)) == "(100)"
+    assert conjugate(make_periodic("1", "10")) == PeriodicDesign(FiniteDesign("0"),
+                                                                FiniteDesign("01"))
+    for d in (make_periodic("01", "110"), make_periodic("1", "10"), make_periodic("", "1001")):
+        assert_checked(conjugate(d))
+
+
+def test_trusted_paths_run_no_checks(monkeypatch):
+    rng = random.Random(16)
+    word = "1" + format(rng.getrandbits(10**4 - 2), f"0{10**4 - 2}b") + "1"
+    d = FiniteDesign(word)
+    m = sdm(d)
+    v = value_of(word)
+    zero = ExtRational(0)
+    calls = []
+
+    def recorder(name, fn):
+        def record(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return record
+
+    monkeypatch.setattr(rational, "gcd", recorder("gcd", rational.gcd))
+    for cls in (ExtRational, UniModMatrix, FiniteDesign):
+        monkeypatch.setattr(cls, "__init__", recorder(cls.__name__, cls.__init__))
+    walks = []
+    monkeypatch.setattr(matrix, "matrix_word", recorder("matrix_word", matrix.matrix_word))
+
+    assert sdm(d) == m
+    for _ in range(3):
+        assert design_of_matrix(m).bits == word
+        walks.append(calls.count("matrix_word"))
+    assert value_of(word) == v
+    assert assembly_enclose(word, 10**4 // 2).contains(v)
+    assert euclidean_design(v.num, v.den).bits == word
+    assert compose_action(d, zero) == v
+    # matrix_word keeps its sign and determinant check: one call per walk
+    assert walks == [1, 2, 3]
+    assert [c for c in calls if c != "matrix_word"] == []
+
+
+# --- the paper's action theorem and enclosure nesting at 10^3..10^4 bits ----
+
+SIZES = [1000, 3162, 10000]
+
+
+@pytest.mark.parametrize("n", SIZES)
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**64))
+def test_prepending_a_word_acts_by_its_matrix(n, seed):
+    rng = random.Random(seed)
+    k = rng.randrange(n + 1)
+    u = format(rng.getrandbits(k), f"0{k}b") if k else ""
+    v = format(rng.getrandbits(n - k), f"0{n - k}b") if n - k else ""
+    assert compose_action(FiniteDesign(u), value_of(v)) == value_of(u + v)
+    # v = 1^inf (value infinity) reaches the next dyadic up, a/c
+    top = int(u, 2) + 1 if u else 1
+    assert compose_action(FiniteDesign(u), INF) == assembly_dyadic(top, k)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**64))
+def test_longer_prefixes_nest_their_enclosures(n, seed):
+    rng = random.Random(seed)
+    bits = format(rng.getrandbits(n), f"0{n}b")
+    if rng.random() < 0.3:  # an all-ones head keeps hi at infinity for a while
+        bits = "1" * rng.randrange(n) + bits
+        bits = bits[:n]
+    cuts = sorted(rng.randrange(n + 1) for _ in range(3)) + [n]
+    exact = value_of(bits)
+    outer = assembly_enclose(bits, cuts[0])
+    for cut in cuts[1:]:
+        inner = assembly_enclose(bits, cut)
+        assert outer.lo <= inner.lo <= inner.hi <= outer.hi
+        assert inner.contains(exact)
+        outer = inner
