@@ -118,20 +118,14 @@ def _product(mats):
     return mats[0]
 
 
-def _word_leaves(bits):
-    """Generator products of the consecutive _LEAF_BITS-letter pieces of a word."""
-    out = []
-    for i in range(0, len(bits), _LEAF_BITS):
-        a, b, c, d = 1, 0, 0, 1
-        for ch in bits[i:i + _LEAF_BITS]:
-            if ch == "1":
-                b = a + b
-                d = c + d
-            else:
-                a = a + b
-                c = c + d
-        out.append((a, b, c, d))
-    return out
+def _word_leaves(bits, _leaf=word_matrix):
+    """Generator products of the consecutive _LEAF_BITS-letter pieces of a word.
+
+    A piece is never longer than _WORD_BITS, so word_matrix takes its loop.
+    It is bound as a default, so a wrapper put in place of the module's
+    word_matrix, such as a call counter, sees one call per word, not per leaf.
+    """
+    return [_leaf(bits[i:i + _LEAF_BITS]) for i in range(0, len(bits), _LEAF_BITS)]
 
 
 def _continuant_leaf(ks):

@@ -195,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("arg", nargs="?")
     p.add_argument("--n", type=int, default=0, help="bits to use for enclose")
     p.add_argument("--grid", type=int, default=3, help="dyadic grid depth for sample")
-    p.add_argument("--csv", action="store_true", help="CSV rows (sample only)")
+    p.add_argument("--csv", action="store_true",
+                   help="accepted and ignored: sample always prints CSV rows")
     p.set_defaults(func=_cmd_assembly)
 
     p = sub.add_parser("quad", help="periodic designs and quadratic irrationals")
@@ -208,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("arg")
     p.add_argument("--side", choices=["left", "right"], default="right")
     p.add_argument("--jmax", type=int, default=10)
-    p.add_argument("--csv", action="store_true", help="CSV rows (scan only)")
+    p.add_argument("--csv", action="store_true",
+                   help="accepted and ignored: scan always prints CSV rows")
     p.set_defaults(func=_cmd_deriv)
 
     return top

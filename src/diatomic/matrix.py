@@ -43,7 +43,8 @@ class UniModMatrix(Value):
         return self.a, self.b, self.c, self.d
 
     def __mul__(self, other: "UniModMatrix") -> "UniModMatrix":
-        return UniModMatrix(
+        # a product of two nonnegative det-1 matrices is one
+        return _matrix(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -92,4 +93,5 @@ def matrix_symmetries(d: FiniteDesign) -> tuple[UniModMatrix, UniModMatrix, UniM
     """Matrices of the run-reversal, its bit-flip, and the bit-flip of d:
     the (d b; c a), (a c; b d) and (d c; b a) permutations of sdm(d)."""
     a, b, c, e = sdm(d).entries()
-    return UniModMatrix(e, b, c, a), UniModMatrix(a, c, b, e), UniModMatrix(e, c, b, a)
+    # each permutation keeps the entries nonnegative and the determinant ae - bc
+    return _matrix(e, b, c, a), _matrix(a, c, b, e), _matrix(e, c, b, a)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from ._backend import word_matrix
-from ._value import Value
+from ._value import Value, _set, trusted
 from .design import (
     FiniteDesign,
     PeriodicDesign,
@@ -24,7 +24,6 @@ from .design import (
     runs,
 )
 from .errors import InvalidPeriod, NonPositive, OutOfRange, PerfectSquare, operand_text
-from .rational import ExtRational
 from .sdi import sdi_quadruple
 
 
@@ -48,77 +47,55 @@ def _sign_p_q_sqrt(p: int, q: int, d: int) -> int:
     return 1 if q * q * d > p * p else -1
 
 
+def _reduced(p: int, q: int, r: int) -> tuple[int, int, int]:
+    """The normal form of (p + q*sqrt(d))/r for r != 0: r > 0, then no common factor."""
+    if r < 0:
+        p, q, r = -p, -q, -r
+    g = gcd(p, q, r)
+    return p // g, q // g, r // g
+
+
 class FieldElement(Value):
     """Exact (p + q*sqrt(d)) / r with integer components and fixed d.
 
-    The keyword _checked is internal: the library's own arithmetic passes
-    it on a d that already passed the radicand check, to skip the isqrt of
-    d.  Callers must not pass it; sign and str assume d is a positive
-    nonsquare.
+    The constructor checks r != 0 and that d is a positive nonsquare, then
+    stores the normal form.  Arithmetic keeps the radicand of its operands,
+    so its results skip the radicand check.
     """
 
     __slots__ = _fields = ("p", "q", "r", "d")
 
-    def __init__(self, p: int, q: int, r: int, d: int, *, _checked: bool = False):
+    def __init__(self, p: int, q: int, r: int, d: int):
         if r == 0:
             raise ZeroDivisionError("zero denominator in field element")
-        if not _checked and (d <= 0 or _is_square(d)):
+        if d <= 0 or _is_square(d):
             raise OutOfRange(f"radicand must be a positive nonsquare, got {operand_text(d)}")
-        if r < 0:
-            p, q, r = -p, -q, -r
-        g = gcd(p, q, r)
-        _P(self, p // g)
-        _Q(self, q // g)
-        _R(self, r // g)
-        _D(self, d)
-
-    def key(self) -> tuple[int, int, int]:
-        return self.p, self.q, self.r
+        p, q, r = _reduced(p, q, r)
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "r", r)
+        _set(self, "d", d)
 
     def sign(self) -> int:
         return _sign_p_q_sqrt(self.p, self.q, self.d)
 
-    def mobius(self, a: int, b: int, c: int, e: int) -> "FieldElement":
-        """Apply (a x + b)/(c x + e) with integer, possibly negative, entries."""
-        np_, nq = a * self.p + b * self.r, a * self.q
-        dp, dq = c * self.p + e * self.r, c * self.q
-        den = dp * dp - dq * dq * self.d
-        if den == 0:
-            raise ZeroDivisionError("pole of the transformation")
-        u = np_ * dp - nq * dq * self.d
-        v = nq * dp - np_ * dq
-        return FieldElement(u, v, den, self.d, _checked=True)
-
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return self.sub_times(other, 1)
-
-    def sub_times(self, other: "FieldElement", k: int) -> "FieldElement":
-        """(self - other) * k for an integer k, normalised once."""
         if self.d != other.d:
             raise OutOfRange("mixed radicands")
-        return FieldElement(
-            (self.p * other.r - other.p * self.r) * k,
-            (self.q * other.r - other.q * self.r) * k,
-            self.r * other.r,
-            self.d,
-            _checked=True,
-        )
-
-    def sub_fraction(self, f: Fraction) -> "FieldElement":
-        return FieldElement(
-            self.p * f.denominator - f.numerator * self.r,
-            self.q * f.denominator,
-            self.r * f.denominator,
-            self.d,
-            _checked=True,
-        )
+        # over the operands' checked d, with r1 r2 != 0
+        return _field(*_reduced(self.p * other.r - other.p * self.r,
+                                self.q * other.r - other.q * self.r,
+                                self.r * other.r), self.d)
 
     def mul_fraction(self, f: Fraction) -> "FieldElement":
-        return FieldElement(self.p * f.numerator, self.q * f.numerator,
-                            self.r * f.denominator, self.d, _checked=True)
+        # over self's checked d, with r and f's denominator nonzero
+        return _field(*_reduced(self.p * f.numerator, self.q * f.numerator,
+                                self.r * f.denominator), self.d)
 
     def compare_fraction(self, f: Fraction) -> int:
-        return self.sub_fraction(f).sign()
+        """Sign of self - f: of (p den - num r) + q den sqrt(d), as r den > 0."""
+        den = f.denominator
+        return _sign_p_q_sqrt(self.p * den - f.numerator * self.r, self.q * den, self.d)
 
     def __eq__(self, other: object) -> bool:  # a QuadIrr equals its FieldElement
         if not isinstance(other, FieldElement):
@@ -139,10 +116,7 @@ class FieldElement(Value):
         return f"FieldElement({self.p}, {self.q}, {self.r}, d={self.d})"
 
 
-# the hot constructor stores through each slot's own setter: one C call, cheaper than _set;
-# _moved_gap stores its already normalised parts through them, past __init__
-_P, _Q, _R, _D = (FieldElement.__dict__[n].__set__ for n in FieldElement._fields)
-_new = object.__new__
+_field = trusted(FieldElement)  # for parts in normal form over a positive nonsquare d
 
 
 class QuadIrr(FieldElement):
@@ -153,26 +127,18 @@ class QuadIrr(FieldElement):
     that field element, (b1, +-1, 2 a2, disc), whose constructor checks the
     discriminant; the coefficients are read back from it.  The selected
     root is always the positive one when the roots straddle 0, and the
-    public constructor validates it to be positive in every case.
-
-    The keyword _checked is internal, as for FieldElement: the library
-    passes it only on an equation whose discriminant is known to be a
-    nonsquare and whose selected root is known to be positive, to skip the
-    isqrt of the discriminant and the sign test.  The coefficients are
-    still made primitive.
+    constructor checks it to be positive in every case.
     """
 
     __slots__ = ()
 
-    def __init__(self, a2: int, b1: int, c0: int, plus_branch: bool = True, *,
-                 _checked: bool = False):
+    def __init__(self, a2: int, b1: int, c0: int, plus_branch: bool = True):
         if a2 <= 0:
             raise OutOfRange("leading coefficient must be positive")
         g = gcd(a2, b1, c0)
         a2, b1, c0 = a2 // g, b1 // g, c0 // g
-        super().__init__(b1, 1 if plus_branch else -1, 2 * a2, b1 * b1 + 4 * a2 * c0,
-                         _checked=_checked)
-        if not _checked and self.sign() <= 0:
+        super().__init__(b1, 1 if plus_branch else -1, 2 * a2, b1 * b1 + 4 * a2 * c0)
+        if self.sign() <= 0:
             raise OutOfRange("selected root is not positive")
 
     @property
@@ -200,29 +166,14 @@ class QuadIrr(FieldElement):
                 f"plus_branch={self.plus_branch})")
 
     def field_element(self, d: int | None = None) -> FieldElement:
-        """The root over sqrt(d), where t^2 d = disc; d defaults to disc.
-
-        disc was checked on construction, so d is not checked again.
-        """
+        """The root over sqrt(d), where t^2 d = disc; d defaults to disc."""
         if d is None:
             return self
         t = isqrt(self.d // d) if d > 0 else 0
         if t == 0 or t * t * d != self.d:
             raise OutOfRange(f"root lies outside Q(sqrt({operand_text(d)}))")
-        return FieldElement(self.p, t * self.q, self.r, d, _checked=True)
-
-    def conjugate_sign(self) -> int:
-        """Sign of the other root; negative exactly when c0 > 0."""
-        return -1 if self.c0 > 0 else 1
-
-    def compare_ext(self, v: ExtRational) -> int:
-        if v.is_infinite:
-            return -1
-        return self.compare_fraction(Fraction(v.num, v.den))
-
-    def sqrt_value(self) -> Fraction | None:
-        """If the root is the square root of a rational, that rational."""
-        return Fraction(self.c0, self.a2) if self.b1 == 0 else None
+        # d > 0 and t^2 d = disc, a nonsquare, so d is a nonsquare too
+        return _field(*_reduced(self.p, t * self.q, self.r), d)
 
     def equation_str(self) -> str:
         """Render a2 x^2 - b1 x - c0 = 0 with conventional signs."""
@@ -235,6 +186,10 @@ class QuadIrr(FieldElement):
             body = sym.strip() if (mag == 1 and sym) else f"{mag}{sym}"
             terms.append(f"{sign} {body}")
         return " ".join(terms) + " = 0"
+
+
+# for (b1, +-1, 2 a2, disc) of a primitive equation with a nonsquare disc and a positive root
+_quad = trusted(QuadIrr)
 
 
 class Purity(enum.Enum):
@@ -270,9 +225,12 @@ def _fixed_point(a: int, b: int, c: int, d: int) -> QuadIrr:
     period mixes both letters, so its matrix is positive and maps [0, inf]
     into (0, inf), where y lies; a nonnegative det-1 M keeps (0, inf).
     """
-    if c > 0:
-        return QuadIrr(c, a - d, b, _checked=True)
-    return QuadIrr(-c, d - a, -b, plus_branch=False, _checked=True)
+    s = 1 if c > 0 else -1  # c != 0, or a d = 1 and the trace would be 2
+    a2, b1, c0 = s * c, s * (a - d), s * b
+    g = gcd(a2, b1, c0)
+    a2, b1, c0 = a2 // g, b1 // g, c0 // g
+    # gcd(b1, s, 2 a2) = 1, so the parts are reduced
+    return _quad(b1, s, 2 * a2, b1 * b1 + 4 * a2 * c0)
 
 
 def _gap_frame(x: FieldElement) -> tuple:
@@ -317,12 +275,8 @@ def _moved_gap(frame: tuple, a: int, b: int, c: int, e: int, k: int) -> FieldEle
     g = gcd(2 * h * h * k, p, q, r)
     if r < 0:
         g = -g
-    gap = _new(FieldElement)
-    _P(gap, p // g)
-    _Q(gap, q // g)
-    _R(gap, r // g)
-    _D(gap, disc)
-    return gap
+    # the normal form over the base's checked disc: r // g > 0 and no common factor
+    return _field(p // g, q // g, r // g, disc)
 
 
 def _period_matrix(period: FiniteDesign) -> tuple[int, int, int, int]:

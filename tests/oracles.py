@@ -16,8 +16,11 @@ its partial quotients as alternating blocks, periodic values by moving
 the period's root with the preperiod's Moebius map and reading its
 equation back, continued fractions of quadratic irrationals by field
 arithmetic (floor, subtract, invert) with a remainder dict on the
-normalised element, and moved gaps of a root by its moved equation
-over full products with one three-way gcd.
+normalised element, moved gaps of a root by its moved equation over full
+products with one three-way gcd, and field arithmetic itself (a Moebius
+image, a scaled difference, a comparison with an extended rational, the
+conjugate's sign, the square of a pure surd) over the public fields,
+normalised by the public constructor.
 """
 
 from fractions import Fraction
@@ -283,14 +286,54 @@ def quotient_block_design(a: int, b: int) -> FiniteDesign:
     return FiniteDesign("".join(blocks))
 
 
+def mobius(x: FieldElement, a: int, b: int, c: int, e: int) -> FieldElement:
+    """(a x + b)/(c x + e) with integer, possibly negative, entries: the
+    numerator times the denominator's conjugate, over its norm."""
+    np_, nq = a * x.p + b * x.r, a * x.q
+    dp, dq = c * x.p + e * x.r, c * x.q
+    den = dp * dp - dq * dq * x.d
+    if den == 0:
+        raise ZeroDivisionError("pole of the transformation")
+    return FieldElement(np_ * dp - nq * dq * x.d, nq * dp - np_ * dq, den, x.d)
+
+
+def sub_times(x: FieldElement, y: FieldElement, k: int) -> FieldElement:
+    """(x - y) * k over the common denominator r_x r_y."""
+    return FieldElement((x.p * y.r - y.p * x.r) * k, (x.q * y.r - y.q * x.r) * k,
+                        x.r * y.r, x.d)
+
+
+def sub_fraction(x: FieldElement, f: Fraction) -> FieldElement:
+    """x - f over the denominator r times f's."""
+    den = f.denominator
+    return FieldElement(x.p * den - f.numerator * x.r, x.q * den, x.r * den, x.d)
+
+
+def compare_ext(x: FieldElement, v: ExtRational) -> int:
+    """Sign of x - v; infinity lies above every element."""
+    if v.is_infinite:
+        return -1
+    return sub_fraction(x, Fraction(v.num, v.den)).sign()
+
+
+def conjugate_sign(x: FieldElement) -> int:
+    """Sign of the conjugate (p - q sqrt(d))/r."""
+    return FieldElement(x.p, -x.q, x.r, x.d).sign()
+
+
+def sqrt_value(x: FieldElement) -> Fraction | None:
+    """If x is q sqrt(d)/r, the rational q^2 d/r^2 whose square root it is."""
+    return Fraction(x.q * x.q * x.d, x.r * x.r) if x.p == 0 else None
+
+
 def field_element_floor(x: FieldElement) -> int:
     """floor((p + q sqrt d)/r): a guess from isqrt(q^2 d), then exact
     comparisons with the neighbouring integers."""
     s = isqrt(x.q * x.q * x.d)
     a = (x.p + (s if x.q >= 0 else -(s + 1))) // x.r
-    while x.compare_fraction(Fraction(a + 1)) >= 0:
+    while sub_fraction(x, Fraction(a + 1)).sign() >= 0:
         a += 1
-    while x.compare_fraction(Fraction(a)) < 0:
+    while sub_fraction(x, Fraction(a)).sign() < 0:
         a -= 1
     return a
 
@@ -300,12 +343,12 @@ def field_element_cf(x: FieldElement) -> tuple[list, list]:
     until a normalised element repeats."""
     seen = {}
     quots = []
-    while x.key() not in seen:
-        seen[x.key()] = len(quots)
+    while (x.p, x.q, x.r) not in seen:
+        seen[x.p, x.q, x.r] = len(quots)
         a = field_element_floor(x)
         quots.append(a)
-        x = x.sub_fraction(Fraction(a)).mobius(0, 1, 1, 0)
-    k = seen[x.key()]
+        x = mobius(x, 0, 1, 1, -a)  # 1/(x - a)
+    k = seen[x.p, x.q, x.r]
     return quots[:k], quots[k:]
 
 
@@ -316,7 +359,7 @@ def mobius_quad_of_periodic(pd: PeriodicDesign) -> QuadIrr:
     # c x^2 - (a - d) x - b = 0, with c > 0 for a period that mixes 0s and 1s
     x = FieldElement(a - d, 1, 2 * c, (a - d) ** 2 + 4 * b * c)
     if pd.preperiod.bits:
-        x = x.mobius(*sdm(pd.preperiod).entries())
+        x = mobius(x, *sdm(pd.preperiod).entries())
     # (r X - p)^2 = q^2 d  =>  r^2 X^2 - 2 p r X + (p^2 - q^2 d) = 0
     return QuadIrr(x.r * x.r, 2 * x.p * x.r, x.q * x.q * x.d - x.p * x.p, x.q > 0)
 

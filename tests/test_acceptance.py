@@ -39,7 +39,7 @@ from diatomic import (
 )
 from diatomic.quadratic import Purity
 
-from oracles import det_continuant, euler_phi, mediant_question_mark_inverse
+from oracles import conjugate_sign, det_continuant, euler_phi, mediant_question_mark_inverse
 
 
 def _report(number, ok, detail):
@@ -185,7 +185,7 @@ def test_criterion_09_purity_classification():
             continue
         seen += 1
         verdict = purity_test(t)
-        conj = quad_of_periodic(design_of_theta(t)).conjugate_sign()
+        conj = conjugate_sign(quad_of_periodic(design_of_theta(t)))
         assert (verdict is Purity.PURE) == (conj < 0)
         assert (verdict is Purity.NON_PURE) == (conj > 0)
     _report(9, True, "50 random thetas: parity verdict matches conjugate sign")

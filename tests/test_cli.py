@@ -70,6 +70,18 @@ def test_assembly_commands(capsys):
     assert out.strip() == "lo=3/2 hi=5/3 bits=4"
 
 
+@pytest.mark.parametrize("argv", [("assembly", "sample", "--grid", "3"),
+                                  ("deriv", "scan", "2/3", "--jmax", "6")])
+def test_csv_is_accepted_ignored_and_says_so(capsys, argv):
+    # both commands always print CSV rows
+    assert run(capsys, *argv) == run(capsys, *argv, "--csv")
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--help"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"--csv accepted and ignored: {argv[1]} always prints CSV rows" in help_text
+
+
 def test_assembly_sample_rows_increase(capsys):
     code, out, _ = run(capsys, "assembly", "sample", "--grid", "3", "--csv")
     assert code == 0

@@ -46,6 +46,19 @@ def test_benchmark_hooks_resolve():
     diatomic.sdi_quadruple.cache_info()
     assert callable(diatomic.sdi_quadruple.cache_clear)
     assert isinstance(diatomic.BACKEND, str)
+    # the scan check rebuilds A(eta + h) from one sample with five value
+    # members; a cut to any of them would turn a benchmark run incorrect
+    eta = Fraction(300, 1019)
+    base = diatomic.assembly_of_rational_theta(eta)
+    for h, q in diatomic.quotient_scan(eta, diatomic.Side.LEFT, 12).samples:
+        assert q.sign() > 0
+        value = base.field_element() - q.mul_fraction(-h)
+        assert value == diatomic.assembly_of_rational_theta(eta + h)
+        t = eta + h
+        m = (t.numerator << 40) // t.denominator
+        enc = diatomic.assembly_enclose(format(m, "040b"), 40)
+        assert value.compare_fraction(enc.lo.as_fraction()) > 0
+        assert value.compare_fraction(enc.hi.as_fraction()) < 0
 
 
 # (call on the huge operand h, error type, end of the message)

@@ -33,10 +33,16 @@ from diatomic import (
 from diatomic.errors import InvalidPeriod, NonPositive, OutOfRange, PerfectSquare
 from diatomic.quadratic import _fixed_point, _gap_frame, _moved_gap
 from oracles import (
+    compare_ext,
+    conjugate_sign,
     equation_moved_gap,
     field_element_cf,
     field_element_floor,
+    mobius,
     mobius_quad_of_periodic,
+    sqrt_value,
+    sub_fraction,
+    sub_times,
 )
 
 
@@ -71,8 +77,8 @@ def test_field_element_sign_and_compare():
 def test_field_element_mobius():
     golden = FieldElement(1, 1, 2, 5)
     # fixed point of (2x+1)/(x+1)
-    assert golden.mobius(2, 1, 1, 1) == golden
-    recip = golden.mobius(0, 1, 1, 0)
+    assert mobius(golden, 2, 1, 1, 1) == golden
+    recip = mobius(golden, 0, 1, 1, 0)
     assert recip == FieldElement(-1, 1, 2, 5)
 
 
@@ -94,11 +100,14 @@ def test_public_constructor_checks_the_radicand():
     for d in (0, -5, 1, 4, 9, 10**40, 3**90):
         with pytest.raises(OutOfRange):
             FieldElement(1, 1, 2, d)
-    for checked in (False, True):
-        with pytest.raises(ZeroDivisionError):
-            FieldElement(1, 1, 0, 5, _checked=checked)
+    with pytest.raises(ZeroDivisionError):
+        FieldElement(1, 1, 0, 5)
+    with pytest.raises(TypeError):  # no keyword skips a check
+        FieldElement(1, 1, 2, 9, _checked=True)
+    with pytest.raises(TypeError):
+        QuadIrr(1, 3, -2, _checked=True)
     x, y = FieldElement(1, 1, 2, 5), FieldElement(1, 1, 2, 3)
-    for op in (lambda: x - y, lambda: x.sub_times(y, 4), lambda: y.sub_times(x, -1)):
+    for op in (lambda: x - y, lambda: y - x, lambda: QuadIrr(1, 0, 3) - x):
         with pytest.raises(OutOfRange):
             op()
 
@@ -125,11 +134,12 @@ def _is_normal(el: FieldElement, d: int) -> bool:
 @given(field_pairs(), ints)
 def test_fused_step_equals_subtract_then_scale(pair, k):
     x, y = pair
-    fused = x.sub_times(y, k)
-    assert fused == (x - y).mul_fraction(Fraction(k))
-    assert fused.key() == (x - y).mul_fraction(Fraction(k)).key()
-    assert _is_normal(fused, x.d)
-    assert x - y == x.sub_times(y, 1)
+    fused = sub_times(x, y, k)
+    scaled = (x - y).mul_fraction(Fraction(k))
+    assert fused == scaled
+    assert (fused.p, fused.q, fused.r) == (scaled.p, scaled.q, scaled.r)
+    assert _is_normal(scaled, x.d)
+    assert x - y == sub_times(x, y, 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -139,10 +149,12 @@ def test_trusted_results_stay_normalised(pair, k, m):
     a, b, c, e = m
     assume(c or e)
     f = Fraction(k, 3 * k + 1)
-    for el in (x - y, x.sub_times(y, k), x.sub_fraction(f), x.mul_fraction(f),
-               x.mobius(a, b, c, e)):
+    for el in (x - y, sub_times(x, y, k), sub_fraction(x, f), x.mul_fraction(f),
+               mobius(x, a, b, c, e)):
         assert _is_normal(el, x.d)
-    assert x.mobius(a, b, c, e) == FieldElement(
+    for g in (f, -f, Fraction(k)):
+        assert x.compare_fraction(g) == sub_fraction(x, g).sign()
+    assert mobius(x, a, b, c, e) == FieldElement(
         *_mobius_parts(x, a, b, c, e), x.d)
 
 
@@ -217,8 +229,8 @@ def test_period_equation_examples():
     golden = quad_from_period(parse_design("10"))
     assert (golden.a2, golden.b1, golden.c0) == (1, 1, 1)
     root2 = quad_from_period(parse_design("1001"))
-    assert root2.sqrt_value() == 2
-    assert quad_from_period(parse_design("101")).sqrt_value() == 3
+    assert sqrt_value(root2) == 2
+    assert sqrt_value(quad_from_period(parse_design("101"))) == 3
 
 
 def test_period_equation_rejects_degenerate_words():
@@ -242,7 +254,7 @@ def test_periodic_value_with_preperiod():
     assert isinstance(d, PeriodicDesign)
     v = quad_of_periodic(d)
     assert (v.a2, v.b1, v.c0) == (1, 3, -1)
-    assert v.conjugate_sign() > 0
+    assert conjugate_sign(v) > 0
     d2 = parse_design("0(01)")
     v2 = quad_of_periodic(d2)
     assert (v2.a2, v2.b1, v2.c0) == (1, 3, -1)
@@ -258,8 +270,8 @@ def test_periodic_value_sits_inside_its_enclosures():
         bits = d.preperiod.bits + d.period.bits * 10
         for n in range(1, min(len(bits), 24) + 1):
             e = assembly_enclose(bits, n)
-            assert v.compare_ext(e.lo) > 0
-            assert v.compare_ext(e.hi) < 0
+            assert compare_ext(v, e.lo) > 0
+            assert compare_ext(v, e.hi) < 0
 
 
 def test_fixed_point_equation_matches_matrix():
@@ -383,10 +395,11 @@ scales = st.builds(lambda s, j: s << j, st.sampled_from([1, -1]), st.integers(0,
 
 
 def _assert_gap_like_mobius(x, m, k):
-    got, want = _moved_gap(_gap_frame(x), *m, k), x.mobius(*m).sub_times(x, k)
+    got, want = _moved_gap(_gap_frame(x), *m, k), sub_times(mobius(x, *m), x, k)
     assert type(got) is FieldElement
     assert (got.p, got.q, got.r, got.d) == (want.p, want.q, want.r, want.d)
-    assert got.key() == equation_moved_gap(_equation(x), *m, k).key()
+    eq = equation_moved_gap(_equation(x), *m, k)
+    assert (got.p, got.q, got.r) == (eq.p, eq.q, eq.r)
     return got
 
 
@@ -483,8 +496,8 @@ def test_random_periodic_roots_sit_inside_their_enclosures():
         bits = d.preperiod.bits + d.period.bits * 8
         for n in (5, 12, min(len(bits), 30)):
             e = assembly_enclose(bits, n)
-            assert v.compare_ext(e.lo) > 0
-            assert v.compare_ext(e.hi) < 0
+            assert compare_ext(v, e.lo) > 0
+            assert compare_ext(v, e.hi) < 0
 
 
 # --- square roots ------------------------------------------------------------
@@ -516,12 +529,12 @@ def test_sqrt_designs_round_trip_small_integers():
         d = periodic_design_of_sqrt(Fraction(n))
         q = quad_from_period(d.period)
         assert q.b1 == 0
-        assert q.sqrt_value() == n
+        assert sqrt_value(q) == n
         ks = runs(d.period)
         assert ks == ks[::-1]
     for frac in (Fraction(1, 3), Fraction(2, 5), Fraction(5, 7)):
         q = quad_from_period(periodic_design_of_sqrt(frac).period)
-        assert q.sqrt_value() == frac
+        assert sqrt_value(q) == frac
 
 
 def test_sqrt_rejects_bad_input():
@@ -633,10 +646,10 @@ def test_purity_matches_conjugate_sign():
         d = design_of_theta(t)
         v = quad_of_periodic(d)
         if purity_test(t) is Purity.PURE:
-            assert v.conjugate_sign() < 0
+            assert conjugate_sign(v) < 0
             assert d.preperiod.is_empty
         else:
-            assert v.conjugate_sign() > 0
+            assert conjugate_sign(v) > 0
             assert not d.preperiod.is_empty
 
 
@@ -736,5 +749,5 @@ def test_shared_tail_values_are_unimodular_related():
             a, b, c, d = m2.entries()
             e, f, g, h = m1.d, -m1.b, -m1.c, m1.a
             prod = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-            lhs = v1.field_element(core).mobius(*prod)
+            lhs = mobius(v1.field_element(core), *prod)
             assert lhs == v2.field_element(core)

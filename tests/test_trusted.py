@@ -1,14 +1,16 @@
 """Values the library builds without their checks.
 
 Where the library wraps fields it has just made and can prove valid (a
-generator product, a Stern-Brocot path, b/d of a determinant-1 matrix), it
-skips the constructor's checks.  Each such value must equal what the public,
-checked constructor builds from the same fields, and none of those paths may
-run a constructor's checks or the rational gcd again.
+generator product, a Stern-Brocot path, b/d of a determinant-1 matrix, the
+root of a primitive equation), it skips the constructor's checks.  Each such
+value must equal what the public, checked constructor builds from the same
+fields, and none of those paths may run a constructor's checks or the
+rational gcd again.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,18 +18,26 @@ from hypothesis import strategies as st
 
 from diatomic import (
     ExtRational,
+    FieldElement,
     FiniteDesign,
     PeriodicDesign,
+    QuadIrr,
+    Side,
     UniModMatrix,
     apply_mobius,
     assembly_dyadic,
     assembly_enclose,
+    assembly_of_rational_theta,
     compose_action,
     conjugate,
     design_of_matrix,
     design_of_theta,
     euclidean_design,
     make_periodic,
+    matrix_symmetries,
+    quad_from_period,
+    quad_of_periodic,
+    quotient_scan,
     question_mark_inverse,
     sdm,
 )
@@ -35,13 +45,20 @@ from diatomic import matrix, rational
 
 INF = ExtRational.infinity()
 
-# words of 0 to 10^4 bits, every length about as likely
-words = st.integers(0, 10**4).flatmap(
-    lambda n: st.integers(0, (1 << n) - 1).map(lambda m: format(m, f"0{n}b") if n else ""))
+
+def words_up_to(top):
+    """Words of 0 to top bits, every length about as likely."""
+    return st.integers(0, top).flatmap(
+        lambda n: st.integers(0, (1 << n) - 1).map(lambda m: format(m, f"0{n}b") if n else ""))
+
+
+words = words_up_to(10**4)
 
 
 def rebuilt(v):
     """v built again from its fields by its public, checked constructor."""
+    if isinstance(v, QuadIrr):  # stored as its root, built from its equation
+        return QuadIrr(v.a2, v.b1, v.c0, v.plus_branch)
     fields = [rebuilt(f) if isinstance(f, FiniteDesign) else f for f in v._values(v)]
     return type(v)(*fields)
 
@@ -49,7 +66,8 @@ def rebuilt(v):
 def assert_checked(v):
     # equal by class and fields: a pair left unreduced, or a noncanonical
     # infinity, would come back reduced from ExtRational's constructor
-    assert rebuilt(v) == v
+    w = rebuilt(v)
+    assert type(w) is type(v) and w._values(w) == v._values(v)
 
 
 def value_of(word):
@@ -62,6 +80,9 @@ def test_trusted_values_equal_the_checked_ones(word, other, cut):
     n = len(word)
     m = sdm(FiniteDesign(word))
     assert_checked(m)
+    for s in matrix_symmetries(FiniteDesign(word)):
+        assert_checked(s)
+    assert_checked(m * sdm(FiniteDesign(other)))
     back = design_of_matrix(m)
     assert_checked(back)
     assert back.bits == word
@@ -100,6 +121,37 @@ def test_canonical_designs_of_theta_equal_the_checked_ones(t):
         assert_checked(conjugate(d))
 
 
+@st.composite
+def non_dyadic_points(draw):
+    """eta = a/(2^k q') in (0, 1) with odd q' >= 3 up to 5000, in lowest terms."""
+    q = draw(st.integers(1, 2499)) * 2 + 1
+    den = q << draw(st.integers(0, 6))
+    return Fraction(draw(st.integers(1, den - 1).filter(lambda a: gcd(a, q) == 1)), den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(eta=non_dyadic_points(), side=st.sampled_from(Side), f=st.fractions(max_denominator=99))
+def test_trusted_quadratic_values_equal_the_checked_ones(eta, side, f):
+    base = assembly_of_rational_theta(eta)  # _fixed_point's root
+    assert type(base) is QuadIrr
+    assert_checked(base)
+    for h, q in quotient_scan(eta, side, 16).samples:  # _moved_gap's gaps
+        assert type(q) is FieldElement
+        assert_checked(q)
+        assert_checked(q - base)
+        assert_checked(q.mul_fraction(h))
+        assert_checked(q.mul_fraction(f))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pre=words_up_to(64), per=words.filter(lambda w: "0" in w and "1" in w))
+def test_trusted_periodic_values_equal_the_checked_ones(pre, per):
+    d = make_periodic(pre, per)
+    assert isinstance(d, PeriodicDesign)
+    assert_checked(quad_of_periodic(d))
+    assert_checked(quad_from_period(d.period))
+
+
 def test_trusted_edge_cases():
     # the empty word, n = 0 and m = 0
     empty = FiniteDesign("")
@@ -131,6 +183,17 @@ def test_trusted_edge_cases():
                                                                 FiniteDesign("01"))
     for d in (make_periodic("01", "110"), make_periodic("1", "10"), make_periodic("", "1001")):
         assert_checked(conjugate(d))
+    # the symmetries of the empty word and of 1^k: permutations of (1 0; 0 1) and (1 k; 0 1)
+    assert matrix_symmetries(empty) == (UniModMatrix(1, 0, 0, 1),) * 3
+    assert matrix_symmetries(FiniteDesign("111")) == (
+        UniModMatrix(1, 3, 0, 1), UniModMatrix(1, 0, 3, 1), UniModMatrix(1, 0, 3, 1))
+    assert UniModMatrix(1, 0, 0, 1) * m == m == m * UniModMatrix(1, 0, 0, 1)
+    # a root over a smaller radicand, and gaps of a root to an integer
+    root = QuadIrr(1, 0, 12)  # sqrt(12) = 2 sqrt(3), disc 48
+    for el in (root.field_element(3), root - root, (root - root).mul_fraction(Fraction(3)),
+               root.mul_fraction(Fraction(0)), QuadIrr(1, 1, 1).mul_fraction(Fraction(-4, 6))):
+        assert_checked(el)
+    assert (root - root)._values(root - root) == (0, 0, 1, 48)
 
 
 def test_trusted_paths_run_no_checks(monkeypatch):
@@ -155,6 +218,12 @@ def test_trusted_paths_run_no_checks(monkeypatch):
     monkeypatch.setattr(matrix, "matrix_word", recorder("matrix_word", matrix.matrix_word))
 
     assert sdm(d) == m
+    run, flip, both = matrix_symmetries(d)
+    assert run.entries() == (m.d, m.b, m.c, m.a) and flip.entries() == (m.a, m.c, m.b, m.d)
+    assert both.entries() == (m.d, m.c, m.b, m.a)
+    square = m * m
+    assert square.entries() == (m.a * m.a + m.b * m.c, m.a * m.b + m.b * m.d,
+                                m.c * m.a + m.d * m.c, m.c * m.b + m.d * m.d)
     for _ in range(3):
         assert design_of_matrix(m).bits == word
         walks.append(calls.count("matrix_word"))
@@ -165,6 +234,35 @@ def test_trusted_paths_run_no_checks(monkeypatch):
     # matrix_word keeps its sign and determinant check: one call per walk
     assert walks == [1, 2, 3]
     assert [c for c in calls if c != "matrix_word"] == []
+
+
+def test_quadratic_paths_run_no_constructor(monkeypatch):
+    # 300/1019 has a purely periodic design of period 1018, as 2 has order
+    # 1018 mod 1019; 2/3 has the period "10"
+    eta = Fraction(300, 1019)
+    pd = design_of_theta(eta)
+    assert pd.preperiod.is_empty and pd.period.length == 1018
+    calls = []
+
+    def refuse(name):
+        def init(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name}.__init__ ran")
+        return init
+
+    for cls in (FieldElement, QuadIrr):
+        monkeypatch.setattr(cls, "__init__", refuse(cls.__name__))
+    scans = [quotient_scan(eta, side, 12) for side in Side]
+    scans.append(quotient_scan(Fraction(2, 3), Side.RIGHT, 60))
+    quad_of_periodic(pd)
+    quad_of_periodic(make_periodic("0110", "10010"))
+    monkeypatch.undo()
+    assert calls == []
+    assert [len(s.samples) for s in scans] == [11, 12, 59]
+    for s in scans:
+        for _, q in s.samples:
+            assert_checked(q)
+    assert_checked(quad_of_periodic(pd))
 
 
 # --- the paper's action theorem and enclosure nesting at 10^3..10^4 bits ----
