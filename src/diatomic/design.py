@@ -61,6 +61,8 @@ class FiniteDesign(Value):
 
     @classmethod
     def terminal_of(cls, n: int) -> "FiniteDesign":
+        if n < 0:
+            raise OutOfRange(f"terminal length must be >= 0, got {operand_text(n)}")
         return cls(_terminal_word(n), terminal=True)
 
     @property
@@ -117,8 +119,6 @@ Design = FiniteDesign | PeriodicDesign
 # for a canonical pair of plain words
 _word = trusted(FiniteDesign)
 _periodic = trusted(PeriodicDesign)
-
-EMPTY = FiniteDesign("")
 
 
 def _is_primitive_word(word: str) -> bool:

@@ -43,6 +43,8 @@ class UniModMatrix(Value):
         return self.a, self.b, self.c, self.d
 
     def __mul__(self, other: "UniModMatrix") -> "UniModMatrix":
+        if not isinstance(other, UniModMatrix):
+            return NotImplemented
         # a product of two nonnegative det-1 matrices is one
         return _matrix(
             self.a * other.a + self.b * other.c,

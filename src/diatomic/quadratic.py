@@ -1,9 +1,12 @@
 """Periodic designs and the quadratic irrationals they evaluate to.
 
-A periodic design's value is the attracting fixed point of one integer
-unimodular matrix: the period's, whose entries are the table quadruple at
-(n, m), conjugated by the preperiod's.  One exact type holds it: QuadIrr,
-a FieldElement (p + q sqrt(d))/r read back as its primitive equation.
+A periodic design's value is the attracting fixed point of one det +-1
+generator of the period's map, conjugated by the preperiod's matrix.  The
+generator is the period's matrix, whose entries are the table quadruple at
+(n, m), or for a period h + flip(h) a det -1 matrix G whose square G^2 is
+the period's matrix, read off half the word.  One exact type holds the
+value: QuadIrr, a FieldElement (p + q sqrt(d))/r read back as its
+primitive equation.
 Roots are compared through integer sign tests, never floats.
 """
 
@@ -67,7 +70,7 @@ class FieldElement(Value):
 
     def __init__(self, p: int, q: int, r: int, d: int):
         if r == 0:
-            raise ZeroDivisionError("zero denominator in field element")
+            raise OutOfRange("zero denominator in field element")
         if d <= 0 or _is_square(d):
             raise OutOfRange(f"radicand must be a positive nonsquare, got {operand_text(d)}")
         p, q, r = _reduced(p, q, r)
@@ -80,6 +83,8 @@ class FieldElement(Value):
         return _sign_p_q_sqrt(self.p, self.q, self.d)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
+        if not isinstance(other, FieldElement):
+            return NotImplemented
         if self.d != other.d:
             raise OutOfRange("mixed radicands")
         # over the operands' checked d, with r1 r2 != 0
@@ -88,12 +93,16 @@ class FieldElement(Value):
                                 self.r * other.r), self.d)
 
     def mul_fraction(self, f: Fraction) -> "FieldElement":
+        if not isinstance(f, (int, Fraction)):
+            raise OutOfRange(f"need an int or a Fraction, got {type(f).__name__}")
         # over self's checked d, with r and f's denominator nonzero
         return _field(*_reduced(self.p * f.numerator, self.q * f.numerator,
                                 self.r * f.denominator), self.d)
 
     def compare_fraction(self, f: Fraction) -> int:
         """Sign of self - f: of (p den - num r) + q den sqrt(d), as r den > 0."""
+        if not isinstance(f, (int, Fraction)):
+            raise OutOfRange(f"need an int or a Fraction, got {type(f).__name__}")
         den = f.denominator
         return _sign_p_q_sqrt(self.p * den - f.numerator * self.r, self.q * den, self.d)
 
@@ -208,24 +217,30 @@ def _check_period(period: FiniteDesign) -> FiniteDesign:
 
 
 def _fixed_point(a: int, b: int, c: int, d: int) -> QuadIrr:
-    """The attracting fixed point of x -> (a x + b)/(c x + d), det 1, trace > 2,
-    for a period's matrix, conjugated by a preperiod's or not.
+    """The attracting fixed point of x -> (a x + b)/(c x + d), of determinant
+    e = +-1 and trace t, for a period's generator (see _period_matrix),
+    conjugated by a preperiod's matrix or not; conjugation keeps e and t.
+    A det-1 generator is a positive matrix, so a d = 1 + b c >= 2 and t >= 3;
+    the det -1 (b a; d c) has t = b + c >= 1, as M(h) is not the identity.
 
-    It solves c x^2 - (a - d) x - b = 0, and there the map's derivative is
-    1/(c x + d)^2 with c x + d = (a + d +- sqrt(disc))/2, so the attracting
-    root takes +sqrt(disc)/(2c): the plus branch exactly when c > 0.
+    It solves c x^2 - (a - d) x - b = 0, where c != 0: else a d = e, and t
+    would be +-2 or 0.  At a fixed point the derivative is e/(c x + d)^2,
+    with c x + d = (t +- sqrt(disc))/2: two values of product e, the plus
+    one above 1 for these t.  So the attracting root takes +sqrt(disc)/(2c):
+    the plus branch exactly when c > 0.
 
     The root is built on the trusted path.  Its discriminant is
-    (a - d)^2 + 4 b c = t^2 - 4 for the trace t >= 3, never a square:
-    t^2 - 4 = u^2 with u >= 0 gives (t - u)(t + u) = 4, two factors of one
-    parity, so t - u = t + u = 2 and t = 2.  Dividing the equation by its
-    content g divides the discriminant by g^2, which keeps it a nonsquare.
-    The root is positive: it is the value of a periodic design, M(y) for
-    the preperiod's matrix M and the period's attracting fixed point y.  A
-    period mixes both letters, so its matrix is positive and maps [0, inf]
-    into (0, inf), where y lies; a nonnegative det-1 M keeps (0, inf).
+    (a - d)^2 + 4 b c = t^2 - 4 e, never a square: t^2 - 4 e = u^2 with
+    u >= 0 gives |t - u| (t + u) = 4, two factors of one parity, so both
+    are 2 and t is 2 or 0.  Dividing the equation by its content g divides
+    the discriminant by g^2, which keeps it a nonsquare.  The root is
+    positive: it is the value of a periodic design, M(y) for the
+    preperiod's matrix M and the attracting fixed point y of the period's
+    matrix, which is the generator's.  A period mixes both letters, so its
+    matrix is positive and maps [0, inf] into (0, inf), where y lies; a
+    nonnegative det-1 M keeps (0, inf).
     """
-    s = 1 if c > 0 else -1  # c != 0, or a d = 1 and the trace would be 2
+    s = 1 if c > 0 else -1
     a2, b1, c0 = s * c, s * (a - d), s * b
     g = gcd(a2, b1, c0)
     a2, b1, c0 = a2 // g, b1 // g, c0 // g
@@ -280,12 +295,15 @@ def _moved_gap(frame: tuple, a: int, b: int, c: int, e: int, k: int) -> FieldEle
 
 
 def _period_matrix(period: FiniteDesign) -> tuple[int, int, int, int]:
-    """Flipping every letter conjugates a word's matrix (a b; c d) by (0 1; 1 0)
-    to (d c; b a), so a period h + flip(h) takes the product of half the word."""
+    """A det +-1 generator of the period's map.  Flipping every letter
+    conjugates a word's matrix M by J = (0 1; 1 0), so a period h + flip(h)
+    has the matrix M(h) J M(h) J = G^2 for the det -1 generator
+    G = M(h) J = (b a; d c), with M(h) = (a b; c d); G has the same
+    attracting fixed point.  Any other period's generator is its matrix."""
     w, n = period.bits, period.length >> 1
     if not len(w) & 1 and w[n:] == _flip(w[:n]):
         a, b, c, d = sdi_quadruple(n, int(w[:n], 2))
-        return a * d + b * b, a * c + b * a, c * d + d * b, c * c + d * a
+        return b, a, d, c
     return sdi_quadruple(period.length, period.number)
 
 
@@ -296,12 +314,10 @@ def quad_from_period(period: FiniteDesign) -> QuadIrr:
 
 def quad_of_periodic(pd: PeriodicDesign) -> QuadIrr:
     """Value of a canonical periodic design: with M the preperiod's matrix
-    and P the period's, the attracting fixed point of M P M^-1."""
-    pre = pd.preperiod.bits
-    if not pre:
-        return quad_from_period(pd.period)
+    (the identity for a pure design) and P the period's generator, the
+    attracting fixed point of M P M^-1."""
     e, f, g, h = _period_matrix(pd.period)
-    a, b, c, d = word_matrix(pre)
+    a, b, c, d = word_matrix(pd.preperiod.bits)
     # M P = (ta tb; tc td), times M^-1 = (d -b; -c a)
     ta, tb, tc, td = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
     return _fixed_point(ta * d - tb * c, tb * a - ta * b, tc * d - td * c, td * a - tc * b)

@@ -49,11 +49,15 @@ class ExtRational(Value):
         return _ratio(self.den, self.num)  # a reduced pair swapped; 0/1 and 1/0 trade places
 
     def __add__(self, other: "ExtRational") -> "ExtRational":
+        if not isinstance(other, ExtRational):
+            return NotImplemented
         if self.is_infinite or other.is_infinite:
             return ExtRational.infinity()
         return ExtRational(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: "ExtRational") -> "ExtRational":
+        if not isinstance(other, ExtRational):
+            return NotImplemented
         # only the monotone direction is meaningful in this domain
         if self.is_infinite:
             if other.is_infinite:
@@ -65,21 +69,33 @@ class ExtRational(Value):
         return ExtRational(n, self.den * other.den)
 
     def __mul__(self, other: "ExtRational") -> "ExtRational":
+        if not isinstance(other, ExtRational):
+            return NotImplemented
         return ExtRational(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "ExtRational") -> "ExtRational":
+        if not isinstance(other, ExtRational):
+            return NotImplemented
         return ExtRational(self.num * other.den, self.den * other.num)
 
     def __lt__(self, other: "ExtRational") -> bool:
+        if not isinstance(other, ExtRational):
+            return NotImplemented
         return self.num * other.den < other.num * self.den
 
     def __le__(self, other: "ExtRational") -> bool:
+        if not isinstance(other, ExtRational):
+            return NotImplemented
         return self.num * other.den <= other.num * self.den
 
     def __gt__(self, other: "ExtRational") -> bool:
+        if not isinstance(other, ExtRational):
+            return NotImplemented
         return other < self
 
     def __ge__(self, other: "ExtRational") -> bool:
+        if not isinstance(other, ExtRational):
+            return NotImplemented
         return other <= self
 
     def __repr__(self) -> str:

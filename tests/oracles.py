@@ -5,7 +5,8 @@ the sequence by its literal recurrence, continuants by determinant
 expansion over permutations, Euler phi by gcd counting, the inverse
 question-mark by a mediant walk down the Farey tree, the four integer
 kernels by the one-letter-at-a-time loops they used before their product
-trees and half-gcd peel, the matrix symmetries by three word products,
+trees and half-gcd peel, the matrix of an anti-periodic period by the
+whole-period product, the matrix symmetries by three word products,
 quotient pairs by a right-to-left fold, continued fractions by a tail
 fold in the extended rationals, canonical periodic designs by long
 division with a remainder dict and one-bit rotations, the order of 2 by
@@ -17,7 +18,8 @@ the period's root with the preperiod's Moebius map and reading its
 equation back, continued fractions of quadratic irrationals by field
 arithmetic (floor, subtract, invert) with a remainder dict on the
 normalised element, moved gaps of a root by its moved equation over full
-products with one three-way gcd, and field arithmetic itself (a Moebius
+products with one three-way gcd, math.gcd by a left fold that records the
+bit lengths of each operand pair it meets, and field arithmetic itself (a Moebius
 image, a scaled difference, a comparison with an extended rational, the
 conjugate's sign, the square of a pure surd) over the public fields,
 normalised by the public constructor.
@@ -88,6 +90,28 @@ def linear_word_matrix(bits: str) -> tuple[int, int, int, int]:
             a = a + b
             c = c + d
     return a, b, c, d
+
+
+def whole_period_matrix(h: str) -> tuple[int, int, int, int]:
+    """The matrix of the period h + flip(h), multiplied out: flipping every
+    letter swaps M(h) = (a b; c d) to (d c; b a), and the period's matrix is
+    M(h) times that swap."""
+    a, b, c, d = linear_word_matrix(h)
+    return a * d + b * b, a * c + b * a, c * d + d * b, c * c + d * a
+
+
+def recording_gcd(pairs: list, recording=lambda: True):
+    """math.gcd that, while recording(), appends to pairs the sorted bit
+    lengths of each operand pair it meets, folding from the left as
+    math.gcd does."""
+    def folding_gcd(*args):
+        g = args[0]
+        for x in args[1:]:
+            if recording():
+                pairs.append(sorted((g.bit_length(), x.bit_length())))
+            g = gcd(g, x)
+        return abs(g)
+    return folding_gcd
 
 
 def word_symmetries(d: FiniteDesign) -> tuple:

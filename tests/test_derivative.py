@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -22,7 +21,7 @@ from diatomic import (
 from diatomic import derivative, quadratic
 from diatomic.errors import OutOfRange, ZeroLength
 
-from oracles import fib, rebuild_quotient_scan
+from oracles import fib, rebuild_quotient_scan, recording_gcd
 
 
 def test_fib_continuant_values():
@@ -267,15 +266,6 @@ def test_scan_samples_take_no_gcd_past_a2_but_big_by_small(monkeypatch):
     limit = assembly_of_rational_theta(eta).a2.bit_length() + 64
     pairs, in_sample = [], []
 
-    def folding_gcd(*args):
-        # math.gcd folds its operands from the left: record each pair it meets
-        g = args[0]
-        for x in args[1:]:
-            if in_sample:
-                pairs.append(sorted((g.bit_length(), x.bit_length())))
-            g = math.gcd(g, x)
-        return abs(g)
-
     def sample(*args, moved_gap=derivative._moved_gap):
         in_sample.append(True)
         try:
@@ -283,7 +273,7 @@ def test_scan_samples_take_no_gcd_past_a2_but_big_by_small(monkeypatch):
         finally:
             in_sample.pop()
 
-    monkeypatch.setattr(quadratic, "gcd", folding_gcd)
+    monkeypatch.setattr(quadratic, "gcd", recording_gcd(pairs, lambda: in_sample))
     monkeypatch.setattr(derivative, "_moved_gap", sample)
     samples = sum(len(quotient_scan(eta, side, 12).samples) for side in Side)
     assert samples == 22 and len(pairs) >= 2 * samples

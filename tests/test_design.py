@@ -31,6 +31,7 @@ from diatomic.errors import (
     DesignSyntaxError,
     MalformedRuns,
     NotCoprime,
+    OutOfRange,
     TerminalDesign,
     ZeroInput,
 )
@@ -66,6 +67,13 @@ def test_parse_terminal_uses_bit_count_as_length():
     assert design_number(d) == (8, 3)
     assert str(d) == "100t"
     assert design_number(parse_design("t")) == (1, 0)
+
+
+def test_terminal_of_rejects_a_negative_length(huge):
+    for n, text in ((-1, "-1"), (-3, "-3"), (-huge, "<-20000-bit integer>")):
+        with pytest.raises(OutOfRange, match=f"got {text}$"):
+            FiniteDesign.terminal_of(n)
+    assert FiniteDesign.terminal_of(0) == FiniteDesign("", terminal=True)
 
 
 def test_parse_periodic_canonicalizes_keeping_theta():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from diatomic import (
     FieldElement,
+    FiniteDesign,
     PeriodicDesign,
     Purity,
     QuadIrr,
@@ -31,7 +32,8 @@ from diatomic import (
     theta_of,
 )
 from diatomic.errors import InvalidPeriod, NonPositive, OutOfRange, PerfectSquare
-from diatomic.quadratic import _fixed_point, _gap_frame, _moved_gap
+from diatomic import quadratic
+from diatomic.quadratic import _fixed_point, _gap_frame, _moved_gap, _period_matrix
 from oracles import (
     compare_ext,
     conjugate_sign,
@@ -40,9 +42,11 @@ from oracles import (
     field_element_floor,
     mobius,
     mobius_quad_of_periodic,
+    recording_gcd,
     sqrt_value,
     sub_fraction,
     sub_times,
+    whole_period_matrix,
 )
 
 
@@ -100,7 +104,7 @@ def test_public_constructor_checks_the_radicand():
     for d in (0, -5, 1, 4, 9, 10**40, 3**90):
         with pytest.raises(OutOfRange):
             FieldElement(1, 1, 2, d)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(OutOfRange, match="zero denominator"):
         FieldElement(1, 1, 0, 5)
     with pytest.raises(TypeError):  # no keyword skips a check
         FieldElement(1, 1, 2, 9, _checked=True)
@@ -351,6 +355,33 @@ def test_anti_periodic_value_reads_half_the_period(pre, half):
     x, depths = _value_and_depths(d)
     assert depths == [d.period.length // 2]
     assert x == mobius_quad_of_periodic(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bit_words(1, 4000))
+def test_anti_periodic_generator_has_the_whole_periods_fixed_point(half):
+    # G = M(h) (0 1; 1 0) = (b a; d c) has determinant -1, and G^2 is the
+    # period's matrix, whose equation the checked constructor reads
+    a, b, c, d = sdm(FiniteDesign(half)).entries()
+    assert _period_matrix(FiniteDesign(half + half.translate(_FLIP))) == (b, a, d, c)
+    pa, pb, pc, pd = whole_period_matrix(half)
+    want = QuadIrr(pc, pa - pd, pb)  # pc > 0: the period mixes both letters
+    got = _fixed_point(b, a, d, c)
+    assert type(got) is QuadIrr
+    assert (got.p, got.q, got.r, got.d) == (want.p, want.q, want.r, want.d)
+
+
+def test_anti_periodic_value_takes_no_gcd_past_the_generator(monkeypatch):
+    # the whole period's equation is (b + c) times G's, with a content of
+    # G's bits: dividing it out met operands of twice G's bits in the gcd
+    d = design_of_theta(Fraction(2000, 8069))  # an 8068-bit period
+    w, n = d.period.bits, d.period.length // 2
+    assert w[n:] == w[:n].translate(_FLIP)
+    limit = max(sdm(FiniteDesign(w[:n])).entries()).bit_length() + 64
+    want, pairs = mobius_quad_of_periodic(d), []
+    monkeypatch.setattr(quadratic, "gcd", recording_gcd(pairs))
+    assert quad_of_periodic(d) == want
+    assert pairs and [(lo, hi) for lo, hi in pairs if hi > limit and lo > 64] == []
 
 
 @settings(max_examples=40, deadline=None)

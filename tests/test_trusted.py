@@ -135,7 +135,8 @@ def test_trusted_quadratic_values_equal_the_checked_ones(eta, side, f):
     base = assembly_of_rational_theta(eta)  # _fixed_point's root
     assert type(base) is QuadIrr
     assert_checked(base)
-    for h, q in quotient_scan(eta, side, 16).samples:  # _moved_gap's gaps
+    # eta and 1 - eta exceed 2^-19 (den < 2^19), so steps to 2^-20 leave samples
+    for h, q in quotient_scan(eta, side, 20).samples:  # _moved_gap's gaps
         assert type(q) is FieldElement
         assert_checked(q)
         assert_checked(q - base)

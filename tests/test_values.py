@@ -27,6 +27,7 @@ from diatomic import (
     quad_of_periodic,
     quotient_scan,
 )
+from diatomic.errors import OutOfRange
 
 # (value, its repr, an equal value built by keyword, a different value)
 CASES = [
@@ -107,6 +108,30 @@ def test_a_quadratic_irrational_equals_its_field_element():
     assert q == f and f == q and hash(q) == hash(f)
     assert len({q, f}) == 1
     assert QuadIrr(1, 3, -1, plus_branch=False) != QuadIrr(1, 3, -1)
+
+
+_OPERANDS = {"x": FieldElement(1, 1, 2, 5), "half": ExtRational(1, 2),
+             "one": UniModMatrix(1, 0, 0, 1), "Fraction": Fraction}
+
+
+@pytest.mark.parametrize("expr, error", [
+    # the operators leave another type to Python, which raises TypeError
+    ("x - 1", TypeError), ("1 - x", TypeError), ("x - half", TypeError),
+    ("one * 5", TypeError), ("half + 1", TypeError), ("half - 1", TypeError),
+    ("half * Fraction(1, 3)", TypeError), ("half / 2", TypeError),
+    ("half < Fraction(1, 3)", TypeError), ("half <= 1", TypeError),
+    ("half > Fraction(1, 3)", TypeError), ("half >= 1", TypeError),
+    ("half > 0.5", TypeError), ("Fraction(1, 3) < half", TypeError),
+    # the field's scalar methods take an int or a Fraction only
+    ("x.mul_fraction(0.5)", OutOfRange), ("x.compare_fraction(0.5)", OutOfRange),
+    ("x.mul_fraction(half)", OutOfRange), ("x.compare_fraction('1/2')", OutOfRange),
+], ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_an_operand_of_another_type_raises_a_typed_error(expr, error):
+    with pytest.raises(error) as info:
+        eval(expr, dict(_OPERANDS))
+    assert type(info.value) is error
+    x = _OPERANDS["x"]
+    assert x.mul_fraction(2) == x.mul_fraction(Fraction(2)) and x.compare_fraction(1) > 0
 
 
 @pytest.mark.parametrize("value, text, by_keyword, other", CASES, ids=IDS)
