@@ -83,9 +83,7 @@ def assembly_enclose(bits: str, n: int) -> Enclosure:
 
 def assembly_of_rational_theta(t: Fraction) -> ExtRational | QuadIrr:
     """Exact value at rational theta: rational if dyadic, else quadratic."""
-    if t < 0 or t > 1:
-        raise OutOfRange(f"theta must lie in [0, 1], got {operand_text(t)}")
-    d = design_of_theta(t)
+    d = design_of_theta(t)  # checks 0 <= t <= 1
     if isinstance(d, FiniteDesign):
         return assembly_theta(t)
     return quad_of_periodic(d)

@@ -285,8 +285,11 @@ def _flip(word: str) -> str:
 
 
 def inverse_design(d: FiniteDesign) -> FiniteDesign:
-    """Reverse the run-length list; an involution that preserves the table value."""
-    return from_runs(runs(d)[::-1])
+    """Reverse the run-length list; an involution that preserves the table value.
+    The list starts and ends with a run of 1s, maybe empty: it reverses the word."""
+    if d.terminal:
+        raise TerminalDesign("terminal designs have the fixed encoding (1, n, 0)")
+    return _word(d.bits[::-1], False)  # the reversal of a checked word
 
 
 def compose(d: FiniteDesign, d2: Design) -> Design:

@@ -35,10 +35,6 @@ class UniModMatrix(Value):
         _set(self, "c", c)
         _set(self, "d", d)
 
-    @classmethod
-    def identity(cls) -> "UniModMatrix":
-        return cls(1, 0, 0, 1)
-
     def entries(self) -> tuple[int, int, int, int]:
         return self.a, self.b, self.c, self.d
 

@@ -24,7 +24,6 @@ from .design import (
     _flip,
     inverse_design,
     make_periodic,
-    runs,
 )
 from .errors import InvalidPeriod, NonPositive, OutOfRange, PerfectSquare, operand_text
 from .sdi import sdi_quadruple
@@ -389,9 +388,10 @@ def periodic_design_of_sqrt(value: Fraction) -> PeriodicDesign:
 
 
 def classify_type(period: FiniteDesign) -> int:
-    """Type 1-4 of the pure value by whether the end runs are empty."""
-    ks = runs(_check_period(period))
-    first, last = ks[0] >= 1, ks[-1] >= 1
+    """Type 1-4 of the pure value by whether the end runs are empty: the
+    run list starts and ends with a run of 1s, so by the end letters."""
+    w = _check_period(period).bits
+    first, last = w[0] == "1", w[-1] == "1"
     if first:
         return 2 if last else 1
     return 4 if last else 3

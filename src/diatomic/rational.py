@@ -32,10 +32,6 @@ class ExtRational(Value):
     def infinity(cls) -> "ExtRational":
         return cls(1, 0)
 
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "ExtRational":
-        return cls(f.numerator, f.denominator)
-
     @property
     def is_infinite(self) -> bool:
         return self.den == 0
@@ -87,16 +83,6 @@ class ExtRational(Value):
         if not isinstance(other, ExtRational):
             return NotImplemented
         return self.num * other.den <= other.num * self.den
-
-    def __gt__(self, other: "ExtRational") -> bool:
-        if not isinstance(other, ExtRational):
-            return NotImplemented
-        return other < self
-
-    def __ge__(self, other: "ExtRational") -> bool:
-        if not isinstance(other, ExtRational):
-            return NotImplemented
-        return other <= self
 
     def __repr__(self) -> str:
         return f"ExtRational({self.num}, {self.den})"

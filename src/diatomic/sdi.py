@@ -10,7 +10,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._backend import stern_pair, word_matrix
-from ._value import Value, _set
 from .errors import OutOfTable, operand_text
 
 
@@ -50,20 +49,3 @@ def _check_address(depth: int, order: int, limit_offset: int) -> None:
             f"order {operand_text(order)} exceeds row end 2^{operand_text(depth)}"
             + (" - 1" if limit_offset else "")
         )
-
-
-class SdiAddress(Value):
-    """A (depth, order) position in the table."""
-
-    __slots__ = _fields = ("depth", "order")
-
-    def __init__(self, depth: int, order: int):
-        _check_address(depth, order, limit_offset=0)
-        _set(self, "depth", depth)
-        _set(self, "order", order)
-
-    def value(self) -> int:
-        return sdi(self.depth, self.order)
-
-    def quadruple(self) -> tuple[int, int, int, int]:
-        return sdi_quadruple(self.depth, self.order)

@@ -283,8 +283,8 @@ def rebuild_quotient_scan(eta: Fraction, side: Side, jmax: int) -> tuple:
     q = eta.denominator
     if q & (q - 1) == 0:
         base = assembly_theta(eta).as_fraction()
-        return tuple((h, ExtRational.from_fraction((assembly_theta(eta + h).as_fraction() - base) / h))
-                     for h in steps)
+        quotients = [(assembly_theta(eta + h).as_fraction() - base) / h for h in steps]
+        return tuple((h, ExtRational(f.numerator, f.denominator)) for h, f in zip(steps, quotients))
     base = assembly_of_rational_theta(eta)
     disc = base.discriminant
     base_el = base.field_element()

@@ -50,7 +50,7 @@ def test_word_matrix_is_generator_product_and_peels_back():
     rng = random.Random(101)
     for _ in range(300):
         w = "".join(rng.choice("01") for _ in range(rng.randrange(0, 40)))
-        product = UniModMatrix.identity()
+        product = UniModMatrix(1, 0, 0, 1)
         for ch in w:
             product = product * GENERATORS[ch]
         mat = word_matrix(w)

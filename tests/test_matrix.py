@@ -25,7 +25,7 @@ def rand_word(rng, lo=0, hi=12):
 
 
 def test_sdm_examples():
-    assert sdm(parse_design("")) == UniModMatrix.identity()
+    assert sdm(parse_design("")) == UniModMatrix(1, 0, 0, 1)
     assert sdm(parse_design("10")) == UniModMatrix(2, 1, 1, 1)
     assert sdm(parse_design("10101")) == UniModMatrix(5, 8, 3, 5)
 
@@ -70,7 +70,7 @@ def test_design_of_matrix_examples():
     assert design_of_matrix(parse_matrix("8,3;5,2")).bits == "10100"
     for c in range(6):
         assert design_of_matrix(UniModMatrix(1, 0, c, 1)).bits == "0" * c
-    assert design_of_matrix(UniModMatrix.identity()).is_empty
+    assert design_of_matrix(UniModMatrix(1, 0, 0, 1)).is_empty
 
 
 def test_round_trip_all_words_up_to_ten():
@@ -114,7 +114,7 @@ def test_column_dominance_dichotomy():
 
 
 def test_mobius_examples():
-    ident = UniModMatrix.identity()
+    ident = UniModMatrix(1, 0, 0, 1)
     x = ExtRational(5, 3)
     assert apply_mobius(ident, x) == x
     assert apply_mobius(UniModMatrix(2, 1, 1, 1), ExtRational.infinity()) == ExtRational(2)
@@ -147,7 +147,7 @@ def test_to_design_inverts_word_construction():
     rng = random.Random(59)
     for _ in range(200):
         w = rand_word(rng, 0, 21)
-        m = UniModMatrix.identity()
+        m = UniModMatrix(1, 0, 0, 1)
         for ch in w:
             m = m * (UniModMatrix(1, 1, 0, 1) if ch == "1" else UniModMatrix(1, 0, 1, 1))
         assert design_of_matrix(m).bits == w

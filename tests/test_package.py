@@ -86,7 +86,7 @@ HUGE_OPERAND_ERRORS = {
     "stern": (lambda h: diatomic.stern(-h), OutOfTable, "got <-20000-bit integer>"),
     "sdi address": (lambda h: diatomic.sdi(-h, 0), OutOfTable,
                     "negative address (<-20000-bit integer>, 0)"),
-    "sdi order": (lambda h: diatomic.SdiAddress(3, h), OutOfTable,
+    "sdi order": (lambda h: diatomic.sdi(3, h), OutOfTable,
                   "order <20000-bit integer> exceeds row end 2^3"),
 }
 

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from diatomic import SdiAddress, Side, quotient_scan, sdi, sdi_quadruple, stern
+from diatomic import Side, quotient_scan, sdi, sdi_quadruple, stern
 from diatomic.errors import OutOfTable
 
 from oracles import stern_table
@@ -118,12 +118,11 @@ def test_coprime_combination_refinement():
         assert b * sdi(n, m + 1) + a * sdi(n, m) == sdi(n + total, m2)
 
 
-def test_address_type():
-    addr = SdiAddress(6, 51)
-    assert addr.value() == 12
-    assert addr.quadruple()[1] == 12
+def test_an_address_reads_its_value_and_quadruple():
+    assert sdi(6, 51) == 12
+    assert sdi_quadruple(6, 51)[1] == 12
     with pytest.raises(OutOfTable):
-        SdiAddress(2, 5)
+        sdi(2, 5)
 
 
 def test_row_end_checks_at_every_order_near_the_end():
@@ -143,7 +142,7 @@ def test_a_deep_address_is_checked_without_building_its_row_end():
     tracemalloc.start()
     try:
         assert sdi(10**7, 1) == 1
-        assert SdiAddress(10**7, 3).order == 3
+        assert sdi(10**7, 3) == 2
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

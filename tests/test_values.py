@@ -19,7 +19,6 @@ from diatomic import (
     PeriodicDesign,
     QuadIrr,
     QuotientScan,
-    SdiAddress,
     Side,
     UniModMatrix,
     assembly_enclose,
@@ -42,8 +41,6 @@ CASES = [
      parse_design("(10)")),
     (UniModMatrix(2, 1, 1, 1), "UniModMatrix(a=2, b=1, c=1, d=1)",
      UniModMatrix(a=2, b=1, c=1, d=1), UniModMatrix(1, 1, 1, 2)),
-    (SdiAddress(6, 51), "SdiAddress(depth=6, order=51)",
-     SdiAddress(depth=6, order=51), SdiAddress(51, 6)),
     (assembly_enclose("101010", 4),
      "Enclosure(lo=ExtRational(3, 2), hi=ExtRational(5, 3), bits_used=4)",
      Enclosure(lo=ExtRational(3, 2), hi=ExtRational(5, 3), bits_used=4),
@@ -74,7 +71,6 @@ FIELDS = {
     FiniteDesign: ("bits", "terminal"),
     PeriodicDesign: ("preperiod", "period"),
     UniModMatrix: ("a", "b", "c", "d"),
-    SdiAddress: ("depth", "order"),
     Enclosure: ("lo", "hi", "bits_used"),
     QuotientScan: ("eta", "side", "samples"),
     ExtRational: ("num", "den"),
@@ -98,7 +94,7 @@ def test_equality_and_hash(value, text, by_keyword, other):
 
 
 def test_values_of_different_classes_with_equal_fields_differ():
-    assert SdiAddress(3, 4) != ExtRational(3, 4)
+    assert UniModMatrix(2, 3, 1, 2) != FieldElement(2, 3, 1, 2)
     assert FiniteDesign("1") != PeriodicDesign(FiniteDesign(""), FiniteDesign("10"))
 
 
