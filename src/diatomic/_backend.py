@@ -12,6 +12,10 @@ public modules.  All arithmetic is on Python ints, so there is no
 magnitude limit.
 """
 
+import sys
+
+from .errors import OutOfRange, operand_text
+
 BACKEND = "python"
 
 # Cutoffs, each where the fast route overtook its kernel's linear loop when
@@ -75,7 +79,8 @@ def _pair_word(x, y):
     """The Stern-Brocot path of a coprime positive pair: "1" while x > y
     (x -= y), "0" while y > x (y -= x), until (1, 1).  Above the cutoff,
     half-gcd rounds take the pair down to _PEEL_BITS first.  A run of 2**16
-    letters or more is one division, so a huge one fails at once in "1" * j.
+    letters or more is one division, and one past sys.maxsize letters raises
+    OutOfRange before its string is asked for.
     """
     out = []
     if (x | y) >> _HGCD_BITS:
@@ -87,6 +92,8 @@ def _pair_word(x, y):
     while x != y:
         if x >> 16 > y:
             j = (x - 1) // y
+            if j > sys.maxsize:
+                raise _run_too_long(j)
             x -= j * y
             out.append("1" * j)
         while x > y:
@@ -94,12 +101,19 @@ def _pair_word(x, y):
             out.append("1")
         if y >> 16 > x:
             j = (y - 1) // x
+            if j > sys.maxsize:
+                raise _run_too_long(j)
             y -= j * x
             out.append("0" * j)
         while y > x:
             y -= x
             out.append("0")
     return "".join(out)
+
+
+def _run_too_long(j):
+    # a run is one string, and "1" * j raises OverflowError past sys.maxsize
+    return OutOfRange(f"a path run of {operand_text(j)} letters is too long to build")
 
 
 # ------------------------------------------------------------ product tree
@@ -212,6 +226,8 @@ def _peel(x, y, floor):
             j = (x - floor) // y
             x -= j * y
             j += 1
+            if j > sys.maxsize:
+                raise _run_too_long(j)
             q += j * p
             s += j * r
             runs.append("1" * j)
@@ -228,6 +244,8 @@ def _peel(x, y, floor):
             j = (y - floor) // x
             y -= j * x
             j += 1
+            if j > sys.maxsize:
+                raise _run_too_long(j)
             p += j * q
             r += j * s
             runs.append("0" * j)

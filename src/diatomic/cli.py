@@ -20,10 +20,15 @@ from .rational import parse_fraction, parse_ratio
 from .sdi import sdi, stern
 
 
-def _required(value, what: str) -> str:
-    if value is None:
-        raise DomainError(f"missing {what}")
-    return value
+# positional arguments an action takes; every other action takes one
+_COUNTS = {"compose": 2, "apply": 2, "sample": 0}
+
+
+def _check_count(args) -> None:
+    want = _COUNTS.get(args.action, 1)
+    if len(args.args) != want:
+        raise DomainError(f"{args.command} {args.action} takes {want} "
+                          f"argument{'' if want == 1 else 's'}, got {len(args.args)}")
 
 
 def _finite(text: str) -> design.FiniteDesign:
@@ -52,55 +57,54 @@ def _design_from_ratio(text: str) -> design.Design:
 
 
 def _cmd_design(args) -> tuple[str, dict]:
+    arg = args.args[0]
     if args.action == "from-ratio":
-        d = _design_from_ratio(args.arg)
+        d = _design_from_ratio(arg)
         return str(d), {"design": str(d)}
     if args.action == "theta":
-        t = design.theta_of(design.parse_design(args.arg))
+        t = design.theta_of(design.parse_design(arg))
         return str(t), {"theta": str(t)}
     if args.action == "of-theta":
-        d = design.design_of_theta(parse_fraction(args.arg))
+        d = design.design_of_theta(parse_fraction(arg))
         return str(d), {"design": str(d)}
     if args.action == "conj":
-        d = design.conjugate(design.parse_design(args.arg))
+        d = design.conjugate(design.parse_design(arg))
         return str(d), {"design": str(d)}
     if args.action == "inv":
-        d = design.inverse_design(_finite(args.arg))
+        d = design.inverse_design(_finite(arg))
         return str(d), {"design": str(d)}
     if args.action == "reduce":
-        d = design.reduce(_finite(args.arg))
+        d = design.reduce(_finite(arg))
         return str(d), {"design": str(d)}
-    second = design.parse_design(_required(args.arg2, "second design"))
-    d = design.compose(_finite(args.arg), second)
+    d = design.compose(_finite(arg), design.parse_design(args.args[1]))
     return str(d), {"design": str(d)}
 
 
 def _cmd_matrix(args) -> tuple[str, dict]:
+    arg = args.args[0]
     if args.action == "of-design":
-        m = matrix.sdm(_finite(args.arg))
+        m = matrix.sdm(_finite(arg))
         return str(m), {"matrix": str(m)}
     if args.action == "to-design":
-        d = matrix.design_of_matrix(matrix.parse_matrix(args.arg))
+        d = matrix.design_of_matrix(matrix.parse_matrix(arg))
         return str(d), {"design": str(d)}
-    m = matrix.parse_matrix(args.arg)
-    v = matrix.apply_mobius(m, parse_ratio(_required(args.arg2, "argument x/y")))
+    v = matrix.apply_mobius(matrix.parse_matrix(arg), parse_ratio(args.args[1]))
     return str(v), {"value": str(v)}
 
 
 def _cmd_assembly(args) -> tuple[str, dict]:
     if args.action == "eval":
-        v = assembly.assembly_theta(parse_fraction(_required(args.arg, "theta")))
+        v = assembly.assembly_theta(parse_fraction(args.args[0]))
         return str(v), {"value": str(v)}
     if args.action == "inverse":
-        v = parse_ratio(_required(args.arg, "value a/b"))
-        d = assembly.assembly_inverse(v)
+        d = assembly.assembly_inverse(parse_ratio(args.args[0]))
         t = design.theta_of(d)
         return f"{d} theta={t}", {"design": str(d), "theta": str(t)}
     if args.action == "qm-inverse":
-        v = assembly.question_mark_inverse(parse_fraction(_required(args.arg, "theta")))
+        v = assembly.question_mark_inverse(parse_fraction(args.args[0]))
         return str(v), {"value": str(v)}
     if args.action == "enclose":
-        e = assembly.assembly_enclose(_required(args.arg, "bits"), args.n)
+        e = assembly.assembly_enclose(args.args[0], args.n)
         human = f"lo={e.lo} hi={e.hi} bits={e.bits_used}"
         return human, {"lo": str(e.lo), "hi": str(e.hi), "bits_used": e.bits_used}
     # sample --grid k
@@ -116,28 +120,30 @@ def _cmd_assembly(args) -> tuple[str, dict]:
 
 
 def _cmd_quad(args) -> tuple[str, dict]:
+    arg = args.args[0]
     if args.action == "from-period":
-        q = quadratic.quad_from_period(_finite(args.arg))
+        q = quadratic.quad_from_period(_finite(arg))
         return q.equation_str(), {"equation": q.equation_str()}
     if args.action == "sqrt":
-        value = parse_fraction(args.arg)
+        value = parse_fraction(arg)
         d = quadratic.periodic_design_of_sqrt(value)
         q = quadratic.quad_from_period(d.period)
         human = f"period=({d.period.bits}) equation: {q.equation_str()}"
         return human, {"period": str(d), "equation": q.equation_str()}
     if args.action == "classify":
-        t = quadratic.classify_type(_finite(args.arg))
+        t = quadratic.classify_type(_finite(arg))
         return f"type {t}", {"type": t}
-    p = quadratic.purity_test(parse_fraction(args.arg))
+    p = quadratic.purity_test(parse_fraction(arg))
     return p.value, {"purity": p.value}
 
 
 def _cmd_deriv(args) -> tuple[str, dict]:
+    eta = parse_fraction(args.args[0])
     if args.action == "classify":
-        v = derivative.derivative_at_rational(parse_fraction(args.arg))
+        v = derivative.derivative_at_rational(eta)
         return v.value, {"verdict": v.value}
     side = derivative.Side.LEFT if args.side == "left" else derivative.Side.RIGHT
-    scan = derivative.quotient_scan(parse_fraction(args.arg), side, args.jmax)
+    scan = derivative.quotient_scan(eta, side, args.jmax)
     rows = []
     for h, q in scan.samples:
         j = abs(h.denominator).bit_length() - 1
@@ -151,10 +157,11 @@ def _cmd_deriv(args) -> tuple[str, dict]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a negative integer or ratio such as -3/2 as a value, not an
-    option, so it reaches the library's range checks."""
+    """Reads an argument that starts with a minus and a digit, such as -3/2
+    or the matrix -1,2;3,4, as a value, not an option, so it reaches the
+    library's checks."""
 
-    _NEGATIVE = re.compile(r"-\d+(/\d+)?")
+    _NEGATIVE = re.compile(r"-\d.*")
 
     def _parse_optional(self, arg_string):
         # argparse's hook that sorts each argument; None means a positional
@@ -180,19 +187,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", help="design word algebra")
     p.add_argument("action", choices=[
         "from-ratio", "theta", "of-theta", "conj", "inv", "reduce", "compose"])
-    p.add_argument("arg")
-    p.add_argument("arg2", nargs="?")
+    p.add_argument("args", nargs="*", metavar="arg")
     p.set_defaults(func=_cmd_design)
 
     p = sub.add_parser("matrix", help="unimodular matrix words")
     p.add_argument("action", choices=["of-design", "to-design", "apply"])
-    p.add_argument("arg")
-    p.add_argument("arg2", nargs="?")
+    p.add_argument("args", nargs="*", metavar="arg")
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("assembly", help="the assembly map")
     p.add_argument("action", choices=["eval", "inverse", "enclose", "qm-inverse", "sample"])
-    p.add_argument("arg", nargs="?")
+    p.add_argument("args", nargs="*", metavar="arg")
     p.add_argument("--n", type=int, default=0, help="bits to use for enclose")
     p.add_argument("--grid", type=int, default=3, help="dyadic grid depth for sample")
     p.add_argument("--csv", action="store_true",
@@ -201,12 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quad", help="periodic designs and quadratic irrationals")
     p.add_argument("action", choices=["from-period", "sqrt", "classify", "purity"])
-    p.add_argument("arg")
+    p.add_argument("args", nargs="*", metavar="arg")
     p.set_defaults(func=_cmd_quad)
 
     p = sub.add_parser("deriv", help="difference-quotient probes")
     p.add_argument("action", choices=["scan", "classify"])
-    p.add_argument("arg")
+    p.add_argument("args", nargs="*", metavar="arg")
     p.add_argument("--side", choices=["left", "right"], default="right")
     p.add_argument("--jmax", type=int, default=10)
     p.add_argument("--csv", action="store_true",
@@ -220,6 +225,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "action" in args:
+            _check_count(args)
         human, obj = args.func(args)
     except (ValueError, ZeroDivisionError) as exc:  # DomainError is a ValueError
         name = type(exc).__name__

@@ -204,6 +204,8 @@ def _runs_of_word(word: str) -> tuple[int, ...]:
 
 def check_runs(ks) -> tuple[int, ...]:
     ks = tuple(ks)
+    if not all(isinstance(k, int) for k in ks):
+        raise MalformedRuns(f"runs must be integers: {operands_text(ks)}")
     if len(ks) % 2 == 0:
         raise MalformedRuns(f"run list length must be odd: {operands_text(ks)}")
     if any(k < 0 for k in ks):
@@ -250,6 +252,8 @@ def partial_quotients(a: int, b: int) -> tuple[int, ...]:
 def realizing_pair(rs) -> tuple[int, int]:
     """The unique coprime (a, b) whose quotients are rs; inverts partial_quotients."""
     rs = tuple(rs)
+    if not all(isinstance(r, int) for r in rs):
+        raise MalformedRuns(f"quotients must be integers: {operands_text(rs)}")
     if rs == (1,):
         return 1, 1
     if not rs or rs[0] < 0 or any(r < 1 for r in rs[1:-1]) or rs[-1] < 2:

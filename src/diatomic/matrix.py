@@ -12,7 +12,14 @@ from __future__ import annotations
 from ._backend import matrix_word, word_matrix
 from ._value import Value, _set, trusted
 from .design import FiniteDesign, _word
-from .errors import DesignSyntaxError, NegativeEntry, NotUnimodular, TerminalDesign, operand_text
+from .errors import (
+    DesignSyntaxError,
+    NegativeEntry,
+    NotUnimodular,
+    OutOfRange,
+    TerminalDesign,
+    operand_text,
+)
 from .rational import ExtRational, _ratio
 
 
@@ -26,6 +33,8 @@ class UniModMatrix(Value):
     __slots__ = _fields = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int):
+        if not all(isinstance(x, int) for x in (a, b, c, d)):
+            raise OutOfRange(f"entries must be integers, got {_entries_text(a, b, c, d)}")
         if min(a, b, c, d) < 0:
             raise NegativeEntry(f"negative entry in {_entries_text(a, b, c, d)}")
         if a * d - b * c != 1:

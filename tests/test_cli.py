@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diatomic import errors
 from diatomic.cli import main
 
 
@@ -150,6 +156,10 @@ def test_boundary_values(capsys):
     (("design", "from-ratio", "-3/2"), "ZeroInput"),
     (("--json", "design", "from-ratio", "-3/2"), "ZeroInput"),
     (("deriv", "scan", "1/3", "--side", "left", "--jmax", "1"), "OutOfRange"),
+    (("design", "inv", "(10)"), "DomainError"),
+    (("matrix", "to-design", "1,2;3"), "DesignSyntaxError"),
+    (("matrix", "to-design", "a,b;c,d"), "DesignSyntaxError"),
+    (("matrix", "to-design", "-1,2;3,4"), "NegativeEntry"),
 ])
 def test_bad_input_names_its_domain_error(capsys, argv, error):
     code, out, err = run(capsys, *argv)
@@ -161,6 +171,40 @@ def test_bad_input_names_its_domain_error(capsys, argv, error):
         assert "(-3, 2)" in obj["message"]
     else:
         assert f"error: {error}:" in err
+
+
+HUGE = "100000000000000000000000"  # 10^23, a run past sys.maxsize letters
+TYPED_ERRORS = [
+    (("design", "from-ratio", f"1/{HUGE}"), "OutOfRange",
+     f"a path run of {10**23 - 1} letters is too long to build"),
+    (("assembly", "inverse", HUGE), "OutOfRange",
+     f"a path run of {10**23 - 1} letters is too long to build"),
+    (("matrix", "to-design", f"1,{HUGE};0,1"), "OutOfRange",
+     f"a path run of {HUGE} letters is too long to build"),
+] + [
+    ((command, action, "1", "junk"), "DomainError", f"{command} {action} takes 1 argument, got 2")
+    for command, action in [("design", "from-ratio"), ("design", "theta"), ("design", "of-theta"),
+                            ("design", "conj"), ("design", "inv"), ("design", "reduce"),
+                            ("matrix", "of-design"), ("matrix", "to-design")]
+] + [
+    (("assembly", "sample", "junk"), "DomainError", "assembly sample takes 0 arguments, got 1"),
+    (("design", "compose", "10"), "DomainError", "design compose takes 2 arguments, got 1"),
+    (("matrix", "apply", "1,1;0,1", "1", "2"), "DomainError",
+     "matrix apply takes 2 arguments, got 3"),
+    (("assembly", "eval"), "DomainError", "assembly eval takes 1 argument, got 0"),
+]
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("argv, error, message", TYPED_ERRORS,
+                         ids=[" ".join(argv).replace(HUGE, "10^23") for argv, _, _ in TYPED_ERRORS])
+def test_an_error_is_typed_in_both_modes(capsys, argv, error, message, json_mode):
+    code, out, err = run(capsys, *(("--json",) if json_mode else ()), *argv)
+    assert code == 2 and out == ""
+    if json_mode:
+        assert json.loads(err) == {"error": error, "message": message}
+    else:
+        assert err == f"error: {error}: {message}\n"
 
 
 def test_json_errors_are_one_json_line(capsys, monkeypatch):
@@ -194,3 +238,125 @@ def test_round_trip_through_text_formats(capsys):
     theta = run(capsys, "design", "theta", design)[1].strip()
     again = run(capsys, "design", "of-theta", theta)[1].strip()
     assert again == design
+
+
+# ------------------------------------------------------------------ fuzz
+# Arguments come from small pools, and integers stay below 10^4, --grid at
+# 8 or less and --jmax at 40 or less, so no example builds a large word or
+# row.  A value never starts with a minus that is not followed by a digit:
+# argparse reads such an argument as an option.
+
+DOMAIN_ERRORS = {name for name, obj in vars(errors).items()
+                 if isinstance(obj, type) and issubclass(obj, errors.DomainError)}
+INTS = st.integers(-99, 9999).map(str)
+RATIOS = st.one_of(
+    st.sampled_from(["0/0", "1/0", "0/1", "inf", "3/-2", "-3/2", "1/", "/2", "x/3", "1.5", ""]),
+    INTS,
+    st.builds("{}/{}".format, st.integers(-99, 9999), st.integers(-99, 9999)),
+    st.integers(1, 9999).flatmap(lambda b: st.integers(0, b).map(f"{{}}/{b}".format)),
+)
+BITS = st.text(alphabet="01", max_size=12)
+WORDS = st.one_of(
+    BITS,
+    BITS.map("{}t".format),
+    st.builds("{}({})".format, BITS, BITS),
+    st.text(alphabet="01t()x ", max_size=12),
+)
+MATRICES = st.one_of(
+    st.sampled_from(["1,2;3", "a,b;c,d", "1,0;0,1", "5,7;2,3", "8,3;5,2", "2,1;1,1", ""]),
+    st.builds("{},{};{},{}".format, *[st.integers(-9, 99)] * 4),
+)
+ACTIONS = {
+    ("design", "from-ratio"): [RATIOS],
+    ("design", "theta"): [WORDS],
+    ("design", "of-theta"): [RATIOS],
+    ("design", "conj"): [WORDS],
+    ("design", "inv"): [WORDS],
+    ("design", "reduce"): [WORDS],
+    ("design", "compose"): [WORDS, WORDS],
+    ("matrix", "of-design"): [WORDS],
+    ("matrix", "to-design"): [MATRICES],
+    ("matrix", "apply"): [MATRICES, RATIOS],
+    ("assembly", "eval"): [RATIOS],
+    ("assembly", "inverse"): [RATIOS],
+    ("assembly", "enclose"): [WORDS],
+    ("assembly", "qm-inverse"): [RATIOS],
+    ("assembly", "sample"): [],
+    ("quad", "from-period"): [WORDS],
+    ("quad", "sqrt"): [RATIOS],
+    ("quad", "classify"): [WORDS],
+    ("quad", "purity"): [RATIOS],
+    ("deriv", "scan"): [RATIOS],
+    ("deriv", "classify"): [RATIOS],
+    ("stern", None): [INTS],
+}
+OPTIONS = {
+    "stern": {"--sdi": INTS},
+    "assembly": {"--n": st.integers(-3, 40).map(str), "--grid": st.integers(-2, 8).map(str),
+                 "--csv": None},
+    "deriv": {"--side": st.sampled_from(["left", "right"]),
+              "--jmax": st.integers(-2, 40).map(str), "--csv": None},
+}
+
+
+@st.composite
+def cli_calls(draw, extra=False):
+    """(argv, command, action): a call in the CLI grammar, with one
+    positional more than the action takes if extra."""
+    command, action = draw(st.sampled_from(list(ACTIONS)))
+    argv = ["--json"] if draw(st.booleans()) else []
+    argv += [command] + ([action] if action else [])
+    argv += [draw(pool) for pool in ACTIONS[command, action]]
+    if extra:
+        argv.append(draw(st.one_of(WORDS, RATIOS)))
+    options = OPTIONS.get(command, {})
+    names = draw(st.permutations(sorted(options)))
+    for name in names[:draw(st.integers(0, len(names)))]:
+        argv += [name] + ([] if options[name] is None else [draw(options[name])])
+    return argv, command, action
+
+
+def call_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def error_name(argv, err):
+    if argv[0] == "--json":
+        assert err.count("\n") == 1
+        obj = json.loads(err)
+        assert set(obj) == {"error", "message"}
+        return obj["error"]
+    return re.fullmatch(r"error: (\w+): .*\n", err, re.DOTALL).group(1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cli_calls())
+def test_every_call_exits_0_or_names_a_domain_error(call):
+    argv, _, _ = call
+    code, out, err = call_main(argv)
+    if code == 0:
+        assert err == "" and out.endswith("\n")
+        if argv[0] == "--json":
+            json.loads(out)
+    else:
+        assert code == 2 and out == ""
+        assert error_name(argv, err) in DOMAIN_ERRORS
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_calls(extra=True))
+def test_one_extra_positional_always_exits_2(call):
+    argv, command, action = call
+    if action is None:  # stern's one positional is argparse's to check
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+        assert exc.value.code == 2
+        return
+    code, out, err = call_main(argv)
+    assert code == 2 and out == "" and error_name(argv, err) == "DomainError"
+    want = len(ACTIONS[command, action])
+    assert f"{command} {action} takes {want} argument" in err
+    assert f", got {want + 1}" in err

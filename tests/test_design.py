@@ -131,6 +131,8 @@ def test_direct_construction_is_validated():
         PeriodicDesign(FiniteDesign(""), FiniteDesign("1010"))  # not primitive
     with pytest.raises(InvalidPeriod):
         PeriodicDesign(FiniteDesign("10"), FiniteDesign("10"))  # rotatable
+    with pytest.raises(InvalidPeriod, match="^period must be nonempty$"):
+        make_periodic("1", "")
 
 
 # --- run lengths ------------------------------------------------------------
@@ -394,6 +396,7 @@ def test_reduce_examples():
 
 def test_reduced_and_primitive_predicates():
     assert is_primitive(parse_design("110011"))
+    assert not is_primitive(parse_design("10t")) and not is_primitive(parse_design(""))
     d = parse_design("0101")
     assert is_reduced(d) and not is_primitive(d)
     assert is_reduced(parse_design(""))

@@ -14,8 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diatomic import _backend, assembly_dyadic, cf_eval, realizing_pair, sdi_quadruple
+from diatomic import (
+    ExtRational,
+    _backend,
+    assembly_dyadic,
+    assembly_inverse,
+    cf_eval,
+    design_of_matrix,
+    euclidean_design,
+    realizing_pair,
+    sdi_quadruple,
+)
 from diatomic._backend import continuant_pair, matrix_word, stern_pair, word_matrix
+from diatomic.errors import OutOfRange
 from diatomic.matrix import UniModMatrix
 from oracles import (
     det_continuant,
@@ -206,6 +217,33 @@ def test_matrix_word_rejects_big_non_monoid_matrices():
                 (-a, b, c, d)]:
         with pytest.raises(ValueError):
             matrix_word(*bad)
+
+
+def test_peel_stops_below_its_floor_and_at_an_equal_pair():
+    assert _backend._peel(5, 100, 8) == ([], (1, 0, 0, 1), 5, 100)
+    # (2 1; 1 1) (9, 9) = (27, 18): one 1 and one 0 reach the equal pair
+    assert _backend._peel(27, 18, 8) == (["1", "0"], (2, 1, 1, 1), 9, 9)
+
+
+HUGE_RUNS = {
+    # the pair walk's two division branches
+    "0s of 1/10^23": (lambda: euclidean_design(1, 10**23), 10**23 - 1),
+    "1s of 10^23": (lambda: assembly_inverse(ExtRational(10**23)), 10**23 - 1),
+    "1s of a matrix": (lambda: design_of_matrix(UniModMatrix(1, 10**23, 0, 1)), 10**23),
+    # a 5,001-bit pair whose first run leaves no room for a half step
+    "no half step": (lambda: euclidean_design(1, (1 << 5000) + 1), 1 << 5000),
+    # the half-gcd's base peel, on each letter
+    "peeled 1s": (lambda: euclidean_design(1 << 5000, (1 << 4900) + 1), (1 << 100) - 1),
+    "peeled 0s": (lambda: euclidean_design((1 << 4900) + 1, 1 << 5000), (1 << 100) - 1),
+}
+
+
+@pytest.mark.parametrize("case", HUGE_RUNS)
+def test_a_run_past_sys_maxsize_letters_is_out_of_range(case):
+    # "1" * j would raise OverflowError; no such input is ever spelled out
+    call, run = HUGE_RUNS[case]
+    with pytest.raises(OutOfRange, match=f"^a path run of {run} letters is too long to build$"):
+        call()
 
 
 # ------------------------------------- public values across the cutoffs

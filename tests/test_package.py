@@ -8,6 +8,7 @@ import diatomic
 from diatomic import _backend
 from diatomic.errors import (
     InsufficientBits,
+    MalformedRuns,
     NonPositive,
     OutOfRange,
     OutOfTable,
@@ -98,6 +99,31 @@ def test_error_names_a_huge_operand_by_its_bit_length(site, huge):
     with pytest.raises(error) as info:
         call(huge)
     assert str(info.value).endswith(tail)
+
+
+# (call on a non-integer, error type, message)
+NON_INTEGER_ERRORS = {
+    "matrix entries": (lambda: diatomic.UniModMatrix(2.0, 0, 0, 0.5), OutOfRange,
+                       "entries must be integers, got (2.0, 0, 0, 0.5)"),
+    "sdi_from_runs": (lambda: diatomic.sdi_from_runs((1.5,)), MalformedRuns,
+                      "runs must be integers: (1.5,)"),
+    "sdi_corner_continuants": (lambda: diatomic.sdi_corner_continuants((1.5,)), MalformedRuns,
+                               "runs must be integers: (1.5,)"),
+    "from_runs": (lambda: diatomic.from_runs((1, "0", 1)), MalformedRuns,
+                  "runs must be integers: (1, '0', 1)"),
+    "realizing_pair": (lambda: diatomic.realizing_pair((2.5,)), MalformedRuns,
+                       "quotients must be integers: (2.5,)"),
+    "realizing_pair of (1.0,)": (lambda: diatomic.realizing_pair((1.0,)), MalformedRuns,
+                                 "quotients must be integers: (1.0,)"),
+}
+
+
+@pytest.mark.parametrize("site", NON_INTEGER_ERRORS)
+def test_a_non_integer_raises_a_typed_error(site):
+    call, error, message = NON_INTEGER_ERRORS[site]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_operand_text_is_str_below_the_digit_limit():

@@ -238,7 +238,7 @@ def test_period_equation_examples():
 
 
 def test_period_equation_rejects_degenerate_words():
-    for bad in ("", "1", "0", "11", "000"):
+    for bad in ("", "1", "0", "11", "000", "10t"):
         with pytest.raises(InvalidPeriod):
             quad_from_period(parse_design(bad))
 

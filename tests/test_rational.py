@@ -35,8 +35,8 @@ def test_zero_over_zero_is_rejected():
 def test_infinity_ordering():
     inf = ExtRational.infinity()
     x = ExtRational(10 ** 30, 7)
-    assert x < inf and inf > x
-    assert not inf < inf and inf <= inf
+    assert x < inf and inf > x and inf >= x and not x > inf and not x >= inf
+    assert not inf < inf and inf <= inf and not inf > inf and inf >= inf
     assert inf.reciprocal() == ExtRational(0)
     assert ExtRational(0).reciprocal() == inf
 
@@ -68,6 +68,8 @@ def test_field_ops_match_fraction(a, b):
         assert (ra - rb).as_fraction() == a - b
     assert (ra < rb) == (a < b)
     assert (ra <= rb) == (a <= b)
+    assert (ra > rb) == (a > b)  # Python reflects > and >= to < and <=
+    assert (ra >= rb) == (a >= b)
 
 
 def test_as_fraction_rejects_infinity():

@@ -118,6 +118,7 @@ _OPERANDS = {"x": FieldElement(1, 1, 2, 5), "half": ExtRational(1, 2),
     ("half < Fraction(1, 3)", TypeError), ("half <= 1", TypeError),
     ("half > Fraction(1, 3)", TypeError), ("half >= 1", TypeError),
     ("half > 0.5", TypeError), ("Fraction(1, 3) < half", TypeError),
+    ("half >= None", TypeError), ("2 > half", TypeError),
     # the field's scalar methods take an int or a Fraction only
     ("x.mul_fraction(0.5)", OutOfRange), ("x.compare_fraction(0.5)", OutOfRange),
     ("x.mul_fraction(half)", OutOfRange), ("x.compare_fraction('1/2')", OutOfRange),
