@@ -161,11 +161,11 @@ class _Parser(argparse.ArgumentParser):
     or the matrix -1,2;3,4, as a value, not an option, so it reaches the
     library's checks."""
 
-    _NEGATIVE = re.compile(r"-\d.*")
+    _NEGATIVE = re.compile(r"-\d")
 
     def _parse_optional(self, arg_string):
         # argparse's hook that sorts each argument; None means a positional
-        if self._NEGATIVE.fullmatch(arg_string):
+        if self._NEGATIVE.match(arg_string):
             return None
         return super()._parse_optional(arg_string)
 
