@@ -85,15 +85,19 @@ def _pair_word(x, y):
     out = []
     if (x | y) >> _HGCD_BITS:
         while max(x, y).bit_length() > _PEEL_BITS:
-            prefix, _, x, y = _half(x, y)
+            try:
+                prefix, _, x, y = _half(x, y)
+            except OverflowError:  # a base peel's "1" * j, unchecked so as to cost nothing
+                raise OutOfRange(f"a path run of more than {sys.maxsize} letters "
+                                 "is too long to build") from None
             if not prefix:  # a run too long for a half step: walk the rest
                 break
             out += prefix
     while x != y:
         if x >> 16 > y:
             j = (x - 1) // y
-            if j > sys.maxsize:
-                raise _run_too_long(j)
+            if j > sys.maxsize:  # "1" * j would raise OverflowError
+                raise OutOfRange(f"a path run of {operand_text(j)} letters is too long to build")
             x -= j * y
             out.append("1" * j)
         while x > y:
@@ -101,19 +105,14 @@ def _pair_word(x, y):
             out.append("1")
         if y >> 16 > x:
             j = (y - 1) // x
-            if j > sys.maxsize:
-                raise _run_too_long(j)
+            if j > sys.maxsize:  # "1" * j would raise OverflowError
+                raise OutOfRange(f"a path run of {operand_text(j)} letters is too long to build")
             y -= j * x
             out.append("0" * j)
         while y > x:
             y -= x
             out.append("0")
     return "".join(out)
-
-
-def _run_too_long(j):
-    # a run is one string, and "1" * j raises OverflowError past sys.maxsize
-    return OutOfRange(f"a path run of {operand_text(j)} letters is too long to build")
 
 
 # ------------------------------------------------------------ product tree
@@ -226,8 +225,6 @@ def _peel(x, y, floor):
             j = (x - floor) // y
             x -= j * y
             j += 1
-            if j > sys.maxsize:
-                raise _run_too_long(j)
             q += j * p
             s += j * r
             runs.append("1" * j)
@@ -244,8 +241,6 @@ def _peel(x, y, floor):
             j = (y - floor) // x
             y -= j * x
             j += 1
-            if j > sys.maxsize:
-                raise _run_too_long(j)
             p += j * q
             r += j * s
             runs.append("0" * j)
