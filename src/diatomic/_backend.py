@@ -79,15 +79,15 @@ def _pair_word(x, y):
     """The Stern-Brocot path of a coprime positive pair: "1" while x > y
     (x -= y), "0" while y > x (y -= x), until (1, 1).  Above the cutoff,
     half-gcd rounds take the pair down to _PEEL_BITS first.  A run of 2**16
-    letters or more is one division, and one past sys.maxsize letters raises
-    OutOfRange before its string is asked for.
+    letters or more is one division.  A run past sys.maxsize letters, which
+    no string can hold, raises OutOfRange.
     """
     out = []
     if (x | y) >> _HGCD_BITS:
         while max(x, y).bit_length() > _PEEL_BITS:
             try:
                 prefix, _, x, y = _half(x, y)
-            except OverflowError:  # a base peel's "1" * j, unchecked so as to cost nothing
+            except OverflowError:  # "1" * j in a base peel, caught here to keep its loop lean
                 raise OutOfRange(f"a path run of more than {sys.maxsize} letters "
                                  "is too long to build") from None
             if not prefix:  # a run too long for a half step: walk the rest
