@@ -9,7 +9,7 @@ measured cutoff the products are built as a balanced tree, so the large
 multiplications fall where CPython's Karatsuba pays, and the walk starts
 with half-gcd rounds on the top bits.  Inputs are pre-validated by the
 public modules.  All arithmetic is on Python ints, so there is no
-magnitude limit.
+magnitude limit; only a path run too long for one string is refused.
 """
 
 import sys
