@@ -6,6 +6,9 @@ a,b;c,d.  --json wraps the result of any command in a single object, and
 an error in one JSON line on stderr, {"error": <type>, "message": ...};
 sample/scan commands emit CSV rows instead of prose.  Exit status is 0 on
 success and 2 on any usage or domain error.
+
+COMMANDS is the whole grammar: the parser, the argument counts, the option
+checks and the dispatch all read it.
 """
 
 from __future__ import annotations
@@ -20,15 +23,11 @@ from .rational import parse_fraction, parse_ratio
 from .sdi import sdi, stern
 
 
-# positional arguments an action takes; every other action takes one
-_COUNTS = {"compose": 2, "apply": 2, "sample": 0}
-
-
-def _check_count(args) -> None:
-    want = _COUNTS.get(args.action, 1)
-    if len(args.args) != want:
-        raise DomainError(f"{args.command} {args.action} takes {want} "
-                          f"argument{'' if want == 1 else 's'}, got {len(args.args)}")
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"expected an integer, got {text!r}") from None
 
 
 def _finite(text: str) -> design.FiniteDesign:
@@ -36,11 +35,6 @@ def _finite(text: str) -> design.FiniteDesign:
     if not isinstance(d, design.FiniteDesign):
         raise DomainError(f"expected a finite design, got {text!r}")
     return d
-
-
-def _cmd_stern(args) -> tuple[str, dict]:
-    value = stern(args.m) if args.sdi is None else sdi(args.sdi, args.m)
-    return str(value), {"value": str(value)}
 
 
 def _design_from_ratio(text: str) -> design.Design:
@@ -56,59 +50,19 @@ def _design_from_ratio(text: str) -> design.Design:
     return assembly.assembly_inverse(parse_ratio(text))
 
 
-def _cmd_design(args) -> tuple[str, dict]:
-    arg = args.args[0]
-    if args.action == "from-ratio":
-        d = _design_from_ratio(arg)
-        return str(d), {"design": str(d)}
-    if args.action == "theta":
-        t = design.theta_of(design.parse_design(arg))
-        return str(t), {"theta": str(t)}
-    if args.action == "of-theta":
-        d = design.design_of_theta(parse_fraction(arg))
-        return str(d), {"design": str(d)}
-    if args.action == "conj":
-        d = design.conjugate(design.parse_design(arg))
-        return str(d), {"design": str(d)}
-    if args.action == "inv":
-        d = design.inverse_design(_finite(arg))
-        return str(d), {"design": str(d)}
-    if args.action == "reduce":
-        d = design.reduce(_finite(arg))
-        return str(d), {"design": str(d)}
-    d = design.compose(_finite(arg), design.parse_design(args.args[1]))
-    return str(d), {"design": str(d)}
+def _inverse(value):
+    d = assembly.assembly_inverse(value)
+    t = design.theta_of(d)
+    return f"{d} theta={t}", {"design": str(d), "theta": str(t)}
 
 
-def _cmd_matrix(args) -> tuple[str, dict]:
-    arg = args.args[0]
-    if args.action == "of-design":
-        m = matrix.sdm(_finite(arg))
-        return str(m), {"matrix": str(m)}
-    if args.action == "to-design":
-        d = matrix.design_of_matrix(matrix.parse_matrix(arg))
-        return str(d), {"design": str(d)}
-    v = matrix.apply_mobius(matrix.parse_matrix(arg), parse_ratio(args.args[1]))
-    return str(v), {"value": str(v)}
+def _enclose(word, n):
+    e = assembly.assembly_enclose(word, n)
+    human = f"lo={e.lo} hi={e.hi} bits={e.bits_used}"
+    return human, {"lo": str(e.lo), "hi": str(e.hi), "bits_used": e.bits_used}
 
 
-def _cmd_assembly(args) -> tuple[str, dict]:
-    if args.action == "eval":
-        v = assembly.assembly_theta(parse_fraction(args.args[0]))
-        return str(v), {"value": str(v)}
-    if args.action == "inverse":
-        d = assembly.assembly_inverse(parse_ratio(args.args[0]))
-        t = design.theta_of(d)
-        return f"{d} theta={t}", {"design": str(d), "theta": str(t)}
-    if args.action == "qm-inverse":
-        v = assembly.question_mark_inverse(parse_fraction(args.args[0]))
-        return str(v), {"value": str(v)}
-    if args.action == "enclose":
-        e = assembly.assembly_enclose(args.args[0], args.n)
-        human = f"lo={e.lo} hi={e.hi} bits={e.bits_used}"
-        return human, {"lo": str(e.lo), "hi": str(e.hi), "bits_used": e.bits_used}
-    # sample --grid k
-    k = args.grid
+def _sample(k, csv):
     if k < 0:
         raise OutOfRange(f"grid depth must be >= 0, got {k}")
     rows = []
@@ -119,47 +73,98 @@ def _cmd_assembly(args) -> tuple[str, dict]:
     return text, {"rows": [[str(x) for x in row] for row in rows]}
 
 
-def _cmd_quad(args) -> tuple[str, dict]:
-    arg = args.args[0]
-    if args.action == "from-period":
-        q = quadratic.quad_from_period(_finite(arg))
-        return q.equation_str(), {"equation": q.equation_str()}
-    if args.action == "sqrt":
-        value = parse_fraction(arg)
-        d = quadratic.periodic_design_of_sqrt(value)
-        q = quadratic.quad_from_period(d.period)
-        human = f"period=({d.period.bits}) equation: {q.equation_str()}"
-        return human, {"period": str(d), "equation": q.equation_str()}
-    if args.action == "classify":
-        t = quadratic.classify_type(_finite(arg))
-        return f"type {t}", {"type": t}
-    p = quadratic.purity_test(parse_fraction(arg))
-    return p.value, {"purity": p.value}
+def _sqrt(value):
+    d = quadratic.periodic_design_of_sqrt(value)
+    q = quadratic.quad_from_period(d.period)
+    human = f"period=({d.period.bits}) equation: {q.equation_str()}"
+    return human, {"period": str(d), "equation": q.equation_str()}
 
 
-def _cmd_deriv(args) -> tuple[str, dict]:
-    eta = parse_fraction(args.args[0])
-    if args.action == "classify":
-        v = derivative.derivative_at_rational(eta)
-        return v.value, {"verdict": v.value}
-    side = derivative.Side.LEFT if args.side == "left" else derivative.Side.RIGHT
-    scan = derivative.quotient_scan(eta, side, args.jmax)
-    rows = []
-    for h, q in scan.samples:
-        j = abs(h.denominator).bit_length() - 1
-        rows.append((j, str(q)))
+def _classify(d):
+    t = quadratic.classify_type(d)
+    return f"type {t}", {"type": t}
+
+
+def _scan(eta, side, jmax, csv):
+    scan = derivative.quotient_scan(eta, derivative.Side(side), jmax)
+    rows = [(abs(h.denominator).bit_length() - 1, str(q)) for h, q in scan.samples]
     text = "\n".join(f"{j},{q}" for j, q in rows)
-    return text, {
-        "eta": str(scan.eta),
-        "side": scan.side.value,
-        "samples": [[j, q] for j, q in rows],
-    }
+    return text, {"eta": str(scan.eta), "side": scan.side.value,
+                  "samples": [[j, q] for j, q in rows]}
+
+
+# ------------------------------------------------------------------- grammar
+
+# option dest: (default, argparse keywords); "{}" in a help text names the
+# actions that read the option
+_OPTIONS = {
+    "sdi": (None, dict(type=int, metavar="N",
+                       help="read the table at depth N instead (order = M)")),
+    "n": (0, dict(type=int, help="bits to use for {}")),
+    "grid": (3, dict(type=int, help="dyadic grid depth for {}")),
+    "side": ("right", dict(choices=["left", "right"], help="side of eta that {} probes")),
+    "jmax": (10, dict(type=int, help="last step 2^-JMAX of {}")),
+    "csv": (False, dict(action="store_true",
+                        help="accepted and ignored: {} always prints CSV rows")),
+}
+
+_HELP = {
+    "stern": "sequence value a_m, or the table entry",
+    "design": "design word algebra",
+    "matrix": "unimodular matrix words",
+    "assembly": "the assembly map",
+    "quad": "periodic designs and quadratic irrationals",
+    "deriv": "difference-quotient probes",
+}
+
+# command -> action (None for a command without one) -> (positional parsers,
+# option dests, call, key).  The call takes the parsed positionals, then the
+# option values; with a key it prints str(result), or {key: str(result)}
+# under --json, and without one it returns (text, JSON object) itself.
+COMMANDS = {
+    "stern": {
+        None: ((_int,), ("sdi",), lambda m, n: stern(m) if n is None else sdi(n, m), "value"),
+    },
+    "design": {
+        "from-ratio": ((_design_from_ratio,), (), lambda d: d, "design"),
+        "theta": ((design.parse_design,), (), design.theta_of, "theta"),
+        "of-theta": ((parse_fraction,), (), design.design_of_theta, "design"),
+        "conj": ((design.parse_design,), (), design.conjugate, "design"),
+        "inv": ((_finite,), (), design.inverse_design, "design"),
+        "reduce": ((_finite,), (), design.reduce, "design"),
+        "compose": ((_finite, design.parse_design), (), design.compose, "design"),
+    },
+    "matrix": {
+        "of-design": ((_finite,), (), matrix.sdm, "matrix"),
+        "to-design": ((matrix.parse_matrix,), (), matrix.design_of_matrix, "design"),
+        "apply": ((matrix.parse_matrix, parse_ratio), (), matrix.apply_mobius, "value"),
+    },
+    "assembly": {
+        "eval": ((parse_fraction,), (), assembly.assembly_theta, "value"),
+        "inverse": ((parse_ratio,), (), _inverse, None),
+        "enclose": ((str,), ("n",), _enclose, None),
+        "qm-inverse": ((parse_fraction,), (), assembly.question_mark_inverse, "value"),
+        "sample": ((), ("grid", "csv"), _sample, None),
+    },
+    "quad": {
+        "from-period": ((_finite,), (),
+                        lambda d: quadratic.quad_from_period(d).equation_str(), "equation"),
+        "sqrt": ((parse_fraction,), (), _sqrt, None),
+        "classify": ((_finite,), (), _classify, None),
+        "purity": ((parse_fraction,), (), lambda x: quadratic.purity_test(x).value, "purity"),
+    },
+    "deriv": {
+        "scan": ((parse_fraction,), ("side", "jmax", "csv"), _scan, None),
+        "classify": ((parse_fraction,), (),
+                     lambda eta: derivative.derivative_at_rational(eta).value, "verdict"),
+    },
+}
 
 
 class _Parser(argparse.ArgumentParser):
     """Reads an argument that starts with a minus and a digit, such as -3/2
     or the matrix -1,2;3,4, as a value, not an option, so it reaches the
-    library's checks."""
+    library's checks; a usage error raises DomainError like any other."""
 
     _NEGATIVE = re.compile(r"-\d")
 
@@ -169,65 +174,57 @@ class _Parser(argparse.ArgumentParser):
             return None
         return super()._parse_optional(arg_string)
 
+    def error(self, message):
+        raise DomainError(message)
+
 
 def build_parser() -> argparse.ArgumentParser:
-    top = _Parser(
-        prog="diatomic",
-        description="Exact arithmetic on Stern's diatomic table and its assembly map.",
-    )
+    top = _Parser(prog="diatomic",
+                  description="Exact arithmetic on Stern's diatomic table and its assembly map.")
     top.add_argument("--json", action="store_true", help="emit one JSON object")
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("stern", help="sequence value a_m, or the table entry")
-    p.add_argument("m", type=int)
-    p.add_argument("--sdi", type=int, metavar="N", default=None,
-                   help="read the table at depth N instead (order = M)")
-    p.set_defaults(func=_cmd_stern)
-
-    p = sub.add_parser("design", help="design word algebra")
-    p.add_argument("action", choices=[
-        "from-ratio", "theta", "of-theta", "conj", "inv", "reduce", "compose"])
-    p.add_argument("args", nargs="*", metavar="arg")
-    p.set_defaults(func=_cmd_design)
-
-    p = sub.add_parser("matrix", help="unimodular matrix words")
-    p.add_argument("action", choices=["of-design", "to-design", "apply"])
-    p.add_argument("args", nargs="*", metavar="arg")
-    p.set_defaults(func=_cmd_matrix)
-
-    p = sub.add_parser("assembly", help="the assembly map")
-    p.add_argument("action", choices=["eval", "inverse", "enclose", "qm-inverse", "sample"])
-    p.add_argument("args", nargs="*", metavar="arg")
-    p.add_argument("--n", type=int, default=0, help="bits to use for enclose")
-    p.add_argument("--grid", type=int, default=3, help="dyadic grid depth for sample")
-    p.add_argument("--csv", action="store_true",
-                   help="accepted and ignored: sample always prints CSV rows")
-    p.set_defaults(func=_cmd_assembly)
-
-    p = sub.add_parser("quad", help="periodic designs and quadratic irrationals")
-    p.add_argument("action", choices=["from-period", "sqrt", "classify", "purity"])
-    p.add_argument("args", nargs="*", metavar="arg")
-    p.set_defaults(func=_cmd_quad)
-
-    p = sub.add_parser("deriv", help="difference-quotient probes")
-    p.add_argument("action", choices=["scan", "classify"])
-    p.add_argument("args", nargs="*", metavar="arg")
-    p.add_argument("--side", choices=["left", "right"], default="right")
-    p.add_argument("--jmax", type=int, default=10)
-    p.add_argument("--csv", action="store_true",
-                   help="accepted and ignored: scan always prints CSV rows")
-    p.set_defaults(func=_cmd_deriv)
-
+    for command, actions in COMMANDS.items():
+        p = sub.add_parser(command, help=_HELP[command])
+        if None not in actions:
+            p.add_argument("action", choices=list(actions))
+        p.add_argument("args", nargs="*", metavar="arg")
+        readers = {}
+        for action, (_, options, _, _) in actions.items():
+            for dest in options:
+                readers.setdefault(dest, []).append(action or command)
+        # an option left out is absent from the parsed args, so the
+        # dispatch can tell it from one given at its default
+        for dest, names in readers.items():
+            kwargs = _OPTIONS[dest][1]
+            p.add_argument(f"--{dest}", default=argparse.SUPPRESS,
+                           **{**kwargs, "help": kwargs["help"].format(" and ".join(names))})
     return top
 
 
+def _run(args) -> tuple[str, dict]:
+    action = getattr(args, "action", None)
+    parsers, options, call, key = COMMANDS[args.command][action]
+    name = f"{args.command} {action}" if action else args.command
+    want, given = len(parsers), vars(args)
+    if len(args.args) != want:
+        raise DomainError(f"{name} takes {want} argument{'' if want == 1 else 's'}, "
+                          f"got {len(args.args)}")
+    unread = [f"--{dest}" for dest in _OPTIONS if dest in given and dest not in options]
+    if unread:
+        raise DomainError(f"{name} does not read {', '.join(unread)}")
+    result = call(*[parse(text) for parse, text in zip(parsers, args.args)],
+                  *[given.get(dest, _OPTIONS[dest][0]) for dest in options])
+    if key is None:
+        return result
+    text = str(result)
+    return text, {key: text}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = argparse.Namespace(json=False)  # set as --json is read, so a usage error sees it
     try:
-        if "action" in args:
-            _check_count(args)
-        human, obj = args.func(args)
+        build_parser().parse_args(argv, args)
+        human, obj = _run(args)
     except (ValueError, ZeroDivisionError) as exc:  # DomainError is a ValueError
         name = type(exc).__name__
         if args.json:

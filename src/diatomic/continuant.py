@@ -14,8 +14,18 @@ from .rational import ExtRational
 
 
 def continuant(ks) -> int:
-    """[k0, ..., k_{l-1}] by the left-to-right recursion; [] gives 1."""
-    return continuant_pair(list(ks))[1]
+    """[k0, ..., k_{l-1}] by the left-to-right recursion; [] gives 1.
+
+    A float or Fraction entry carries its type into the value, so checking
+    the value's type rejects one without a pass over the entries.
+    """
+    try:
+        value = continuant_pair(list(ks))[1]
+    except (OverflowError, TypeError):  # a float past its range, or not a number
+        value = None
+    if not isinstance(value, int):
+        raise MalformedRuns("continuant entries must be integers")
+    return value
 
 
 def _check_cf_word(ks) -> tuple[int, ...]:

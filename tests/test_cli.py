@@ -1,15 +1,20 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diatomic import errors
+from diatomic import cli, design, errors, matrix
 from diatomic.cli import main
+from diatomic.rational import parse_fraction, parse_ratio
 
 
 def run(capsys, *argv):
@@ -26,11 +31,11 @@ def test_stern(capsys):
 
 
 def test_stern_bad_input_exits_2(capsys):
-    import pytest
-
-    with pytest.raises(SystemExit) as exc:
-        main(["stern", "x"])
-    assert exc.value.code == 2
+    code, out, err = run(capsys, "stern", "x")
+    assert (code, out, err) == (2, "", "error: DomainError: expected an integer, got 'x'\n")
+    code, out, err = run(capsys, "--json", "stern", "x")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "DomainError", "message": "expected an integer, got 'x'"}
 
 
 def test_design_commands(capsys):
@@ -192,12 +197,26 @@ TYPED_ERRORS = [
     (("matrix", "apply", "1,1;0,1", "1", "2"), "DomainError",
      "matrix apply takes 2 arguments, got 3"),
     (("assembly", "eval"), "DomainError", "assembly eval takes 1 argument, got 0"),
+    # usage errors take the same path as every other error
+    (("stern", "3", "x"), "DomainError", "stern takes 1 argument, got 2"),
+    (("stern", "5", "--sdi", "x"), "DomainError", "argument --sdi: invalid int value: 'x'"),
+    (("design", "theta", "1", "--bogus"), "DomainError", "unrecognized arguments: --bogus"),
+    (("design", "bogus", "1"), "DomainError",
+     "argument action: invalid choice: 'bogus' (choose from 'from-ratio', 'theta', 'of-theta', "
+     "'conj', 'inv', 'reduce', 'compose')"),
+    ((), "DomainError", "the following arguments are required: command"),
+    # an option the action does not read is refused, not ignored
+    (("assembly", "eval", "1/2", "--n", "5"), "DomainError", "assembly eval does not read --n"),
+    (("deriv", "classify", "1/3", "--jmax", "5", "--side", "left"), "DomainError",
+     "deriv classify does not read --side, --jmax"),
+    (("deriv", "classify", "1/3", "--csv"), "DomainError", "deriv classify does not read --csv"),
 ]
 
 
 @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
 @pytest.mark.parametrize("argv, error, message", TYPED_ERRORS,
-                         ids=[" ".join(argv).replace(HUGE, "10^23") for argv, _, _ in TYPED_ERRORS])
+                         ids=[" ".join(argv).replace(HUGE, "10^23") or "no command"
+                              for argv, _, _ in TYPED_ERRORS])
 def test_an_error_is_typed_in_both_modes(capsys, argv, error, message, json_mode):
     code, out, err = run(capsys, *(("--json",) if json_mode else ()), *argv)
     assert code == 2 and out == ""
@@ -215,7 +234,9 @@ def test_json_errors_are_one_json_line(capsys, monkeypatch):
     def fail(t):
         raise ZeroDivisionError("pole of the transformation")
 
-    monkeypatch.setattr("diatomic.design.design_of_theta", fail)
+    # the table holds the library function itself, so patch the table's row
+    parsers, options, _, key = cli.COMMANDS["design"]["of-theta"]
+    monkeypatch.setitem(cli.COMMANDS["design"], "of-theta", (parsers, options, fail, key))
     code, out, err = run(capsys, "--json", "design", "of-theta", "1/3")
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": "ZeroDivisionError",
@@ -240,11 +261,31 @@ def test_round_trip_through_text_formats(capsys):
     assert again == design
 
 
+def test_python_m_runs_main(tmp_path):
+    # the console entry point: main reads sys.argv and its return is the exit status
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", "diatomic.cli", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True)
+
+    done = python_m("design", "from-ratio", "7/3")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "11001\n", "")
+    done = python_m("--json", "stern", "3", "x")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.count("\n") == 1
+    assert json.loads(done.stderr) == {"error": "DomainError",
+                                       "message": "stern takes 1 argument, got 2"}
+
+
 # ------------------------------------------------------------------ fuzz
-# Arguments come from small pools, and integers stay below 10^4, --grid at
-# 8 or less and --jmax at 40 or less, so no example builds a large word or
-# row.  A value never starts with a minus that is not followed by a digit:
-# argparse reads such an argument as an option.
+# Calls are drawn from cli.COMMANDS, the table the CLI itself is built from:
+# each positional from the pool of its parser, and each option from the pool
+# of its name.  Arguments come from small pools, and integers stay below
+# 10^4, --grid at 8 or less and --jmax at 40 or less, so no example builds a
+# large word or row.  A value never starts with a minus that is not followed
+# by a digit: argparse reads such an argument as an option.
 
 DOMAIN_ERRORS = {name for name, obj in vars(errors).items()
                  if isinstance(obj, type) and issubclass(obj, errors.DomainError)}
@@ -266,54 +307,50 @@ MATRICES = st.one_of(
     st.sampled_from(["1,2;3", "a,b;c,d", "1,0;0,1", "5,7;2,3", "8,3;5,2", "2,1;1,1", ""]),
     st.builds("{},{};{},{}".format, *[st.integers(-9, 99)] * 4),
 )
-ACTIONS = {
-    ("design", "from-ratio"): [RATIOS],
-    ("design", "theta"): [WORDS],
-    ("design", "of-theta"): [RATIOS],
-    ("design", "conj"): [WORDS],
-    ("design", "inv"): [WORDS],
-    ("design", "reduce"): [WORDS],
-    ("design", "compose"): [WORDS, WORDS],
-    ("matrix", "of-design"): [WORDS],
-    ("matrix", "to-design"): [MATRICES],
-    ("matrix", "apply"): [MATRICES, RATIOS],
-    ("assembly", "eval"): [RATIOS],
-    ("assembly", "inverse"): [RATIOS],
-    ("assembly", "enclose"): [WORDS],
-    ("assembly", "qm-inverse"): [RATIOS],
-    ("assembly", "sample"): [],
-    ("quad", "from-period"): [WORDS],
-    ("quad", "sqrt"): [RATIOS],
-    ("quad", "classify"): [WORDS],
-    ("quad", "purity"): [RATIOS],
-    ("deriv", "scan"): [RATIOS],
-    ("deriv", "classify"): [RATIOS],
-    ("stern", None): [INTS],
+POSITIONALS = {
+    cli._int: INTS,
+    parse_fraction: RATIOS,
+    parse_ratio: RATIOS,
+    cli._design_from_ratio: RATIOS,
+    design.parse_design: WORDS,
+    cli._finite: WORDS,
+    str: WORDS,
+    matrix.parse_matrix: MATRICES,
 }
-OPTIONS = {
-    "stern": {"--sdi": INTS},
-    "assembly": {"--n": st.integers(-3, 40).map(str), "--grid": st.integers(-2, 8).map(str),
-                 "--csv": None},
-    "deriv": {"--side": st.sampled_from(["left", "right"]),
-              "--jmax": st.integers(-2, 40).map(str), "--csv": None},
+OPTIONS = {  # None for a flag
+    "sdi": INTS,
+    "n": st.integers(-3, 40).map(str),
+    "grid": st.integers(-2, 8).map(str),
+    "side": st.sampled_from(["left", "right"]),
+    "jmax": st.integers(-2, 40).map(str),
+    "csv": None,
 }
+ACTIONS = [(command, action) for command, actions in cli.COMMANDS.items() for action in actions]
+
+
+def option_argv(draw, dest):
+    return [f"--{dest}"] + ([] if OPTIONS[dest] is None else [draw(OPTIONS[dest])])
 
 
 @st.composite
-def cli_calls(draw, extra=False):
-    """(argv, command, action): a call in the CLI grammar, with one
-    positional more than the action takes if extra."""
-    command, action = draw(st.sampled_from(list(ACTIONS)))
+def cli_calls(draw, extra=False, unread=False):
+    """(argv, command, action, unread option): a call in the CLI grammar,
+    with one positional more than the action takes if extra, and one
+    option the action does not read if unread."""
+    command, action = draw(st.sampled_from(ACTIONS))
+    parsers, options, _, _ = cli.COMMANDS[command][action]
     argv = ["--json"] if draw(st.booleans()) else []
     argv += [command] + ([action] if action else [])
-    argv += [draw(pool) for pool in ACTIONS[command, action]]
+    argv += [draw(POSITIONALS[parse]) for parse in parsers]
     if extra:
         argv.append(draw(st.one_of(WORDS, RATIOS)))
-    options = OPTIONS.get(command, {})
-    names = draw(st.permutations(sorted(options)))
-    for name in names[:draw(st.integers(0, len(names)))]:
-        argv += [name] + ([] if options[name] is None else [draw(options[name])])
-    return argv, command, action
+    names = list(draw(st.permutations(options)))[:draw(st.integers(0, len(options)))]
+    stray = draw(st.sampled_from([d for d in OPTIONS if d not in options])) if unread else None
+    if stray:
+        names.insert(draw(st.integers(0, len(names))), stray)
+    for dest in names:
+        argv += option_argv(draw, dest)
+    return argv, command, action, stray
 
 
 def call_main(argv):
@@ -335,7 +372,7 @@ def error_name(argv, err):
 @settings(max_examples=400, deadline=None)
 @given(cli_calls())
 def test_every_call_exits_0_or_names_a_domain_error(call):
-    argv, _, _ = call
+    argv, _, _, _ = call
     code, out, err = call_main(argv)
     if code == 0:
         assert err == "" and out.endswith("\n")
@@ -349,14 +386,18 @@ def test_every_call_exits_0_or_names_a_domain_error(call):
 @settings(max_examples=200, deadline=None)
 @given(cli_calls(extra=True))
 def test_one_extra_positional_always_exits_2(call):
-    argv, command, action = call
-    if action is None:  # stern's one positional is argparse's to check
-        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
-            main(argv)
-        assert exc.value.code == 2
-        return
+    argv, command, action, _ = call
     code, out, err = call_main(argv)
     assert code == 2 and out == "" and error_name(argv, err) == "DomainError"
-    want = len(ACTIONS[command, action])
-    assert f"{command} {action} takes {want} argument" in err
-    assert f", got {want + 1}" in err
+    want = len(cli.COMMANDS[command][action][0])
+    name = f"{command} {action}" if action else command
+    assert f"{name} takes {want} argument" in err and f", got {want + 1}" in err
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_calls(unread=True))
+def test_an_option_the_action_does_not_read_always_exits_2(call):
+    argv, _, _, stray = call
+    code, out, err = call_main(argv)
+    assert code == 2 and out == "" and error_name(argv, err) == "DomainError"
+    assert f"--{stray}" in err

@@ -34,6 +34,21 @@ def test_base_values():
     assert continuant([1, 1, 1, 1]) == 5
 
 
+@pytest.mark.parametrize("ks", [
+    [1.5],
+    [2, 1.0],
+    [Fraction(1, 2)],
+    [Fraction(2), 3, 0],
+    ["2"],
+    [1] * 2000 + [0.5],  # past the float range
+    [0.5] + [1] * 4000,  # long enough for the product tree
+    [Fraction(3)] + [1] * 4000,
+])
+def test_continuant_rejects_non_integer_entries(ks):
+    with pytest.raises(MalformedRuns, match="^continuant entries must be integers$"):
+        continuant(ks)
+
+
 @given(entries)
 def test_matches_determinant_oracle(ks):
     assert continuant(ks) == det_continuant(ks)

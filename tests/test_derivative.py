@@ -65,8 +65,10 @@ def test_scan_positive_both_sides():
 
 
 def test_scan_rejects_endpoints():
-    with pytest.raises(OutOfRange):
-        quotient_scan(Fraction(0), Side.RIGHT, 3)
+    for side in Side:
+        for eta in (Fraction(0), Fraction(1)):
+            with pytest.raises(OutOfRange):
+                quotient_scan(eta, side, 3)
     with pytest.raises(OutOfRange):
         quotient_scan(Fraction(3, 2), Side.LEFT, 3)
     for jmax in (0, -3):
@@ -145,8 +147,9 @@ def test_classification():
     assert derivative_at_rational(Fraction(1, 2)) is Verdict.DIVERGES_TO_INFINITY
     assert derivative_at_rational(Fraction(5, 8)) is Verdict.DIVERGES_TO_INFINITY
     assert derivative_at_rational(Fraction(2, 3)) is Verdict.ZERO_IF_DIFFERENTIABLE
-    with pytest.raises(OutOfRange):
-        derivative_at_rational(Fraction(1))
+    for eta in (Fraction(0), Fraction(1)):
+        with pytest.raises(OutOfRange):
+            derivative_at_rational(eta)
 
 
 def test_affine_factor_examples():
