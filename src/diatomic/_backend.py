@@ -14,7 +14,7 @@ magnitude limit; only a path run too long for one string is refused.
 
 import sys
 
-from .errors import OutOfRange, operand_text
+from .errors import OutOfRange
 
 BACKEND = "python"
 
@@ -97,7 +97,7 @@ def _pair_word(x, y):
         if x >> 16 > y:
             j = (x - 1) // y
             if j > sys.maxsize:  # "1" * j would raise OverflowError
-                raise OutOfRange(f"a path run of {operand_text(j)} letters is too long to build")
+                raise OutOfRange("a path run of {} letters is too long to build", j)
             x -= j * y
             out.append("1" * j)
         while x > y:
@@ -106,7 +106,7 @@ def _pair_word(x, y):
         if y >> 16 > x:
             j = (y - 1) // x
             if j > sys.maxsize:  # "1" * j would raise OverflowError
-                raise OutOfRange(f"a path run of {operand_text(j)} letters is too long to build")
+                raise OutOfRange("a path run of {} letters is too long to build", j)
             y -= j * x
             out.append("0" * j)
         while y > x:

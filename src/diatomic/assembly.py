@@ -12,7 +12,7 @@ from fractions import Fraction
 from ._backend import word_matrix
 from ._value import Value, _set
 from .design import FiniteDesign, design_of_theta, euclidean_design
-from .errors import InsufficientBits, OutOfRange, operand_text
+from .errors import InsufficientBits, OutOfRange, _check_fraction
 from .matrix import apply_mobius, sdm
 from .quadratic import QuadIrr, quad_of_periodic
 from .rational import ExtRational, _ratio
@@ -22,7 +22,7 @@ def assembly_dyadic(m: int, n: int) -> ExtRational:
     """Value at m/2**n: b/d of the matrix of the n-bit word of m, the table
     values at orders m and 2**n - m; m = 2**n is allowed and gives infinity."""
     if n < 0 or m < 0 or m > (1 << n):
-        raise OutOfRange(f"need 0 <= m <= 2^n, got m={operand_text(m)}, n={operand_text(n)}")
+        raise OutOfRange("need 0 <= m <= 2^n, got m={}, n={}", m, n)
     if m == 1 << n:
         return ExtRational.infinity()
     _, b, _, d = word_matrix(format(m, f"0{n}b") if n else "")
@@ -31,9 +31,10 @@ def assembly_dyadic(m: int, n: int) -> ExtRational:
 
 def assembly_theta(t: Fraction) -> ExtRational:
     """Value at a dyadic theta given as an exact fraction."""
+    _check_fraction(t)
     q = t.denominator
     if t < 0 or t > 1 or q & (q - 1):
-        raise OutOfRange(f"need a dyadic in [0, 1], got {operand_text(t)}")
+        raise OutOfRange("need a dyadic in [0, 1], got {}", t)
     return assembly_dyadic(t.numerator, q.bit_length() - 1)
 
 
@@ -70,9 +71,9 @@ def assembly_enclose(bits: str, n: int) -> Enclosure:
     (a b; c d), so the width is exactly 1 / (c * d) and shrinks to 0.
     """
     if n < 0:
-        raise OutOfRange(f"n must be >= 0, got {operand_text(n)}")
+        raise OutOfRange("n must be >= 0, got {}", n)
     if len(bits) < n:
-        raise InsufficientBits(f"need {operand_text(n)} bits, got {len(bits)}")
+        raise InsufficientBits("need {} bits, got {}", n, len(bits))
     if bits.strip("01"):
         raise OutOfRange(f"bits must be 0/1, got {bits!r}")
     a, b, c, d = word_matrix(bits[:n])

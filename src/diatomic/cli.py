@@ -64,7 +64,7 @@ def _enclose(word, n):
 
 def _sample(k, csv):
     if k < 0:
-        raise OutOfRange(f"grid depth must be >= 0, got {k}")
+        raise OutOfRange("grid depth must be >= 0, got {}", k)
     rows = []
     for m in range(1 << k):
         v = assembly.assembly_dyadic(m, k)
@@ -167,6 +167,7 @@ class _Parser(argparse.ArgumentParser):
     library's checks; a usage error raises DomainError like any other."""
 
     _NEGATIVE = re.compile(r"-\d")
+    _OPTION = re.compile(r"-(?!\.?\d)[^ ]+\Z")  # argparse's options: no number, no space
 
     def _parse_optional(self, arg_string):
         # argparse's hook that sorts each argument; None means a positional
@@ -177,17 +178,28 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise DomainError(message)
 
+    def parse_positionals(self, argv, namespace) -> list[str]:
+        """Parse the options into namespace and return the arguments after
+        the command and its action, in order, wherever the options stand."""
+        _, rest = self.parse_known_args(argv, namespace)
+        if "--" in rest:  # argparse keeps the end-of-options mark where no positional takes it
+            rest.remove("--")
+        for i, arg in enumerate(rest):
+            if self._OPTION.match(arg):  # named with what follows it, such as its value
+                self.error(f"unrecognized arguments: {' '.join(rest[i:])}")
+        return rest
 
-def build_parser() -> argparse.ArgumentParser:
+
+def build_parser() -> _Parser:
     top = _Parser(prog="diatomic",
                   description="Exact arithmetic on Stern's diatomic table and its assembly map.")
     top.add_argument("--json", action="store_true", help="emit one JSON object")
     sub = top.add_subparsers(dest="command", required=True)
     for command, actions in COMMANDS.items():
-        p = sub.add_parser(command, help=_HELP[command])
+        p = sub.add_parser(command, help=_HELP[command],
+                           epilog="Options may come before, between or after the arguments.")
         if None not in actions:
             p.add_argument("action", choices=list(actions))
-        p.add_argument("args", nargs="*", metavar="arg")
         readers = {}
         for action, (_, options, _, _) in actions.items():
             for dest in options:
@@ -201,18 +213,18 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _run(args) -> tuple[str, dict]:
+def _run(args, positionals: list[str]) -> tuple[str, dict]:
     action = getattr(args, "action", None)
     parsers, options, call, key = COMMANDS[args.command][action]
     name = f"{args.command} {action}" if action else args.command
     want, given = len(parsers), vars(args)
-    if len(args.args) != want:
+    if len(positionals) != want:
         raise DomainError(f"{name} takes {want} argument{'' if want == 1 else 's'}, "
-                          f"got {len(args.args)}")
+                          f"got {len(positionals)}")
     unread = [f"--{dest}" for dest in _OPTIONS if dest in given and dest not in options]
     if unread:
         raise DomainError(f"{name} does not read {', '.join(unread)}")
-    result = call(*[parse(text) for parse, text in zip(parsers, args.args)],
+    result = call(*[parse(text) for parse, text in zip(parsers, positionals)],
                   *[given.get(dest, _OPTIONS[dest][0]) for dest in options])
     if key is None:
         return result
@@ -223,8 +235,7 @@ def _run(args) -> tuple[str, dict]:
 def main(argv: list[str] | None = None) -> int:
     args = argparse.Namespace(json=False)  # set as --json is read, so a usage error sees it
     try:
-        build_parser().parse_args(argv, args)
-        human, obj = _run(args)
+        human, obj = _run(args, build_parser().parse_positionals(argv, args))
     except (ValueError, ZeroDivisionError) as exc:  # DomainError is a ValueError
         name = type(exc).__name__
         if args.json:

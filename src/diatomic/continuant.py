@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ._backend import continuant_pair
 from .design import check_runs
-from .errors import MalformedRuns, operands_text
+from .errors import MalformedRuns
 from .rational import ExtRational
 
 
@@ -32,8 +32,10 @@ def _check_cf_word(ks) -> tuple[int, ...]:
     ks = tuple(ks)
     if not ks:
         raise MalformedRuns("continued fraction word must be nonempty")
+    if not all(isinstance(k, int) for k in ks):
+        raise MalformedRuns("continued fraction entries must be integers: {}", ks)
     if ks[0] < 0 or ks[-1] < 0 or any(k < 1 for k in ks[1:-1]):
-        raise MalformedRuns(f"bad continued fraction word {operands_text(ks)}")
+        raise MalformedRuns("bad continued fraction word {}", ks)
     return ks
 
 
@@ -92,5 +94,5 @@ def _check_runs_for_product(ks) -> tuple[int, ...]:
     if ks[-1] >= 1:
         return ks
     if len(ks) < 3:
-        raise MalformedRuns(f"no tail decomposition for {operands_text(ks)}")
+        raise MalformedRuns("no tail decomposition for {}", ks)
     return ks[:-2]

@@ -21,7 +21,7 @@ from ._backend import continuant_pair
 from ._value import Value, _set
 from .assembly import assembly_of_rational_theta
 from .design import FiniteDesign
-from .errors import OutOfRange, TerminalDesign, ZeroLength, operand_text
+from .errors import OutOfRange, TerminalDesign, ZeroLength, _check_fraction
 from .matrix import sdm
 from .quadratic import FieldElement, _gap_frame, _moved_gap
 from .rational import ExtRational
@@ -30,7 +30,7 @@ from .rational import ExtRational
 def fib_continuant(m: int) -> int:
     """Continuant of m ones: 1, 2, 3, 5, 8, ... (the Fibonacci shift)."""
     if m < 1:
-        raise ZeroLength(f"need m >= 1, got {operand_text(m)}")
+        raise ZeroLength("need m >= 1, got {}", m)
     return continuant_pair([1] * m)[1]
 
 
@@ -69,16 +69,19 @@ def quotient_scan(eta: Fraction, side: Side, jmax: int) -> QuotientScan:
     against a2, or at a dyadic eta moves the base value with one
     normalisation.  No radicand is checked.
     """
+    _check_fraction(eta)
+    if not isinstance(side, Side):
+        raise OutOfRange("side must be a Side, got {}", type(side).__name__)
     if not 0 < eta < 1:
-        raise OutOfRange(f"eta must lie in (0, 1), got {operand_text(eta)}")
+        raise OutOfRange("eta must lie in (0, 1), got {}", eta)
     if jmax < 1:
-        raise OutOfRange(f"jmax must be >= 1, got {operand_text(jmax)}")
+        raise OutOfRange("jmax must be >= 1, got {}", jmax)
     sgn = 1 if side is Side.RIGHT else -1
     num, den = eta.numerator, eta.denominator
     # 0 < eta + h < 1 exactly when x 2^j > den, x the gap to the far end
     first = (den // (den - num if sgn > 0 else num)).bit_length()
     if first > jmax:
-        raise OutOfRange(f"jmax must be >= {first} for a step inside (0, 1), got {jmax}")
+        raise OutOfRange("jmax must be >= {} for a step inside (0, 1), got {}", first, jmax)
     base = assembly_of_rational_theta(eta)
     if isinstance(base, ExtRational):  # dyadic eta
         moved, at = _moved_ratio_gap, (base.num, base.den)
@@ -111,8 +114,9 @@ def _moved_ratio_gap(at: tuple, a: int, b: int, c: int, e: int, k: int) -> ExtRa
 
 def derivative_at_rational(eta: Fraction) -> Verdict:
     """Dyadic points blow up on both sides; elsewhere a derivative, if any, is 0."""
+    _check_fraction(eta)
     if not 0 < eta < 1:
-        raise OutOfRange(f"eta must lie in (0, 1), got {operand_text(eta)}")
+        raise OutOfRange("eta must lie in (0, 1), got {}", eta)
     if eta.denominator & (eta.denominator - 1) == 0:
         return Verdict.DIVERGES_TO_INFINITY
     return Verdict.ZERO_IF_DIFFERENTIABLE

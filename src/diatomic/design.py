@@ -29,8 +29,7 @@ from .errors import (
     OutOfRange,
     TerminalDesign,
     ZeroInput,
-    operand_text,
-    operands_text,
+    _check_fraction,
 )
 
 
@@ -62,7 +61,7 @@ class FiniteDesign(Value):
     @classmethod
     def terminal_of(cls, n: int) -> "FiniteDesign":
         if n < 0:
-            raise OutOfRange(f"terminal length must be >= 0, got {operand_text(n)}")
+            raise OutOfRange("terminal length must be >= 0, got {}", n)
         return cls(_terminal_word(n), terminal=True)
 
     @property
@@ -205,13 +204,13 @@ def _runs_of_word(word: str) -> tuple[int, ...]:
 def check_runs(ks) -> tuple[int, ...]:
     ks = tuple(ks)
     if not all(isinstance(k, int) for k in ks):
-        raise MalformedRuns(f"runs must be integers: {operands_text(ks)}")
+        raise MalformedRuns("runs must be integers: {}", ks)
     if len(ks) % 2 == 0:
-        raise MalformedRuns(f"run list length must be odd: {operands_text(ks)}")
+        raise MalformedRuns("run list length must be odd: {}", ks)
     if any(k < 0 for k in ks):
-        raise MalformedRuns(f"negative run in {operands_text(ks)}")
+        raise MalformedRuns("negative run in {}", ks)
     if any(k < 1 for k in ks[1:-1]):
-        raise MalformedRuns(f"interior runs must be positive: {operands_text(ks)}")
+        raise MalformedRuns("interior runs must be positive: {}", ks)
     return ks
 
 
@@ -229,9 +228,9 @@ def design_number(d: FiniteDesign) -> tuple[int, int]:
 
 def _check_coprime_pair(a: int, b: int) -> None:
     if a < 1 or b < 1:
-        raise ZeroInput(f"need positive integers, got ({operand_text(a)}, {operand_text(b)})")
+        raise ZeroInput("need positive integers, got ({}, {})", a, b)
     if gcd(a, b) != 1:
-        raise NotCoprime(f"({operand_text(a)}, {operand_text(b)}) share a factor")
+        raise NotCoprime("({}, {}) share a factor", a, b)
 
 
 def partial_quotients(a: int, b: int) -> tuple[int, ...]:
@@ -253,11 +252,11 @@ def realizing_pair(rs) -> tuple[int, int]:
     """The unique coprime (a, b) whose quotients are rs; inverts partial_quotients."""
     rs = tuple(rs)
     if not all(isinstance(r, int) for r in rs):
-        raise MalformedRuns(f"quotients must be integers: {operands_text(rs)}")
+        raise MalformedRuns("quotients must be integers: {}", rs)
     if rs == (1,):
         return 1, 1
     if not rs or rs[0] < 0 or any(r < 1 for r in rs[1:-1]) or rs[-1] < 2:
-        raise MalformedRuns(f"not a quotient sequence: {operands_text(rs)}")
+        raise MalformedRuns("not a quotient sequence: {}", rs)
     b, a = continuant_pair(rs[::-1])  # a continuant reads the same reversed
     return a, b
 
@@ -378,8 +377,9 @@ def design_of_theta(t: Fraction) -> Design:
     most sqrt(q')): its bits are the remainder r of 2**k * t times
     (2**n - 1) / q', one big-int quotient.  _canonical rotates the tail.
     """
+    _check_fraction(t)
     if t < 0 or t > 1:
-        raise OutOfRange(f"theta must lie in [0, 1], got {operand_text(t)}")
+        raise OutOfRange("theta must lie in [0, 1], got {}", t)
     if t == 1:
         return FiniteDesign.terminal_of(0)
     q = t.denominator

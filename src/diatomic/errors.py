@@ -4,32 +4,39 @@ Everything derives from DomainError so callers (notably the CLI) can
 catch one type and map it to a diagnostic exit.
 """
 
+from fractions import Fraction
 
-def operand_text(n) -> str:
-    """An int or a Fraction n as str() prints it for an error message, but
-    with an integer part that the interpreter's digit limit would refuse to
-    convert named by its bit length."""
+
+def _text(x) -> str:
+    """An operand as str() prints it, but with an integer that the
+    interpreter's digit limit would refuse to convert named by its bit
+    length: an int, each part of a Fraction, or a tuple by its length and
+    its largest item's bit length."""
     try:
-        return str(n)
+        return str(x)
     except ValueError:
-        num, den = n.numerator, n.denominator
+        if isinstance(x, tuple):
+            bits = max(max(abs(k.numerator), k.denominator).bit_length()
+                       for k in x if isinstance(k, (int, Fraction)))
+            return f"<tuple of length {len(x)}, items up to {bits} bits>"
+        num, den = x.numerator, x.denominator
         if den != 1:
-            return f"{operand_text(num)}/{operand_text(den)}"
+            return f"{_text(num)}/{_text(den)}"
         return f"<{'-' if num < 0 else ''}{num.bit_length()}-bit integer>"
 
 
-def operands_text(ks: tuple) -> str:
-    """A tuple of ints as str() prints it for an error message, or named by
-    its length and its largest item's bit length where an item passes the
-    interpreter's digit limit."""
-    try:
-        return str(ks)
-    except ValueError:
-        return f"<tuple of length {len(ks)}, items up to {max(k.bit_length() for k in ks)} bits>"
+def _check_fraction(x) -> None:
+    """Refuse anything but an int or a Fraction where an exact rational is read."""
+    if not isinstance(x, (int, Fraction)):
+        raise OutOfRange("need an int or a Fraction, got {}", type(x).__name__)
 
 
 class DomainError(ValueError):
-    """Base class for all contract violations."""
+    """Base class for all contract violations.  The message's {} fields take
+    the operands after it, as _text prints them; a message alone is kept."""
+
+    def __init__(self, message: str, *operands):
+        super().__init__(message.format(*map(_text, operands)) if operands else message)
 
 
 class OutOfTable(DomainError):

@@ -18,13 +18,8 @@ from .errors import (
     NotUnimodular,
     OutOfRange,
     TerminalDesign,
-    operand_text,
 )
 from .rational import ExtRational, _ratio
-
-
-def _entries_text(*entries: int) -> str:
-    return f"({', '.join(map(operand_text, entries))})"
 
 
 class UniModMatrix(Value):
@@ -34,11 +29,11 @@ class UniModMatrix(Value):
 
     def __init__(self, a: int, b: int, c: int, d: int):
         if not all(isinstance(x, int) for x in (a, b, c, d)):
-            raise OutOfRange(f"entries must be integers, got {_entries_text(a, b, c, d)}")
+            raise OutOfRange("entries must be integers, got ({}, {}, {}, {})", a, b, c, d)
         if min(a, b, c, d) < 0:
-            raise NegativeEntry(f"negative entry in {_entries_text(a, b, c, d)}")
+            raise NegativeEntry("negative entry in ({}, {}, {}, {})", a, b, c, d)
         if a * d - b * c != 1:
-            raise NotUnimodular(f"determinant of {_entries_text(a, b, c, d)} is not 1")
+            raise NotUnimodular("determinant of ({}, {}, {}, {}) is not 1", a, b, c, d)
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "c", c)

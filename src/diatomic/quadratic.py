@@ -25,7 +25,7 @@ from .design import (
     inverse_design,
     make_periodic,
 )
-from .errors import InvalidPeriod, NonPositive, OutOfRange, PerfectSquare, operand_text
+from .errors import InvalidPeriod, NonPositive, OutOfRange, PerfectSquare, _check_fraction
 from .sdi import sdi_quadruple
 
 
@@ -71,7 +71,7 @@ class FieldElement(Value):
         if r == 0:
             raise OutOfRange("zero denominator in field element")
         if d <= 0 or _is_square(d):
-            raise OutOfRange(f"radicand must be a positive nonsquare, got {operand_text(d)}")
+            raise OutOfRange("radicand must be a positive nonsquare, got {}", d)
         p, q, r = _reduced(p, q, r)
         _set(self, "p", p)
         _set(self, "q", q)
@@ -92,16 +92,14 @@ class FieldElement(Value):
                                 self.r * other.r), self.d)
 
     def mul_fraction(self, f: Fraction) -> "FieldElement":
-        if not isinstance(f, (int, Fraction)):
-            raise OutOfRange(f"need an int or a Fraction, got {type(f).__name__}")
+        _check_fraction(f)
         # over self's checked d, with r and f's denominator nonzero
         return _field(*_reduced(self.p * f.numerator, self.q * f.numerator,
                                 self.r * f.denominator), self.d)
 
     def compare_fraction(self, f: Fraction) -> int:
         """Sign of self - f: of (p den - num r) + q den sqrt(d), as r den > 0."""
-        if not isinstance(f, (int, Fraction)):
-            raise OutOfRange(f"need an int or a Fraction, got {type(f).__name__}")
+        _check_fraction(f)
         den = f.denominator
         return _sign_p_q_sqrt(self.p * den - f.numerator * self.r, self.q * den, self.d)
 
@@ -179,7 +177,7 @@ class QuadIrr(FieldElement):
             return self
         t = isqrt(self.d // d) if d > 0 else 0
         if t == 0 or t * t * d != self.d:
-            raise OutOfRange(f"root lies outside Q(sqrt({operand_text(d)}))")
+            raise OutOfRange("root lies outside Q(sqrt({}))", d)
         # d > 0 and t^2 d = disc, a nonsquare, so d is a nonsquare too
         return _field(*_reduced(self.p, t * self.q, self.r), d)
 
@@ -347,10 +345,9 @@ def _cf_walk(p: int, q: int, d: int) -> tuple[list[int], list[int]]:
 def sqrt_cf(num: int, den: int) -> tuple[list[int], list[int]]:
     """Continued fraction of sqrt(num/den): (prefix, repeating cycle)."""
     if num < 1 or den < 1:
-        raise NonPositive(
-            f"need a positive rational, got {operand_text(num)}/{operand_text(den)}")
+        raise NonPositive("need a positive rational, got {}/{}", num, den)
     if _is_square(num * den):
-        raise PerfectSquare(f"sqrt({operand_text(Fraction(num, den))}) is rational")
+        raise PerfectSquare("sqrt({}) is rational", Fraction(num, den))
     return _cf_walk(0, den, num * den)
 
 
@@ -404,8 +401,9 @@ def conjugate_root_design(period: FiniteDesign) -> FiniteDesign:
 
 def purity_test(t: Fraction) -> Purity:
     """Classify the value at rational theta by the denominator's 2-part."""
+    _check_fraction(t)
     if t < 0 or t >= 1:
-        raise OutOfRange(f"theta must lie in [0, 1), got {operand_text(t)}")
+        raise OutOfRange("theta must lie in [0, 1), got {}", t)
     q = t.denominator
     if q & (q - 1) == 0:
         return Purity.RATIONAL

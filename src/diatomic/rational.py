@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 from ._value import Value, _set, trusted
-from .errors import DomainError, OutOfRange, operand_text
+from .errors import DomainError, OutOfRange
 
 
 class ExtRational(Value):
@@ -21,7 +21,7 @@ class ExtRational(Value):
 
     def __init__(self, num: int, den: int = 1):
         if num < 0 or den < 0:
-            raise OutOfRange(f"negative component {operand_text(num)}/{operand_text(den)}")
+            raise OutOfRange("negative component {}/{}", num, den)
         if num == 0 and den == 0:
             raise DomainError("0/0 is not a value")
         g = gcd(num, den)

@@ -10,14 +10,14 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._backend import stern_pair, word_matrix
-from .errors import OutOfTable, operand_text
+from .errors import OutOfTable
 
 
 def stern(m: int) -> int:
     """a_m, the first of the pair (a_m, a_{m+1}): a generator-matrix product
     along the bits of m, folded in a balanced tree for long indices."""
     if m < 0:
-        raise OutOfTable(f"sequence index must be nonnegative, got {operand_text(m)}")
+        raise OutOfTable("sequence index must be nonnegative, got {}", m)
     return stern_pair(m)[0]
 
 
@@ -43,9 +43,7 @@ def sdi_quadruple(depth: int, order: int) -> tuple[int, int, int, int]:
 
 def _check_address(depth: int, order: int, limit_offset: int) -> None:
     if depth < 0 or order < 0:
-        raise OutOfTable(f"negative address ({operand_text(depth)}, {operand_text(order)})")
+        raise OutOfTable("negative address ({}, {})", depth, order)
     if (order + limit_offset - 1) >> depth > 0:  # order > 2^depth - offset, no 2^depth
-        raise OutOfTable(
-            f"order {operand_text(order)} exceeds row end 2^{operand_text(depth)}"
-            + (" - 1" if limit_offset else "")
-        )
+        raise OutOfTable("order {} exceeds row end 2^{}" + (" - 1" if limit_offset else ""),
+                         order, depth)

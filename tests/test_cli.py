@@ -93,6 +93,19 @@ def test_csv_is_accepted_ignored_and_says_so(capsys, argv):
     assert f"--csv accepted and ignored: {argv[1]} always prints CSV rows" in help_text
 
 
+@pytest.mark.parametrize("argv, out", [
+    (("assembly", "enclose", "--n", "4", "101010"), "lo=3/2 hi=5/3 bits=4\n"),
+    (("deriv", "scan", "--jmax", "4", "1/2"), "2,4\n3,4\n4,16/3\n"),
+    (("deriv", "scan", "--side", "left", "2/3", "--jmax", "2"),
+     "1,-2 + 2*sqrt(5)\n2,0 + 8/5*sqrt(5)\n"),
+    (("design", "compose", "10", "101"), "10101\n"),
+    (("stern", "--sdi", "6", "51"), "12\n"),
+    (("stern", "--", "5"), "3\n"),
+])
+def test_options_may_come_before_between_or_after_the_arguments(capsys, argv, out):
+    assert run(capsys, *argv) == (0, out, "")
+
+
 def test_assembly_sample_rows_increase(capsys):
     code, out, _ = run(capsys, "assembly", "sample", "--grid", "3", "--csv")
     assert code == 0
@@ -201,6 +214,8 @@ TYPED_ERRORS = [
     (("stern", "3", "x"), "DomainError", "stern takes 1 argument, got 2"),
     (("stern", "5", "--sdi", "x"), "DomainError", "argument --sdi: invalid int value: 'x'"),
     (("design", "theta", "1", "--bogus"), "DomainError", "unrecognized arguments: --bogus"),
+    (("design", "theta", "--bogus", "1"), "DomainError", "unrecognized arguments: --bogus 1"),
+    (("assembly", "enclose", "--n", "4", "-x", "1"), "DomainError", "unrecognized arguments: -x 1"),
     (("design", "bogus", "1"), "DomainError",
      "argument action: invalid choice: 'bogus' (choose from 'from-ratio', 'theta', 'of-theta', "
      "'conj', 'inv', 'reduce', 'compose')"),
@@ -341,16 +356,16 @@ def cli_calls(draw, extra=False, unread=False):
     parsers, options, _, _ = cli.COMMANDS[command][action]
     argv = ["--json"] if draw(st.booleans()) else []
     argv += [command] + ([action] if action else [])
-    argv += [draw(POSITIONALS[parse]) for parse in parsers]
+    groups = [[draw(POSITIONALS[parse])] for parse in parsers]
     if extra:
-        argv.append(draw(st.one_of(WORDS, RATIOS)))
+        groups.append([draw(st.one_of(WORDS, RATIOS))])
     names = list(draw(st.permutations(options)))[:draw(st.integers(0, len(options)))]
     stray = draw(st.sampled_from([d for d in OPTIONS if d not in options])) if unread else None
     if stray:
-        names.insert(draw(st.integers(0, len(names))), stray)
-    for dest in names:
-        argv += option_argv(draw, dest)
-    return argv, command, action, stray
+        names.append(stray)
+    for dest in names:  # before, between or after the positionals
+        groups.insert(draw(st.integers(0, len(groups))), option_argv(draw, dest))
+    return argv + [arg for group in groups for arg in group], command, action, stray
 
 
 def call_main(argv):

@@ -76,6 +76,15 @@ def test_scan_rejects_endpoints():
             quotient_scan(Fraction(1, 2), Side.RIGHT, jmax)
 
 
+def test_scan_rejects_a_side_that_is_not_a_side():
+    # a str or None scanned the left side before, labelled with what was given
+    for side in ("right", "left", None, 1):
+        with pytest.raises(OutOfRange) as info:
+            quotient_scan(Fraction(1, 3), side, 4)
+        assert str(info.value) == f"side must be a Side, got {type(side).__name__}"
+    assert quotient_scan(Fraction(1, 3), Side("right"), 4).side is Side.RIGHT
+
+
 def test_scan_errors_name_a_huge_operand_by_its_bit_length(huge):
     # a jmax below the first useful step is below eta's denominator's bit
     # length, so only eta and a negative jmax can be huge

@@ -1,3 +1,5 @@
+import ast
+import pickle
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -5,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import diatomic
-from diatomic import _backend
+from diatomic import _backend, errors
 from diatomic.errors import (
+    DomainError,
     InsufficientBits,
     MalformedRuns,
     NonPositive,
@@ -14,8 +17,6 @@ from diatomic.errors import (
     OutOfTable,
     PerfectSquare,
     ZeroLength,
-    operand_text,
-    operands_text,
 )
 from diatomic.quadratic import QuadIrr
 
@@ -72,6 +73,8 @@ HUGE_OPERAND_ERRORS = {
                               "need <20000-bit integer> bits, got 2"),
     "assembly_of_rational_theta": (lambda h: diatomic.assembly_of_rational_theta(Fraction(h, 3)),
                                    OutOfRange, "got <20000-bit integer>/3"),
+    "from_runs of a Fraction": (lambda h: diatomic.from_runs((Fraction(h, 3),)), MalformedRuns,
+                                "<tuple of length 1, items up to 20000 bits>"),
     "fib_continuant": (lambda h: diatomic.fib_continuant(-h), ZeroLength,
                        "got <-20000-bit integer>"),
     "design_of_theta": (lambda h: diatomic.design_of_theta(Fraction(h, 3)), OutOfRange,
@@ -115,6 +118,27 @@ NON_INTEGER_ERRORS = {
                        "quotients must be integers: (2.5,)"),
     "realizing_pair of (1.0,)": (lambda: diatomic.realizing_pair((1.0,)), MalformedRuns,
                                  "quotients must be integers: (1.0,)"),
+    "cf_eval": (lambda: diatomic.cf_eval((1.5,)), MalformedRuns,
+                "continued fraction entries must be integers: (1.5,)"),
+    "cf_eval of (1, 2.0)": (lambda: diatomic.cf_eval((1, 2.0)), MalformedRuns,
+                            "continued fraction entries must be integers: (1, 2.0)"),
+    "cf_product_decomposition": (lambda: diatomic.cf_product_decomposition((1.5,)),
+                                 MalformedRuns,
+                                 "continued fraction entries must be integers: (1.5,)"),
+    "design_of_theta": (lambda: diatomic.design_of_theta(0.5), OutOfRange,
+                        "need an int or a Fraction, got float"),
+    "assembly_theta": (lambda: diatomic.assembly_theta(0.5), OutOfRange,
+                       "need an int or a Fraction, got float"),
+    "assembly_of_rational_theta": (lambda: diatomic.assembly_of_rational_theta(0.5), OutOfRange,
+                                   "need an int or a Fraction, got float"),
+    "purity_test": (lambda: diatomic.purity_test(0.5), OutOfRange,
+                    "need an int or a Fraction, got float"),
+    "derivative_at_rational": (lambda: diatomic.derivative_at_rational(0.5), OutOfRange,
+                               "need an int or a Fraction, got float"),
+    "quotient_scan": (lambda: diatomic.quotient_scan(0.5, diatomic.Side.RIGHT, 4), OutOfRange,
+                      "need an int or a Fraction, got float"),
+    "quotient_scan of a str": (lambda: diatomic.quotient_scan("1/2", diatomic.Side.RIGHT, 4),
+                               OutOfRange, "need an int or a Fraction, got str"),
 }
 
 
@@ -126,7 +150,50 @@ def test_a_non_integer_raises_a_typed_error(site):
     assert type(info.value) is error and str(info.value) == message
 
 
-def test_operand_text_is_str_below_the_digit_limit():
-    for x in (0, -5, 10**100, Fraction(3, 4), Fraction(-7), Fraction(1, 10**100)):
-        assert operand_text(x) == str(x)
-    assert operands_text((1, -2, 10**100)) == str((1, -2, 10**100))
+ERROR_TYPES = [obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, DomainError)]
+
+
+def test_an_operand_below_the_digit_limit_prints_as_str():
+    for x in (0, -5, 10**100, Fraction(3, 4), Fraction(-7), Fraction(1, 10**100),
+              (1, -2, 10**100), (1.5, "0", Fraction(1, 3)), 2.5, "x"):
+        assert str(DomainError("got {}", x)) == f"got {x}"
+
+
+@pytest.mark.parametrize("error", ERROR_TYPES, ids=lambda error: error.__name__)
+def test_every_error_names_a_huge_operand_by_its_bit_length(error, huge):
+    # an operand's decimal form past the digit limit would raise a plain ValueError
+    for operand, text in [
+        (huge, "<20000-bit integer>"),
+        (-huge, "<-20000-bit integer>"),
+        (Fraction(1, huge), "1/<20000-bit integer>"),
+        (Fraction(-huge, 3), "<-20000-bit integer>/3"),
+        (Fraction(huge), "<20000-bit integer>"),
+        ((1, -huge), "<tuple of length 2, items up to 20000 bits>"),
+        ((Fraction(3, huge), 1.5, "x"), "<tuple of length 3, items up to 20000 bits>"),
+    ]:
+        e = error("at {} and {}", operand, 7)
+        assert type(e) is error and e.args == (f"at {text} and 7",)
+
+
+def test_a_message_without_operands_keeps_its_braces():
+    for error in ERROR_TYPES:
+        assert error("{} and {0, 1} stay").args == ("{} and {0, 1} stay",)
+
+
+def test_a_pickled_error_keeps_its_message(huge):
+    for error in ERROR_TYPES:
+        e = pickle.loads(pickle.dumps(error("({}, {}) in {{0, 1}}", huge, Fraction(1, 3))))
+        assert type(e) is error and str(e) == "(<20000-bit integer>, 1/3) in {0, 1}"
+    with pytest.raises(errors.NotCoprime) as info:
+        diatomic.euclidean_design(4, 6)
+    assert str(pickle.loads(pickle.dumps(info.value))) == "(4, 6) share a factor"
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10; a newer interpreter
+    # would run newer syntax without complaint, so check the grammar alone
+    sources = sorted(Path(diatomic.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
