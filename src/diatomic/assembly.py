@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from ._backend import word_matrix
 from ._value import Value, _set
-from .design import FiniteDesign, design_of_theta, euclidean_design
-from .errors import InsufficientBits, OutOfRange, _check_fraction
+from .design import FiniteDesign, _bits, _design_of, design_of_theta, euclidean_design
+from .errors import InsufficientBits, OutOfRange, _check_fraction, _check_int
 from .matrix import apply_mobius, sdm
 from .quadratic import QuadIrr, quad_of_periodic
 from .rational import ExtRational, _ratio
@@ -21,11 +21,14 @@ from .rational import ExtRational, _ratio
 def assembly_dyadic(m: int, n: int) -> ExtRational:
     """Value at m/2**n: b/d of the matrix of the n-bit word of m, the table
     values at orders m and 2**n - m; m = 2**n is allowed and gives infinity."""
-    if n < 0 or m < 0 or m > (1 << n):
+    _check_int(m)
+    _check_int(n)
+    # m > 2**n, with neither built: past n + 1 bits, or n + 1 bits but not 2**n
+    if n < 0 or m < 0 or (m.bit_length() > n and (m.bit_length() > n + 1 or m.bit_count() > 1)):
         raise OutOfRange("need 0 <= m <= 2^n, got m={}, n={}", m, n)
-    if m == 1 << n:
+    if m >> n:  # m = 2**n
         return ExtRational.infinity()
-    _, b, _, d = word_matrix(format(m, f"0{n}b") if n else "")
+    _, b, _, d = word_matrix(_bits(m, n))
     return _ratio(b, d)  # ad - bc = 1 makes b, d coprime, and d >= 1
 
 
@@ -40,10 +43,8 @@ def assembly_theta(t: Fraction) -> ExtRational:
 
 def assembly_inverse(v: ExtRational) -> FiniteDesign:
     """The unique reduced design whose theta maps to v."""
-    if v.num == 0:
-        return FiniteDesign("")
-    if v.is_infinite:
-        return FiniteDesign.terminal_of(0)
+    if v.num == 0 or v.is_infinite:
+        return _design_of(v.num, 0)  # 0/1 and the canonical 1/0: the two length-0 designs
     return euclidean_design(v.num, v.den)
 
 
@@ -70,6 +71,7 @@ def assembly_enclose(bits: str, n: int) -> Enclosure:
     The prefix followed by 0s, and by 1s, gives b/d and a/c for its matrix
     (a b; c d), so the width is exactly 1 / (c * d) and shrinks to 0.
     """
+    _check_int(n)
     if n < 0:
         raise OutOfRange("n must be >= 0, got {}", n)
     if len(bits) < n:
@@ -86,7 +88,7 @@ def assembly_of_rational_theta(t: Fraction) -> ExtRational | QuadIrr:
     """Exact value at rational theta: rational if dyadic, else quadratic."""
     d = design_of_theta(t)  # checks 0 <= t <= 1
     if isinstance(d, FiniteDesign):
-        return assembly_theta(t)
+        return assembly_dyadic(d.number, d.length)  # its design number
     return quad_of_periodic(d)
 
 

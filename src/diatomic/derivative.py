@@ -21,7 +21,7 @@ from ._backend import continuant_pair
 from ._value import Value, _set
 from .assembly import assembly_of_rational_theta
 from .design import FiniteDesign
-from .errors import OutOfRange, TerminalDesign, ZeroLength, _check_fraction
+from .errors import OutOfRange, TerminalDesign, ZeroLength, _check_fraction, _check_int
 from .matrix import sdm
 from .quadratic import FieldElement, _gap_frame, _moved_gap
 from .rational import ExtRational
@@ -29,6 +29,7 @@ from .rational import ExtRational
 
 def fib_continuant(m: int) -> int:
     """Continuant of m ones: 1, 2, 3, 5, 8, ... (the Fibonacci shift)."""
+    _check_int(m)
     if m < 1:
         raise ZeroLength("need m >= 1, got {}", m)
     return continuant_pair([1] * m)[1]
@@ -74,6 +75,7 @@ def quotient_scan(eta: Fraction, side: Side, jmax: int) -> QuotientScan:
         raise OutOfRange("side must be a Side, got {}", type(side).__name__)
     if not 0 < eta < 1:
         raise OutOfRange("eta must lie in (0, 1), got {}", eta)
+    _check_int(jmax)
     if jmax < 1:
         raise OutOfRange("jmax must be >= 1, got {}", jmax)
     sgn = 1 if side is Side.RIGHT else -1

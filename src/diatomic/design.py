@@ -30,6 +30,7 @@ from .errors import (
     TerminalDesign,
     ZeroInput,
     _check_fraction,
+    _check_int,
 )
 
 
@@ -60,6 +61,7 @@ class FiniteDesign(Value):
 
     @classmethod
     def terminal_of(cls, n: int) -> "FiniteDesign":
+        _check_int(n)
         if n < 0:
             raise OutOfRange("terminal length must be >= 0, got {}", n)
         return cls(_terminal_word(n), terminal=True)
@@ -120,6 +122,24 @@ _word = trusted(FiniteDesign)
 _periodic = trusted(PeriodicDesign)
 
 
+def _bits(m: int, n: int) -> str:
+    """The n-bit word of m, for 0 <= m < 2**n."""
+    return format(m, "b").zfill(n) if n else ""
+
+
+def _design_of(m: int, n: int) -> FiniteDesign:
+    """The inverse of design_number, for 0 <= m <= 2**n: terminal when m >> n.
+    With _bits it is the one way from an (m, n) pair back to a word."""
+    if m >> n:
+        return _word(_terminal_word(n), True)
+    return _word(_bits(m, n), False)  # a word printed by _bits
+
+
+def _run_word(ks, letters: str) -> str:
+    """The word of alternating runs of the two letters, the first one first."""
+    return "".join(letters[i & 1] * k for i, k in enumerate(ks))
+
+
 def _is_primitive_word(word: str) -> bool:
     # a word is a proper power exactly when it recurs inside its own square
     return (word + word).find(word, 1) == len(word)
@@ -138,10 +158,8 @@ def make_periodic(pre: str, per: str) -> Design:
     if not per.strip("0"):
         return FiniteDesign(pre)
     if not per.strip("1"):
-        m = (int(pre, 2) if pre else 0) + 1
-        if m == 1 << len(pre):
-            return FiniteDesign.terminal_of(0)
-        return FiniteDesign(format(m, f"0{len(pre)}b"))
+        m, n = int(pre or "0", 2) + 1, len(pre)
+        return _design_of(1, 0) if m >> n else _design_of(m, n)  # a carry out is 1 = 1/2^0
     return _canonical(pre, per[:(per + per).find(per, 1)])  # primitive root
 
 
@@ -154,7 +172,7 @@ def _canonical(pre: str, per: str) -> PeriodicDesign:
         c = (diff & -diff).bit_length() - 1 if diff else k
         r = c % n
         per, pre = per[n - r:] + per[:n - r], pre[:k - c]
-    # slices and rotations of checked words, or bits printed by format()
+    # slices and rotations of checked words, or words printed by _bits
     return _periodic(_word(pre, False), _word(per, False))
 
 
@@ -216,9 +234,7 @@ def check_runs(ks) -> tuple[int, ...]:
 
 def from_runs(ks) -> FiniteDesign:
     """Inverse of runs()."""
-    ks = check_runs(ks)
-    word = "".join(("1" if i % 2 == 0 else "0") * k for i, k in enumerate(ks))
-    return FiniteDesign(word)
+    return _word(_run_word(check_runs(ks), "10"), False)  # runs of the two letters
 
 
 def design_number(d: FiniteDesign) -> tuple[int, int]:
@@ -227,6 +243,8 @@ def design_number(d: FiniteDesign) -> tuple[int, int]:
 
 
 def _check_coprime_pair(a: int, b: int) -> None:
+    _check_int(a)
+    _check_int(b)
     if a < 1 or b < 1:
         raise ZeroInput("need positive integers, got ({}, {})", a, b)
     if gcd(a, b) != 1:
@@ -274,13 +292,7 @@ def conjugate(d: Design) -> Design:
         # flipping every bit keeps a canonical design canonical
         return _periodic(_word(_flip(d.preperiod.bits), False),
                          _word(_flip(d.period.bits), False))
-    n = d.length
-    if d.terminal:
-        return FiniteDesign("0" * n)
-    m = (1 << n) - d.number
-    if m == 1 << n:
-        return FiniteDesign.terminal_of(n)
-    return FiniteDesign(format(m, f"0{n}b") if n else "")
+    return _design_of((1 << d.length) - d.number, d.length)
 
 
 def _flip(word: str) -> str:
@@ -298,19 +310,14 @@ def inverse_design(d: FiniteDesign) -> FiniteDesign:
 def compose(d: FiniteDesign, d2: Design) -> Design:
     """Concatenate words: theta(d d2) = theta(d) + 2**-n * theta(d2).
 
-    A terminal right factor increments d and pads with zeros, except that
-    the all-ones d overflows into the longer terminal design.
+    On design numbers d2 adds m2 below m: a terminal one (m2 = 2**n2) adds 1
+    to d, and the all-ones d overflows into the longer terminal design.
     """
     if d.terminal:
         raise TerminalDesign("left factor must be a plain word")
     if isinstance(d2, PeriodicDesign):
         return make_periodic(d.bits + d2.preperiod.bits, d2.period.bits)
-    if d2.terminal:
-        m, n = d.number, d.length
-        if m == (1 << n) - 1:
-            return FiniteDesign.terminal_of(n + d2.length)
-        return FiniteDesign(format(m + 1, f"0{n}b") + "0" * d2.length)
-    return FiniteDesign(d.bits + d2.bits)
+    return _design_of((d.number << d2.length) + d2.number, d.length + d2.length)
 
 
 def reduce(d: FiniteDesign) -> FiniteDesign:
@@ -341,9 +348,7 @@ def theta_of(d: Design) -> Fraction:
         mpp, n = design_number(d.period)
         top = (1 << n) - 1
         return Fraction(top * mp + mpp, (1 << k) * top)
-    if d.terminal:
-        return Fraction(1)
-    return Fraction(d.number, 1 << d.length)
+    return Fraction(d.number, 1 << d.length)  # a terminal design's 2**n / 2**n is 1
 
 
 def _order_of_two(q: int) -> int:
@@ -380,17 +385,13 @@ def design_of_theta(t: Fraction) -> Design:
     _check_fraction(t)
     if t < 0 or t > 1:
         raise OutOfRange("theta must lie in [0, 1], got {}", t)
-    if t == 1:
-        return FiniteDesign.terminal_of(0)
     q = t.denominator
     if q & (q - 1) == 0:
-        n = q.bit_length() - 1
-        return _word(format(t.numerator, f"0{n}b") if n else "", False)  # binary digits
+        return _design_of(t.numerator, q.bit_length() - 1)
     k = (q & -q).bit_length() - 1
     odd = q >> k
     head, r = divmod(t.numerator, odd)
     n = _order_of_two(odd)
-    pre = format(head, f"0{k}b") if k else ""
     # r is prime to q' > 1, so r/q' has least period n: the word is primitive,
     # and 0 < r < q' keeps it off all 0s and all 1s
-    return _canonical(pre, format(r * ((1 << n) - 1) // odd, f"0{n}b"))
+    return _canonical(_bits(head, k), _bits(r * ((1 << n) - 1) // odd, n))

@@ -11,18 +11,32 @@ def _text(x) -> str:
     """An operand as str() prints it, but with an integer that the
     interpreter's digit limit would refuse to convert named by its bit
     length: an int, each part of a Fraction, or a tuple by its length and
-    its largest item's bit length."""
+    its largest item's bit length, items of nested tuples and lists too."""
     try:
         return str(x)
     except ValueError:
         if isinstance(x, tuple):
-            bits = max(max(abs(k.numerator), k.denominator).bit_length()
-                       for k in x if isinstance(k, (int, Fraction)))
-            return f"<tuple of length {len(x)}, items up to {bits} bits>"
+            return f"<tuple of length {len(x)}, items up to {_most_bits(x)} bits>"
         num, den = x.numerator, x.denominator
         if den != 1:
             return f"{_text(num)}/{_text(den)}"
         return f"<{'-' if num < 0 else ''}{num.bit_length()}-bit integer>"
+
+
+def _most_bits(x) -> int:
+    """The largest bit length of an int or a Fraction part in x, which may
+    be one or a tuple or list of them, nested to any depth; 0 if none."""
+    if isinstance(x, (tuple, list)):
+        return max(map(_most_bits, x), default=0)
+    if isinstance(x, (int, Fraction)):
+        return max(abs(x.numerator), x.denominator).bit_length()
+    return 0
+
+
+def _check_int(x) -> None:
+    """Refuse anything but an int (a bool counts as one) where an integer is read."""
+    if not isinstance(x, int):
+        raise OutOfRange("need an int, got {}", type(x).__name__)
 
 
 def _check_fraction(x) -> None:

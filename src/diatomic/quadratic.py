@@ -22,10 +22,18 @@ from .design import (
     FiniteDesign,
     PeriodicDesign,
     _flip,
+    _run_word,
     inverse_design,
     make_periodic,
 )
-from .errors import InvalidPeriod, NonPositive, OutOfRange, PerfectSquare, _check_fraction
+from .errors import (
+    InvalidPeriod,
+    NonPositive,
+    OutOfRange,
+    PerfectSquare,
+    _check_fraction,
+    _check_int,
+)
 from .sdi import sdi_quadruple
 
 
@@ -68,6 +76,8 @@ class FieldElement(Value):
     __slots__ = _fields = ("p", "q", "r", "d")
 
     def __init__(self, p: int, q: int, r: int, d: int):
+        for x in (p, q, r, d):
+            _check_int(x)
         if r == 0:
             raise OutOfRange("zero denominator in field element")
         if d <= 0 or _is_square(d):
@@ -139,6 +149,8 @@ class QuadIrr(FieldElement):
     __slots__ = ()
 
     def __init__(self, a2: int, b1: int, c0: int, plus_branch: bool = True):
+        for x in (a2, b1, c0):
+            _check_int(x)
         if a2 <= 0:
             raise OutOfRange("leading coefficient must be positive")
         g = gcd(a2, b1, c0)
@@ -208,7 +220,7 @@ def _check_period(period: FiniteDesign) -> FiniteDesign:
     if period.terminal:
         raise InvalidPeriod("terminal designs cannot be periods")
     w = period.bits
-    if len(w) < 2 or not w.strip("0") or not w.strip("1"):
+    if not w.strip("0") or not w.strip("1"):
         raise InvalidPeriod(f"period {w!r} must have length >= 2 and mix 0s and 1s")
     return period
 
@@ -344,6 +356,8 @@ def _cf_walk(p: int, q: int, d: int) -> tuple[list[int], list[int]]:
 
 def sqrt_cf(num: int, den: int) -> tuple[list[int], list[int]]:
     """Continued fraction of sqrt(num/den): (prefix, repeating cycle)."""
+    _check_int(num)
+    _check_int(den)
     if num < 1 or den < 1:
         raise NonPositive("need a positive rational, got {}/{}", num, den)
     if _is_square(num * den):
@@ -372,13 +386,9 @@ def periodic_design_of_sqrt(value: Fraction) -> PeriodicDesign:
     """
     value = Fraction(value)
     prefix, cycle = sqrt_cf(value.numerator, value.denominator)
-    s, l = len(prefix), len(cycle)
-    cyc = cycle if l % 2 == 0 else cycle + cycle
-    pre_word = "".join(("1" if i % 2 == 0 else "0") * r for i, r in enumerate(prefix))
-    per_word = "".join(
-        ("1" if (s + j) % 2 == 0 else "0") * r for j, r in enumerate(cyc)
-    )
-    d = make_periodic(pre_word, per_word)
+    cyc = cycle if len(cycle) % 2 == 0 else cycle + cycle
+    letters = "01" if len(prefix) % 2 else "10"  # the cycle's runs go on alternating
+    d = make_periodic(_run_word(prefix, "10"), _run_word(cyc, letters))
     if not isinstance(d, PeriodicDesign) or not d.preperiod.is_empty:
         raise AssertionError(f"sqrt design for {value} did not come out pure: {d}")
     return d

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 from ._value import Value, _set, trusted
-from .errors import DomainError, OutOfRange
+from .errors import DomainError, OutOfRange, _check_int
 
 
 class ExtRational(Value):
@@ -20,6 +20,8 @@ class ExtRational(Value):
     __slots__ = _fields = ("num", "den")
 
     def __init__(self, num: int, den: int = 1):
+        _check_int(num)
+        _check_int(den)
         if num < 0 or den < 0:
             raise OutOfRange("negative component {}/{}", num, den)
         if num == 0 and den == 0:

@@ -10,12 +10,14 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._backend import stern_pair, word_matrix
-from .errors import OutOfTable
+from .design import _bits
+from .errors import OutOfTable, _check_int
 
 
 def stern(m: int) -> int:
     """a_m, the first of the pair (a_m, a_{m+1}): a generator-matrix product
     along the bits of m, folded in a balanced tree for long indices."""
+    _check_int(m)
     if m < 0:
         raise OutOfTable("sequence index must be nonnegative, got {}", m)
     return stern_pair(m)[0]
@@ -38,10 +40,12 @@ def sdi_quadruple(depth: int, order: int) -> tuple[int, int, int, int]:
     are safe; the two sides of a quotient scan share their period's address.
     """
     _check_address(depth, order, limit_offset=1)
-    return word_matrix(format(order, f"0{depth}b") if depth else "")
+    return word_matrix(_bits(order, depth))
 
 
 def _check_address(depth: int, order: int, limit_offset: int) -> None:
+    _check_int(depth)
+    _check_int(order)
     if depth < 0 or order < 0:
         raise OutOfTable("negative address ({}, {})", depth, order)
     if (order + limit_offset - 1) >> depth > 0:  # order > 2^depth - offset, no 2^depth

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -49,6 +50,30 @@ def test_rejects_out_of_range():
         assembly_dyadic(9, 3)
     with pytest.raises(OutOfRange):
         assembly_theta(Fraction(1, 3))
+
+
+def test_range_check_admits_exactly_0_to_2_to_the_n():
+    for n in range(7):
+        for m in range(1 << (n + 3)):
+            if m <= 1 << n:
+                assembly_dyadic(m, n)
+            else:
+                with pytest.raises(OutOfRange):
+                    assembly_dyadic(m, n)
+
+
+def test_range_check_builds_no_power_of_two():
+    n = 10**7
+    top, past = 1 << n, (1 << n) + 1  # built before tracing; 2**n alone is 1.25 MB
+    tracemalloc.start()
+    try:
+        assert assembly_dyadic(top, n).is_infinite
+        with pytest.raises(OutOfRange):
+            assembly_dyadic(past, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_range_error_names_a_huge_operand_by_its_bit_length(huge):

@@ -208,6 +208,15 @@ def test_lift_check_trims_prefixes_that_overshoot(monkeypatch):
         assert matrix_word(*word_matrix(w)) == w
 
 
+def test_a_lift_trimmed_to_no_run_ends_the_half_gcd():
+    # A 245,573-letter run between random words: one half-gcd round lifts a
+    # prefix that the positivity check trims down to no run at all, which
+    # ends the half-gcd, and the pair walk reads the rest of the path.
+    rng = random.Random(2)
+    w = random_bits(rng, 10377) + "1" * 245573 + random_bits(rng, 1084)
+    assert matrix_word(*word_matrix(w)) == w
+
+
 def test_matrix_word_rejects_big_non_monoid_matrices():
     a, b, c, d = word_matrix(random_bits(random.Random(11), 20000))
     assert max(a, b, c, d).bit_length() > _backend._HGCD_BITS

@@ -75,6 +75,10 @@ HUGE_OPERAND_ERRORS = {
                                    OutOfRange, "got <20000-bit integer>/3"),
     "from_runs of a Fraction": (lambda h: diatomic.from_runs((Fraction(h, 3),)), MalformedRuns,
                                 "<tuple of length 1, items up to 20000 bits>"),
+    "from_runs of a nested tuple": (lambda h: diatomic.from_runs([(h,)]), MalformedRuns,
+                                    "<tuple of length 1, items up to 20000 bits>"),
+    "from_runs of a nested list": (lambda h: diatomic.from_runs([[h]]), MalformedRuns,
+                                   "<tuple of length 1, items up to 20000 bits>"),
     "fib_continuant": (lambda h: diatomic.fib_continuant(-h), ZeroLength,
                        "got <-20000-bit integer>"),
     "design_of_theta": (lambda h: diatomic.design_of_theta(Fraction(h, 3)), OutOfRange,
@@ -139,6 +143,31 @@ NON_INTEGER_ERRORS = {
                       "need an int or a Fraction, got float"),
     "quotient_scan of a str": (lambda: diatomic.quotient_scan("1/2", diatomic.Side.RIGHT, 4),
                                OutOfRange, "need an int or a Fraction, got str"),
+    "stern": (lambda: diatomic.stern(1.5), OutOfRange, "need an int, got float"),
+    "assembly_dyadic": (lambda: diatomic.assembly_dyadic(1.0, 3), OutOfRange,
+                        "need an int, got float"),
+    "sdi": (lambda: diatomic.sdi(2.0, 1), OutOfRange, "need an int, got float"),
+    # the cache keys 3.0 and 3 alike, so an earlier sdi_quadruple(3, 1) would answer
+    "sdi_quadruple": (lambda: diatomic.sdi_quadruple.cache_clear() or
+                      diatomic.sdi_quadruple(3.0, 1), OutOfRange, "need an int, got float"),
+    "fib_continuant": (lambda: diatomic.fib_continuant(2.0), OutOfRange,
+                       "need an int, got float"),
+    "euclidean_design": (lambda: diatomic.euclidean_design(3.0, 2), OutOfRange,
+                         "need an int, got float"),
+    "partial_quotients": (lambda: diatomic.partial_quotients(3.0, 2), OutOfRange,
+                          "need an int, got float"),
+    "quotient_scan jmax": (lambda: diatomic.quotient_scan(Fraction(1, 3), diatomic.Side.RIGHT,
+                                                          2.5),
+                           OutOfRange, "need an int, got float"),
+    "assembly_enclose": (lambda: diatomic.assembly_enclose("1010", 2.0), OutOfRange,
+                         "need an int, got float"),
+    "terminal_of": (lambda: diatomic.FiniteDesign.terminal_of(2.0), OutOfRange,
+                    "need an int, got float"),
+    "sqrt_cf": (lambda: diatomic.sqrt_cf(2.0, 1), OutOfRange, "need an int, got float"),
+    "ExtRational": (lambda: diatomic.ExtRational(1.5, 1), OutOfRange, "need an int, got float"),
+    "FieldElement": (lambda: diatomic.FieldElement(1.0, 1, 1, 2), OutOfRange,
+                     "need an int, got float"),
+    "QuadIrr": (lambda: QuadIrr(1.0, 0, 2), OutOfRange, "need an int, got float"),
 }
 
 
@@ -148,6 +177,14 @@ def test_a_non_integer_raises_a_typed_error(site):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_a_bool_counts_as_an_int():
+    assert diatomic.stern(True) == 1
+    assert diatomic.sdi(True, 1) == 1
+    assert diatomic.assembly_dyadic(True, True) == diatomic.ExtRational(1)
+    assert diatomic.sdi_quadruple(True, False) == (1, 0, 1, 1)
+    assert diatomic.ExtRational(True, False).is_infinite
 
 
 ERROR_TYPES = [obj for obj in vars(errors).values()
@@ -197,3 +234,31 @@ def test_sources_parse_as_python_3_10():
     assert len(sources) > 10
     for path in sources:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def _is_bit_spec(spec) -> bool:
+    """Whether a format spec node, a str or an f-string, ends in the b type."""
+    if isinstance(spec, ast.JoinedStr) and spec.values:
+        spec = spec.values[-1]
+    return (isinstance(spec, ast.Constant) and isinstance(spec.value, str)
+            and spec.value.endswith("b"))
+
+
+def test_only_design_spells_an_int_as_a_bit_word():
+    # an n-bit word of m comes from design._bits, the inverse of design_number;
+    # _backend cannot import design, and its stern_pair prints m's bits unpadded
+    package = Path(diatomic.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("design.py", "_backend.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "format":
+                spec = node.args[1] if len(node.args) > 1 else None
+            elif isinstance(node, ast.FormattedValue):
+                spec = node.format_spec
+            else:
+                continue
+            if _is_bit_spec(spec):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
