@@ -12,7 +12,7 @@ from fractions import Fraction
 from ._backend import word_matrix
 from ._value import Value, _set
 from .design import FiniteDesign, _bits, _design_of, design_of_theta, euclidean_design
-from .errors import InsufficientBits, OutOfRange, _check_fraction, _check_int
+from .errors import InsufficientBits, OutOfRange, _check_fraction, _check_int, _check_str
 from .matrix import apply_mobius, sdm
 from .quadratic import QuadIrr, quad_of_periodic
 from .rational import ExtRational, _ratio
@@ -71,6 +71,7 @@ def assembly_enclose(bits: str, n: int) -> Enclosure:
     The prefix followed by 0s, and by 1s, gives b/d and a/c for its matrix
     (a b; c d), so the width is exactly 1 / (c * d) and shrinks to 0.
     """
+    _check_str(bits)
     _check_int(n)
     if n < 0:
         raise OutOfRange("n must be >= 0, got {}", n)

@@ -1,8 +1,8 @@
 """Continuants and continued fractions over exact integers.
 
 A continuant is the fold of its recursion (empty word gives 1) and a continued
-fraction the ratio of two; tail values fold right to left in the extended
-rationals, where 1/0 = inf and 1/inf = 0 are ordinary steps.
+fraction the ratio of two consecutive ones, which are coprime as a column of
+a det +-1 product of (k 1; 1 0) matrices; each value is that reduced pair.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from ._backend import continuant_pair
 from .design import check_runs
 from .errors import MalformedRuns
-from .rational import ExtRational
+from .rational import ExtRational, _ratio
 
 
 def continuant(ks) -> int:
@@ -42,9 +42,9 @@ def _check_cf_word(ks) -> tuple[int, ...]:
 def cf_eval(ks) -> ExtRational:
     """Value of CF(k0, ..., k_{l-1}) in the extended rationals."""
     ks = _check_cf_word(ks)
-    # K(ks) / K(ks[1:]); consecutive continuants are coprime, so never 0/0
+    # K(ks) / K(ks[1:]): consecutive continuants, so a reduced pair
     den, num = continuant_pair(ks[::-1])
-    return ExtRational(num, den)
+    return _ratio(num, den)
 
 
 def sdi_from_runs(ks) -> int:
@@ -60,10 +60,8 @@ def sdi_corner_continuants(ks) -> tuple[int, int, int, int]:
     For a single-run word this degenerates to (k0, 1, 1, 0).
     """
     ks = check_runs(ks)
-    if len(ks) == 1:
-        return ks[0], 1, 1, 0
-    head_prev, head = continuant_pair(list(ks))
-    tail_prev, tail = continuant_pair(list(ks[1:]))
+    head_prev, head = continuant_pair(ks)
+    tail_prev, tail = continuant_pair(ks[1:])
     return head, tail, head_prev, tail_prev
 
 
@@ -74,18 +72,13 @@ def cf_product_decomposition(ks) -> list[ExtRational]:
     or (0,) has no decomposition.
     """
     ks = _check_runs_for_product(ks)
-    tails = []
-    v = ExtRational(ks[-1])
-    tails.append(v)
-    for k in reversed(ks[:-1]):
-        v = ExtRational(k) + v.reciprocal()
-        tails.append(v)
+    # tail j is K(ks[j:]) / K(ks[j+1:]), a reduced pair with a denominator
+    # >= 1 as ks[1:] is positive; the product telescopes to K(ks) / K(()) = K(ks)
+    tails, cur, nxt = [], 1, 0
+    for k in reversed(ks):
+        cur, nxt = k * cur + nxt, cur
+        tails.append(_ratio(cur, nxt))
     tails.reverse()
-    product = ExtRational(1)
-    for t in tails:
-        product = product * t
-    if product != ExtRational(continuant(ks)):
-        raise AssertionError("tail product disagrees with the continuant")
     return tails
 
 

@@ -132,8 +132,8 @@ def affine_derivative_factor(d: FiniteDesign, v: ExtRational) -> ExtRational:
     if d.terminal:
         raise TerminalDesign("prefix must be a plain word")
     m = sdm(d)
-    scale = ExtRational(1 << d.length)
     if m.c == 0:  # d = 1^k with matrix (1 k; 0 1): the factor is 2**k at every v
-        return scale
-    den = ExtRational(m.c * v.num + m.d * v.den, v.den)
-    return scale / (den * den)
+        return ExtRational(1 << d.length)
+    # at v = p/q it is 2**n q^2 / (c p + d q)^2, and c p + d q >= 1 as d >= 1
+    p, q = v.num, v.den
+    return ExtRational((q << d.length) * q, (m.c * p + m.d * q) ** 2)

@@ -31,6 +31,7 @@ from .errors import (
     ZeroInput,
     _check_fraction,
     _check_int,
+    _check_str,
 )
 
 
@@ -39,6 +40,7 @@ _FLIP = str.maketrans("01", "10")
 
 
 def _check_word(word: str) -> None:
+    _check_str(word)
     if word.translate(_BITS):
         raise DesignSyntaxError(f"design word may contain only 0 and 1: {word!r}")
 
@@ -178,6 +180,7 @@ def _canonical(pre: str, per: str) -> PeriodicDesign:
 
 def parse_design(text: str) -> Design:
     """Parse the design grammar; periodic results come out canonical."""
+    _check_str(text)
     text = text.strip()
     if text.endswith("t"):
         body = text[:-1]

@@ -39,6 +39,12 @@ def _check_int(x) -> None:
         raise OutOfRange("need an int, got {}", type(x).__name__)
 
 
+def _check_str(x) -> None:
+    """Refuse anything but a str where a word or a text is read."""
+    if not isinstance(x, str):
+        raise OutOfRange("need a str, got {}", type(x).__name__)
+
+
 def _check_fraction(x) -> None:
     """Refuse anything but an int or a Fraction where an exact rational is read."""
     if not isinstance(x, (int, Fraction)):

@@ -18,6 +18,7 @@ from .errors import (
     NotUnimodular,
     OutOfRange,
     TerminalDesign,
+    _check_str,
 )
 from .rational import ExtRational, _ratio
 
@@ -62,6 +63,7 @@ _matrix = trusted(UniModMatrix)  # for nonnegative entries of determinant 1
 
 def parse_matrix(text: str) -> UniModMatrix:
     """Parse the wire format 'a,b;c,d'."""
+    _check_str(text)
     try:
         rows = text.strip().split(";")
         (a, b), (c, d) = (tuple(int(x) for x in row.split(",")) for row in rows)

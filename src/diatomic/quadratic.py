@@ -384,6 +384,7 @@ def periodic_design_of_sqrt(value: Fraction) -> PeriodicDesign:
     purely periodic with a run-palindromic period.  sqrt_cf rejects a
     value that is not positive or whose square root is rational.
     """
+    _check_fraction(value)
     value = Fraction(value)
     prefix, cycle = sqrt_cf(value.numerator, value.denominator)
     cyc = cycle if len(cycle) % 2 == 0 else cycle + cycle

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 from ._value import Value, _set, trusted
-from .errors import DomainError, OutOfRange, _check_int
+from .errors import DomainError, OutOfRange, _check_int, _check_str
 
 
 class ExtRational(Value):
@@ -103,6 +103,7 @@ _ratio = trusted(ExtRational)
 
 def parse_ratio(text: str) -> ExtRational:
     """Parse 'a/b', a bare integer, or 'inf'."""
+    _check_str(text)
     text = text.strip()
     if text == "inf":
         return ExtRational.infinity()

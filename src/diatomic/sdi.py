@@ -29,7 +29,7 @@ def sdi(depth: int, order: int) -> int:
     return stern_pair(order)[0]
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)
 def sdi_quadruple(depth: int, order: int) -> tuple[int, int, int, int]:
     """The four row-n values around order m:
 
@@ -38,6 +38,7 @@ def sdi_quadruple(depth: int, order: int) -> tuple[int, int, int, int]:
     They are the matrix of the n-bit word of m, so a miss is one word
     product.  Cached in a few entries, read-through, so concurrent readers
     are safe; the two sides of a quotient scan share their period's address.
+    The cache is typed, so 3.0 misses the entry of 3 and meets the int check.
     """
     _check_address(depth, order, limit_offset=1)
     return word_matrix(_bits(order, depth))
@@ -48,6 +49,9 @@ def _check_address(depth: int, order: int, limit_offset: int) -> None:
     _check_int(order)
     if depth < 0 or order < 0:
         raise OutOfTable("negative address ({}, {})", depth, order)
-    if (order + limit_offset - 1) >> depth > 0:  # order > 2^depth - offset, no 2^depth
+    bits = order.bit_length()
+    # order > 2^depth - offset, with neither 2^depth nor a copy of order built:
+    # past depth bits, or at offset 0 past depth + 1 bits or not 2^depth itself
+    if bits > depth and (limit_offset or bits > depth + 1 or order.bit_count() > 1):
         raise OutOfTable("order {} exceeds row end 2^{}" + (" - 1" if limit_offset else ""),
                          order, depth)

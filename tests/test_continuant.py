@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diatomic import (
@@ -217,6 +217,29 @@ def test_tail_product_random_words():
         for t in tails:
             prod = prod * t
         assert prod == ExtRational(continuant(ks))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**64), length=st.integers(1, 2000),
+       zero_head=st.booleans(), zero_tail=st.booleans())
+def test_tail_pairs_telescope_to_the_continuant(seed, length, zero_head, zero_tail):
+    # tail j is K(ks[j:]) / K(ks[j+1:]), so each denominator is the next
+    # numerator, the first numerator is K(ks) and the last denominator K(()):
+    # the product telescopes without being formed
+    rng = random.Random(seed)
+    ks = [rng.randrange(1, 1 << rng.randrange(1, 12)) for _ in range(length)]
+    if zero_head and length > 1:
+        ks[0] = 0
+    kept = ks
+    if zero_tail and length > 1:  # a trailing 0 truncates by two entries
+        ks, kept = ks + [0], ks[:-1]
+    tails = cf_product_decomposition(ks)
+    assert len(tails) == len(kept)
+    assert all(t.den == u.num for t, u in zip(tails, tails[1:]))
+    assert tails[0].num == continuant(ks) == continuant(kept)
+    assert tails[-1].den == 1
+    for j in {0, len(kept) - 1, *(rng.randrange(len(kept)) for _ in range(3))}:
+        assert tails[j] == cf_eval(kept[j:])
 
 
 def test_tail_product_rejects_short_zero_tail():

@@ -108,7 +108,7 @@ def test_error_names_a_huge_operand_by_its_bit_length(site, huge):
     assert str(info.value).endswith(tail)
 
 
-# (call on a non-integer, error type, message)
+# (call on an argument of the wrong type, error type, message)
 NON_INTEGER_ERRORS = {
     "matrix entries": (lambda: diatomic.UniModMatrix(2.0, 0, 0, 0.5), OutOfRange,
                        "entries must be integers, got (2.0, 0, 0, 0.5)"),
@@ -147,9 +147,13 @@ NON_INTEGER_ERRORS = {
     "assembly_dyadic": (lambda: diatomic.assembly_dyadic(1.0, 3), OutOfRange,
                         "need an int, got float"),
     "sdi": (lambda: diatomic.sdi(2.0, 1), OutOfRange, "need an int, got float"),
-    # the cache keys 3.0 and 3 alike, so an earlier sdi_quadruple(3, 1) would answer
+    # from a cold and from a warm cache: an untyped cache keys 3.0 and 3 alike,
+    # so an earlier sdi_quadruple(3, 1) would answer for the float
     "sdi_quadruple": (lambda: diatomic.sdi_quadruple.cache_clear() or
                       diatomic.sdi_quadruple(3.0, 1), OutOfRange, "need an int, got float"),
+    "sdi_quadruple from a warm cache": (lambda: diatomic.sdi_quadruple(3, 1) and
+                                        diatomic.sdi_quadruple(3.0, 1), OutOfRange,
+                                        "need an int, got float"),
     "fib_continuant": (lambda: diatomic.fib_continuant(2.0), OutOfRange,
                        "need an int, got float"),
     "euclidean_design": (lambda: diatomic.euclidean_design(3.0, 2), OutOfRange,
@@ -168,6 +172,20 @@ NON_INTEGER_ERRORS = {
     "FieldElement": (lambda: diatomic.FieldElement(1.0, 1, 1, 2), OutOfRange,
                      "need an int, got float"),
     "QuadIrr": (lambda: QuadIrr(1.0, 0, 2), OutOfRange, "need an int, got float"),
+    "periodic_design_of_sqrt": (lambda: diatomic.periodic_design_of_sqrt(0.1), OutOfRange,
+                                "need an int or a Fraction, got float"),
+    "periodic_design_of_sqrt of a str": (lambda: diatomic.periodic_design_of_sqrt("2"),
+                                         OutOfRange, "need an int or a Fraction, got str"),
+    "FiniteDesign": (lambda: diatomic.FiniteDesign(101), OutOfRange, "need a str, got int"),
+    "FiniteDesign of None": (lambda: diatomic.FiniteDesign(None), OutOfRange,
+                             "need a str, got NoneType"),
+    "make_periodic": (lambda: diatomic.make_periodic(1, "10"), OutOfRange,
+                      "need a str, got int"),
+    "parse_design": (lambda: diatomic.parse_design(5), OutOfRange, "need a str, got int"),
+    "parse_ratio": (lambda: diatomic.parse_ratio(5), OutOfRange, "need a str, got int"),
+    "parse_matrix": (lambda: diatomic.parse_matrix(5), OutOfRange, "need a str, got int"),
+    "assembly_enclose bits": (lambda: diatomic.assembly_enclose(101, 2), OutOfRange,
+                              "need a str, got int"),
 }
 
 
@@ -234,6 +252,25 @@ def test_sources_parse_as_python_3_10():
     assert len(sources) > 10
     for path in sources:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_every_cache_is_typed():
+    # an untyped lru_cache keys 3.0 and 3 alike, so a warm entry would answer
+    # for a float before the function's int check could refuse it
+    package = Path(diatomic.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        uses = [(node.func, node.keywords) for node in nodes if isinstance(node, ast.Call)]
+        uses += [(d, []) for node in nodes for d in getattr(node, "decorator_list", ())
+                 if not isinstance(d, ast.Call)]  # a bare @lru_cache or @cache
+        for cache, keywords in uses:
+            if getattr(cache, "id", getattr(cache, "attr", None)) not in ("lru_cache", "cache"):
+                continue
+            if not any(k.arg == "typed" and getattr(k.value, "value", None) is True
+                       for k in keywords):
+                found.append(f"{path.name}:{cache.lineno}")
+    assert found == []
 
 
 def _is_bit_spec(spec) -> bool:

@@ -149,6 +149,25 @@ def test_a_deep_address_is_checked_without_building_its_row_end():
     assert peak < 64 * 1024
 
 
+def test_a_far_out_order_is_refused_without_a_copy():
+    # the order (built before tracing) is 1.25 MB; order - 1 or order >> depth
+    # would copy it before the range check refused it
+    n = 10**7
+    order = 1 << n
+    tracemalloc.start()
+    try:
+        for depth in (n - 1, 3):
+            for check in (sdi, sdi_quadruple):
+                with pytest.raises(OutOfTable):
+                    check(depth, order)
+        with pytest.raises(OutOfTable):
+            sdi_quadruple(n, order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 def test_quadruple_cache_is_small_and_keeps_the_second_side_of_a_scan():
     sdi_quadruple.cache_clear()
     for eta in (Fraction(2000, 8093), Fraction(2, 3), Fraction(1, 5)):

@@ -24,12 +24,16 @@ from diatomic import (
     QuadIrr,
     Side,
     UniModMatrix,
+    affine_derivative_factor,
     apply_mobius,
     assembly_dyadic,
     assembly_enclose,
     assembly_of_rational_theta,
+    cf_eval,
+    cf_product_decomposition,
     compose_action,
     conjugate,
+    continuant,
     design_of_matrix,
     design_of_theta,
     euclidean_design,
@@ -264,6 +268,42 @@ def test_quadratic_paths_run_no_constructor(monkeypatch):
         for _, q in s.samples:
             assert_checked(q)
     assert_checked(quad_of_periodic(pd))
+
+
+def test_continued_fractions_fold_in_integers(monkeypatch):
+    # tails, continued-fraction values and the chain factor 2^n / (c v + d)^2
+    # each come from one integer pair: no ExtRational operator runs, and the
+    # tails and values, reduced by construction, run no gcd
+    rng = random.Random(25)
+    ks = tuple(rng.randrange(1, 1000) for _ in range(500))
+    words = ("", "111", "0", "10", format(rng.getrandbits(40), "040b"))
+    cases = [(FiniteDesign(w), v) for w in words
+             for v in (ExtRational(0), ExtRational(1), ExtRational(7, 3), INF)]
+    calls = []
+
+    def refuse(name):
+        def op(*args):
+            calls.append(name)
+            raise AssertionError(f"ExtRational.{name} ran")
+        return op
+
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "reciprocal"):
+        monkeypatch.setattr(ExtRational, name, refuse(name))
+    monkeypatch.setattr(rational, "gcd", lambda *args: calls.append("gcd") or gcd(*args))
+    tails = cf_product_decomposition(ks)
+    value = cf_eval(ks)
+    assert calls == []
+    factors = [affine_derivative_factor(d, v) for d, v in cases]
+    monkeypatch.undo()
+    assert tails[0] == value == ExtRational(continuant(ks), continuant(ks[1:]))
+    for t in tails + [value] + factors:
+        assert_checked(t)
+    for f, (d, v) in zip(factors, cases):
+        m = sdm(d)
+        if v.is_infinite:
+            assert f == ExtRational(0 if m.c else 1 << d.length)
+        else:
+            assert f.as_fraction() == Fraction(1 << d.length) / (m.c * v.as_fraction() + m.d) ** 2
 
 
 # --- the paper's action theorem and enclosure nesting at 10^3..10^4 bits ----
