@@ -12,7 +12,15 @@ from fractions import Fraction
 from ._backend import word_matrix
 from ._value import Value, _set
 from .design import FiniteDesign, _bits, _design_of, design_of_theta, euclidean_design
-from .errors import InsufficientBits, OutOfRange, _check_fraction, _check_int, _check_str
+from .errors import (
+    DomainError,
+    InsufficientBits,
+    OutOfRange,
+    _check_fraction,
+    _check_int,
+    _check_kind,
+    _check_str,
+)
 from .matrix import apply_mobius, sdm
 from .quadratic import QuadIrr, quad_of_periodic
 from .rational import ExtRational, _ratio
@@ -43,6 +51,7 @@ def assembly_theta(t: Fraction) -> ExtRational:
 
 def assembly_inverse(v: ExtRational) -> FiniteDesign:
     """The unique reduced design whose theta maps to v."""
+    _check_kind(v, ExtRational)
     if v.num == 0 or v.is_infinite:
         return _design_of(v.num, 0)  # 0/1 and the canonical 1/0: the two length-0 designs
     return euclidean_design(v.num, v.den)
@@ -59,10 +68,20 @@ class Enclosure(Value):
         _set(self, "bits_used", bits_used)
 
     def width(self) -> ExtRational:
-        return self.hi - self.lo
+        lo, hi = self.lo, self.hi  # hi - lo on the integer pairs
+        if hi.is_infinite:
+            if lo.is_infinite:
+                raise DomainError("infinity - infinity")
+            return ExtRational.infinity()
+        n = hi.num * lo.den - lo.num * hi.den  # an infinite lo makes it -hi.den
+        if n < 0:
+            raise OutOfRange("difference would be negative")
+        return ExtRational(n, hi.den * lo.den)
 
     def contains(self, v: ExtRational) -> bool:
-        return self.lo <= v <= self.hi
+        _check_kind(v, ExtRational)
+        lo, hi = self.lo, self.hi  # lo <= v <= hi cross-multiplied, infinity above all
+        return lo.num * v.den <= v.num * lo.den and v.num * hi.den <= hi.num * v.den
 
 
 def assembly_enclose(bits: str, n: int) -> Enclosure:
@@ -95,11 +114,13 @@ def assembly_of_rational_theta(t: Fraction) -> ExtRational | QuadIrr:
 
 def reflection(t: Fraction) -> tuple[ExtRational, ExtRational]:
     """(value at 1-t, reciprocal of value at t); equal by the mirror law."""
-    return assembly_theta(1 - t), assembly_theta(t).reciprocal()
+    v = assembly_theta(t)
+    return assembly_theta(1 - t), _ratio(v.den, v.num)  # a reduced pair swapped
 
 
 def compose_action(d: FiniteDesign, v: ExtRational) -> ExtRational:
     """Prepending the word d moves the value by the Moebius action of sdm(d)."""
+    _check_kind(v, ExtRational)
     return apply_mobius(sdm(d), v)
 
 

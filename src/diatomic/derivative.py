@@ -21,7 +21,7 @@ from ._backend import continuant_pair
 from ._value import Value, _set
 from .assembly import assembly_of_rational_theta
 from .design import FiniteDesign
-from .errors import OutOfRange, TerminalDesign, ZeroLength, _check_fraction, _check_int
+from .errors import OutOfRange, TerminalDesign, ZeroLength, _check_fraction, _check_int, _check_kind
 from .matrix import sdm
 from .quadratic import FieldElement, _gap_frame, _moved_gap
 from .rational import ExtRational
@@ -129,6 +129,7 @@ def affine_derivative_factor(d: FiniteDesign, v: ExtRational) -> ExtRational:
 
     v is the map's value at the suffix's theta; v = inf is allowed.
     """
+    _check_kind(v, ExtRational)
     if d.terminal:
         raise TerminalDesign("prefix must be a plain word")
     m = sdm(d)

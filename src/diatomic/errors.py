@@ -45,6 +45,14 @@ def _check_str(x) -> None:
         raise OutOfRange("need a str, got {}", type(x).__name__)
 
 
+def _check_kind(x, cls: type) -> None:
+    """Refuse anything but a cls where one of the library's values is read."""
+    if not isinstance(x, cls):
+        name = cls.__name__
+        raise OutOfRange("need {} {}, got {}", "an" if name[0] in "AEIO" else "a", name,
+                         type(x).__name__)
+
+
 def _check_fraction(x) -> None:
     """Refuse anything but an int or a Fraction where an exact rational is read."""
     if not isinstance(x, (int, Fraction)):

@@ -18,6 +18,7 @@ from .errors import (
     NotUnimodular,
     OutOfRange,
     TerminalDesign,
+    _check_kind,
     _check_str,
 )
 from .rational import ExtRational, _ratio
@@ -88,6 +89,8 @@ def design_of_matrix(m: UniModMatrix) -> FiniteDesign:
 
 def apply_mobius(m: UniModMatrix, x: ExtRational) -> ExtRational:
     """(a x + b)/(c x + d) on the extended rationals; infinity maps to a/c."""
+    _check_kind(m, UniModMatrix)
+    _check_kind(x, ExtRational)
     # a determinant-1 matrix keeps the gcd of the pair it moves: a reduced
     # x, never 0/0, has a reduced image, never 0/0
     return _ratio(m.a * x.num + m.b * x.den, m.c * x.num + m.d * x.den)

@@ -2,7 +2,8 @@
 
 Infinity is the canonical pair 1/0; it is an ordinary value here because
 the assembly map sends 1 to it and the Moebius action moves it around.
-0/0 can never be formed: every constructor and operation rejects it.
+0/0 can never be formed: the constructor rejects it.  A value has no
+arithmetic; callers compute on num and den in integers.
 """
 
 from __future__ import annotations
@@ -42,49 +43,6 @@ class ExtRational(Value):
         if self.is_infinite:
             raise DomainError("infinity has no Fraction form")
         return Fraction(self.num, self.den)
-
-    def reciprocal(self) -> "ExtRational":
-        return _ratio(self.den, self.num)  # a reduced pair swapped; 0/1 and 1/0 trade places
-
-    def __add__(self, other: "ExtRational") -> "ExtRational":
-        if not isinstance(other, ExtRational):
-            return NotImplemented
-        if self.is_infinite or other.is_infinite:
-            return ExtRational.infinity()
-        return ExtRational(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "ExtRational") -> "ExtRational":
-        if not isinstance(other, ExtRational):
-            return NotImplemented
-        # only the monotone direction is meaningful in this domain
-        if self.is_infinite:
-            if other.is_infinite:
-                raise DomainError("infinity - infinity")
-            return ExtRational.infinity()
-        n = self.num * other.den - other.num * self.den
-        if n < 0:
-            raise OutOfRange("difference would be negative")
-        return ExtRational(n, self.den * other.den)
-
-    def __mul__(self, other: "ExtRational") -> "ExtRational":
-        if not isinstance(other, ExtRational):
-            return NotImplemented
-        return ExtRational(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "ExtRational") -> "ExtRational":
-        if not isinstance(other, ExtRational):
-            return NotImplemented
-        return ExtRational(self.num * other.den, self.den * other.num)
-
-    def __lt__(self, other: "ExtRational") -> bool:
-        if not isinstance(other, ExtRational):
-            return NotImplemented
-        return self.num * other.den < other.num * self.den
-
-    def __le__(self, other: "ExtRational") -> bool:
-        if not isinstance(other, ExtRational):
-            return NotImplemented
-        return self.num * other.den <= other.num * self.den
 
     def __repr__(self) -> str:
         return f"ExtRational({self.num}, {self.den})"

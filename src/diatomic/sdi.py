@@ -26,6 +26,8 @@ def stern(m: int) -> int:
 def sdi(depth: int, order: int) -> int:
     """Table value at (depth, order); rejects orders past the row end."""
     _check_address(depth, order, limit_offset=0)
+    if order.bit_length() > depth:  # past the check only 2^depth, the row end a_{2^n} = 1
+        return 1
     return stern_pair(order)[0]
 
 

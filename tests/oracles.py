@@ -8,7 +8,8 @@ kernels by the one-letter-at-a-time loops they used before their product
 trees and half-gcd peel, the matrix of an anti-periodic period by the
 whole-period product, the matrix symmetries by three word products,
 quotient pairs by a right-to-left fold, continued fractions by a tail
-fold in the extended rationals, canonical periodic designs by long
+fold in Fractions, the order and differences of extended rationals by
+Fractions over their public fields, canonical periodic designs by long
 division with a remainder dict and one-bit rotations, the order of 2 by
 doubling until 1 comes back, quotient scans by rebuilding the periodic
 design (or the dyadic value) at every probed point, enclosures by two
@@ -131,11 +132,32 @@ def folded_realizing_pair(rs) -> tuple[int, int]:
 
 
 def folded_cf_eval(ks) -> ExtRational:
-    """CF(k0, ..., k_{l-1}) of a valid word by k + 1/v from the last entry."""
-    v = ExtRational(ks[-1])
+    """CF(k0, ..., k_{l-1}) of a valid word by k + 1/v from the last entry,
+    in Fractions, with None for infinity: 1/0 is infinity and 1/inf is 0."""
+    v = Fraction(ks[-1])
     for k in reversed(ks[:-1]):
-        v = ExtRational(k) + v.reciprocal()
-    return v
+        if v is None:
+            v = Fraction(k)
+        elif v == 0:
+            v = None
+        else:
+            v = k + 1 / v
+    return ExtRational.infinity() if v is None else ExtRational(v.numerator, v.denominator)
+
+
+def ext_key(v: ExtRational) -> tuple:
+    """A sort key for v from its public fields: (0, v as a Fraction), and
+    (1, 0) for infinity, above every finite value."""
+    return (1, 0) if v.den == 0 else (0, Fraction(v.num, v.den))
+
+
+def ext_difference(x: ExtRational, y: ExtRational) -> ExtRational:
+    """x - y for a finite y <= x, by Fractions; infinity when x is infinite."""
+    if x.den == 0:
+        return ExtRational.infinity()
+    f = Fraction(x.num, x.den) - Fraction(y.num, y.den)
+    assert f >= 0, "oracle defined for y <= x"
+    return ExtRational(f.numerator, f.denominator)
 
 
 def greedy_matrix_word(a: int, b: int, c: int, d: int) -> str:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diatomic import (
+    Enclosure,
     ExtRational,
     FiniteDesign,
     assembly_dyadic,
@@ -25,10 +26,17 @@ from diatomic import (
     stern,
     theta_of,
 )
-from diatomic.errors import InsufficientBits, OutOfRange
+from diatomic.errors import DomainError, InsufficientBits, OutOfRange
 from diatomic.quadratic import QuadIrr
 
-from oracles import compare_ext, mediant_question_mark_inverse, sqrt_value, two_value_enclose
+from oracles import (
+    compare_ext,
+    ext_difference,
+    ext_key,
+    mediant_question_mark_inverse,
+    sqrt_value,
+    two_value_enclose,
+)
 
 
 def test_exact_values():
@@ -108,7 +116,7 @@ def test_strict_monotonicity_with_exact_gap():
     for n in range(11):
         top = 1 << n
         for m in range(top):
-            gap = assembly_dyadic(m + 1, n) - assembly_dyadic(m, n)
+            gap = ext_difference(assembly_dyadic(m + 1, n), assembly_dyadic(m, n))
             expected = ExtRational(1, stern(top - m) * stern(top - m - 1)) \
                 if m + 1 < top else ExtRational.infinity()
             assert gap == expected
@@ -121,6 +129,22 @@ def test_enclosure_examples():
     assert (e.lo, e.hi) == (ExtRational(3, 2), ExtRational(5, 3))
     e = assembly_enclose("111", 0)
     assert e.lo == ExtRational(0) and e.hi.is_infinite
+
+
+def test_width_of_a_caller_built_enclosure():
+    # hi - lo on the integer pairs, normalised; infinity when only hi is infinite
+    inf, two = ExtRational.infinity(), ExtRational(2)
+    assert Enclosure(ExtRational(1, 6), ExtRational(1, 2), 0).width() == ExtRational(1, 3)
+    assert Enclosure(ExtRational(0), ExtRational(7, 3), 0).width() == ExtRational(7, 3)
+    above = Enclosure(two, inf, 0)
+    assert above.width() == inf
+    assert above.contains(inf) and above.contains(two) and not above.contains(ExtRational(1))
+    with pytest.raises(DomainError) as info:
+        Enclosure(inf, inf, 0).width()
+    assert type(info.value) is DomainError and str(info.value) == "infinity - infinity"
+    for lo, hi in ((ExtRational(1, 2), ExtRational(1, 3)), (inf, two)):
+        with pytest.raises(OutOfRange, match=r"^difference would be negative$"):
+            Enclosure(lo, hi, 0).width()
 
 
 def test_enclosure_needs_enough_bits():
@@ -139,10 +163,11 @@ def test_enclosure_widths_shrink_and_nest():
     prev = None
     for n in range(len(bits) + 1):
         e = assembly_enclose(bits, n)
-        assert e.lo <= e.hi
+        assert ext_key(e.lo) <= ext_key(e.hi)
+        assert e.width() == ext_difference(e.hi, e.lo)
         if prev is not None:
-            assert prev.lo <= e.lo and e.hi <= prev.hi
-            assert e.width() <= prev.width()
+            assert ext_key(prev.lo) <= ext_key(e.lo) and ext_key(e.hi) <= ext_key(prev.hi)
+            assert ext_key(e.width()) <= ext_key(prev.width())
         prev = e
 
 
@@ -175,6 +200,13 @@ def test_reflection_examples():
     lo, hi = reflection(Fraction(0))
     assert lo.is_infinite and hi.is_infinite
     assert reflection(Fraction(5, 8)) == (ExtRational(2, 3), ExtRational(2, 3))
+
+
+def test_reflection_names_the_callers_t():
+    for t in (Fraction(1, 3), Fraction(3, 2)):
+        with pytest.raises(OutOfRange) as info:
+            reflection(t)
+        assert str(info.value) == f"need a dyadic in [0, 1], got {t}"
 
 
 def test_reflection_exhaustive():

@@ -213,10 +213,10 @@ def test_tail_product_random_words():
         if len(ks) == 1 and ks[0] == 0:
             ks[0] = 1
         tails = cf_product_decomposition(tuple(ks))
-        prod = ExtRational(1)
+        prod = Fraction(1)
         for t in tails:
-            prod = prod * t
-        assert prod == ExtRational(continuant(ks))
+            prod *= Fraction(t.num, t.den)
+        assert prod == continuant(ks)
 
 
 @settings(max_examples=30, deadline=None)

@@ -273,7 +273,8 @@ def test_assembly_dyadic_and_its_mirror_match_linear_loops(n, seed):
     m = random.Random(seed).randrange((1 << n) + 1)
     value = assembly_dyadic(m, n)
     assert (value.num, value.den) == (linear_stern_pair(m)[0], linear_stern_pair((1 << n) - m)[0])
-    assert assembly_dyadic((1 << n) - m, n) == value.reciprocal()
+    mirror = assembly_dyadic((1 << n) - m, n)
+    assert (mirror.num, mirror.den) == (value.den, value.num)
 
 
 @pytest.mark.parametrize("n", WORD_SIZES)
@@ -299,9 +300,7 @@ def quotient_list(rng, n, last):
     return ks
 
 
-# The fold normalises a fraction of the whole list's size at every item, so
-# it takes about 20 s at 10^4 items (Python 3.11 on a 2-core x86-64 VM);
-# these counts stop just past the cutoff.
+# These counts stop just past the cutoff of the continuant's product tree.
 CF_COUNTS = [1, 2, LEAF_ITEMS + 1, ITEMS - 1, ITEMS, ITEMS + 1]
 
 

@@ -186,6 +186,23 @@ NON_INTEGER_ERRORS = {
     "parse_matrix": (lambda: diatomic.parse_matrix(5), OutOfRange, "need a str, got int"),
     "assembly_enclose bits": (lambda: diatomic.assembly_enclose(101, 2), OutOfRange,
                               "need a str, got int"),
+    "assembly_inverse": (lambda: diatomic.assembly_inverse(Fraction(1, 3)), OutOfRange,
+                         "need an ExtRational, got Fraction"),
+    "apply_mobius": (lambda: diatomic.apply_mobius(diatomic.sdm(diatomic.FiniteDesign("10")),
+                                                   Fraction(1, 3)),
+                     OutOfRange, "need an ExtRational, got Fraction"),
+    "apply_mobius of a tuple": (lambda: diatomic.apply_mobius((1, 0, 0, 1),
+                                                              diatomic.ExtRational(1)),
+                                OutOfRange, "need a UniModMatrix, got tuple"),
+    "compose_action": (lambda: diatomic.compose_action(diatomic.FiniteDesign("10"), Fraction(1, 3)),
+                       OutOfRange, "need an ExtRational, got Fraction"),
+    "affine_derivative_factor": (lambda: diatomic.affine_derivative_factor(
+        diatomic.FiniteDesign("10"), Fraction(1, 3)), OutOfRange,
+        "need an ExtRational, got Fraction"),
+    "Enclosure.contains": (lambda: diatomic.assembly_enclose("101", 3).contains(Fraction(1, 3)),
+                           OutOfRange, "need an ExtRational, got Fraction"),
+    "Enclosure.contains of a QuadIrr": (lambda: diatomic.assembly_enclose("101", 3).contains(
+        QuadIrr(1, 1, 1)), OutOfRange, "need an ExtRational, got QuadIrr"),
 }
 
 

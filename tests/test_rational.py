@@ -1,13 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from diatomic import ExtRational, parse_fraction, parse_ratio
 from diatomic.errors import DomainError, OutOfRange
-
-nonneg = st.fractions(min_value=0, max_denominator=50)
 
 
 def test_negative_component_names_a_huge_operand_by_its_bit_length(huge):
@@ -32,44 +28,13 @@ def test_zero_over_zero_is_rejected():
         ExtRational(-1, 2)
 
 
-def test_infinity_ordering():
-    inf = ExtRational.infinity()
-    x = ExtRational(10 ** 30, 7)
-    assert x < inf and inf > x and inf >= x and not x > inf and not x >= inf
-    assert not inf < inf and inf <= inf and not inf > inf and inf >= inf
-    assert inf.reciprocal() == ExtRational(0)
-    assert ExtRational(0).reciprocal() == inf
-
-
-def test_infinity_arithmetic():
-    inf = ExtRational.infinity()
-    two = ExtRational(2)
-    assert inf + two == inf
-    assert inf - two == inf
-    assert inf * two == inf
-    assert two / inf == ExtRational(0)
-    with pytest.raises(DomainError):
-        inf - inf
-
-
-def test_subtraction_is_monotone_only():
-    with pytest.raises(OutOfRange):
-        ExtRational(1, 3) - ExtRational(1, 2)
-
-
-@given(nonneg, nonneg)
-def test_field_ops_match_fraction(a, b):
-    ra, rb = ExtRational(a.numerator, a.denominator), ExtRational(b.numerator, b.denominator)
-    assert (ra + rb).as_fraction() == a + b
-    assert (ra * rb).as_fraction() == a * b
-    if b:
-        assert (ra / rb).as_fraction() == a / b
-    if a >= b:
-        assert (ra - rb).as_fraction() == a - b
-    assert (ra < rb) == (a < b)
-    assert (ra <= rb) == (a <= b)
-    assert (ra > rb) == (a > b)  # Python reflects > and >= to < and <=
-    assert (ra >= rb) == (a >= b)
+def test_a_value_has_no_arithmetic():
+    # callers compute on num and den; as_fraction gives a finite value's Fraction
+    with pytest.raises(TypeError):
+        ExtRational(1) + ExtRational(1)
+    with pytest.raises(TypeError):
+        ExtRational(1) < ExtRational(2)
+    assert not hasattr(ExtRational(1), "reciprocal")
 
 
 def test_as_fraction_rejects_infinity():

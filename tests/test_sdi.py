@@ -138,11 +138,15 @@ def test_row_end_checks_at_every_order_near_the_end():
 
 
 def test_a_deep_address_is_checked_without_building_its_row_end():
-    # 2^depth at depth 10^7 is a 1.25 MB integer
+    # 2^depth at depth 10^7 is a 1.25 MB integer; the row end itself, built
+    # before tracing, is a_{2^n} = 1 with no word spelt along its bits
+    n = 10**7
+    top = 1 << n
     tracemalloc.start()
     try:
-        assert sdi(10**7, 1) == 1
-        assert sdi(10**7, 3) == 2
+        assert sdi(n, 1) == 1
+        assert sdi(n, 3) == 2
+        assert sdi(n, top) == 1
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -111,7 +111,8 @@ _OPERANDS = {"x": FieldElement(1, 1, 2, 5), "half": ExtRational(1, 2),
 
 
 @pytest.mark.parametrize("expr, error", [
-    # the operators leave another type to Python, which raises TypeError
+    # the operators leave another type to Python, which raises TypeError;
+    # ExtRational has no arithmetic at all
     ("x - 1", TypeError), ("1 - x", TypeError), ("x - half", TypeError),
     ("one * 5", TypeError), ("half + 1", TypeError), ("half - 1", TypeError),
     ("half * Fraction(1, 3)", TypeError), ("half / 2", TypeError),
