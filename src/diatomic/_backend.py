@@ -7,9 +7,14 @@ pair is read off its top row.  The continuant fold multiplies the matrices
 a coprime pair: a matrix's word, and a ratio's reduced design.  Above a
 measured cutoff the products are built as a balanced tree, so the large
 multiplications fall where CPython's Karatsuba pays, and the walk starts
-with half-gcd rounds on the top bits.  Inputs are pre-validated by the
-public modules.  All arithmetic is on Python ints, so there is no
-magnitude limit; only a path run too long for one string is refused.
+with half-gcd rounds on the top bits.  The tree's word leaves and the
+half-gcd's base peel keep a matrix as two columns, each one int of two
+L-bit lanes (top entry high), so a letter or a run updates both rows in
+one operation.  No lane carries, as L exceeds every entry's bit length:
+a leaf's entries are at most 2**_LEAF_BITS, and a peel's at most the
+larger of its pair.  Inputs are pre-validated by the public modules.  All
+arithmetic is on Python ints, so there is no magnitude limit; only a path
+run too long for one string is refused.
 """
 
 import sys
@@ -21,7 +26,7 @@ BACKEND = "python"
 # Cutoffs, each where the fast route overtook its kernel's linear loop when
 # timed on random words and their run lengths (Python 3.11, see CHANGES.md).
 _LEAF_BITS = 128  # word letters per tree leaf
-_WORD_BITS = 768  # word_matrix: word length above which the tree runs
+_WORD_BITS = 160  # word_matrix: word length above which the tree runs
 _LEAF_ITEMS = 64  # continuant items per tree leaf
 _CONT_ITEMS = 3072  # continuant_pair: list length above which the tree runs
 _HGCD_BITS = 4096  # _pair_word: pair size above which the half-gcd runs
@@ -131,14 +136,26 @@ def _product(mats):
     return mats[0]
 
 
-def _word_leaves(bits, _leaf=word_matrix):
+def _word_leaves(bits):
     """Generator products of the consecutive _LEAF_BITS-letter pieces of a word.
 
-    A piece is never longer than _WORD_BITS, so word_matrix takes its loop.
-    It is bound as a default, so a wrapper put in place of the module's
-    word_matrix, such as a call counter, sees one call per word, not per leaf.
+    Each column of a leaf's matrix is one int of two L-bit lanes, the top
+    entry over the bottom: A = a << L | c and B = b << L | d, so a letter
+    is one addition.  No lane carries: each letter at most doubles the
+    largest entry, so a leaf's entries are at most 2**_LEAF_BITS < 2**L.
     """
-    return [_leaf(bits[i:i + _LEAF_BITS]) for i in range(0, len(bits), _LEAF_BITS)]
+    L = _LEAF_BITS + 1
+    mask = (1 << L) - 1
+    leaves = []
+    for i in range(0, len(bits), _LEAF_BITS):
+        A, B = 1 << L, 1
+        for ch in bits[i:i + _LEAF_BITS]:
+            if ch == "1":
+                B += A
+            else:
+                A += B
+        leaves.append((A >> L, B >> L, A & mask, B & mask))
+    return leaves
 
 
 def _continuant_leaf(ks):
@@ -206,11 +223,19 @@ def _half(x, y):
 
 
 def _peel(x, y, floor):
-    """Peel the path of (x, y) run by run while both stay >= floor."""
-    runs = []
-    p, q, r, s = 1, 0, 0, 1
+    """Peel the path of (x, y) run by run while both stay >= floor.
+
+    The columns of the prefix's matrix (p q; r s) are kept as two L-bit
+    lanes of one int each, P = p << L | r and Q = q << L | s, so a run of j
+    letters is one update, Q += j * P or P += j * Q.  No lane carries: the
+    matrix maps the peeled pair (x', y'), both >= 1, to (x, y), so
+    p, q <= x and r, s <= y, and L is the bit length of the larger.
+    """
     if x < floor or y < floor:
-        return runs, (p, q, r, s), x, y
+        return [], (1, 0, 0, 1), x, y
+    L = max(x, y).bit_length()
+    runs = []
+    P, Q = 1 << L, 1
     while True:
         if x > y:
             x -= y
@@ -218,15 +243,13 @@ def _peel(x, y, floor):
                 x += y
                 break
             if x - y < floor:
-                q += p
-                s += r
+                Q += P
                 runs.append("1")
                 continue
             j = (x - floor) // y
             x -= j * y
             j += 1
-            q += j * p
-            s += j * r
+            Q += j * P
             runs.append("1" * j)
         elif y > x:
             y -= x
@@ -234,16 +257,15 @@ def _peel(x, y, floor):
                 y += x
                 break
             if y - x < floor:
-                p += q
-                r += s
+                P += Q
                 runs.append("0")
                 continue
             j = (y - floor) // x
             y -= j * x
             j += 1
-            p += j * q
-            r += j * s
+            P += j * Q
             runs.append("0" * j)
         else:
             break
-    return runs, (p, q, r, s), x, y
+    mask = (1 << L) - 1
+    return runs, (P >> L, Q >> L, P & mask, Q & mask), x, y

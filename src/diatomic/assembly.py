@@ -63,6 +63,9 @@ class Enclosure(Value):
     __slots__ = _fields = ("lo", "hi", "bits_used")
 
     def __init__(self, lo: ExtRational, hi: ExtRational, bits_used: int):
+        _check_kind(lo, ExtRational)
+        _check_kind(hi, ExtRational)
+        _check_int(bits_used)
         _set(self, "lo", lo)
         _set(self, "hi", hi)
         _set(self, "bits_used", bits_used)

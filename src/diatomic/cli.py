@@ -19,13 +19,13 @@ import sys
 
 from . import assembly, derivative, design, matrix, quadratic
 from .errors import DesignSyntaxError, DomainError, OutOfRange
-from .rational import parse_fraction, parse_ratio
+from .rational import _read_int, parse_fraction, parse_ratio
 from .sdi import sdi, stern
 
 
 def _int(text: str) -> int:
     try:
-        return int(text)
+        return _read_int(text.strip())
     except ValueError:
         raise DomainError(f"expected an integer, got {text!r}") from None
 
@@ -43,7 +43,7 @@ def _design_from_ratio(text: str) -> design.Design:
     if "/" in text and text not in ("0/1", "1/0"):
         a, b = text.split("/", 1)
         try:
-            a, b = int(a), int(b)
+            a, b = _read_int(a), _read_int(b)
         except ValueError as exc:
             raise DesignSyntaxError(f"bad ratio {text!r}") from exc
         return design.euclidean_design(a, b)

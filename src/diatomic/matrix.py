@@ -21,7 +21,7 @@ from .errors import (
     _check_kind,
     _check_str,
 )
-from .rational import ExtRational, _ratio
+from .rational import ExtRational, _ratio, _read_int
 
 
 class UniModMatrix(Value):
@@ -67,7 +67,7 @@ def parse_matrix(text: str) -> UniModMatrix:
     _check_str(text)
     try:
         rows = text.strip().split(";")
-        (a, b), (c, d) = (tuple(int(x) for x in row.split(",")) for row in rows)
+        (a, b), (c, d) = (tuple(_read_int(x) for x in row.split(",")) for row in rows)
     except ValueError as exc:
         raise DesignSyntaxError(f"bad matrix text {text!r}") from exc
     return UniModMatrix(a, b, c, d)

@@ -59,15 +59,25 @@ class ExtRational(Value):
 _ratio = trusted(ExtRational)
 
 
+def _read_int(text: str) -> int:
+    """The integer written as ASCII digits after an optional leading '-';
+    ValueError for anything else, such as '+3', '1_000', ' 4' or digits of
+    another script, all of which int() would read."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_ratio(text: str) -> ExtRational:
-    """Parse 'a/b', a bare integer, or 'inf'."""
+    """Parse 'a/b', a bare integer, or 'inf'; whitespace around the text is ignored."""
     _check_str(text)
     text = text.strip()
     if text == "inf":
         return ExtRational.infinity()
     num, slash, den = text.partition("/")
     try:
-        num, den = int(num), int(den) if slash else 1
+        num, den = _read_int(num), _read_int(den) if slash else 1
     except ValueError as exc:
         raise DomainError(f"bad rational {text!r}") from exc
     return ExtRational(num, den)

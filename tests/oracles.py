@@ -5,7 +5,8 @@ the sequence by its literal recurrence, continuants by determinant
 expansion over permutations, Euler phi by gcd counting, the inverse
 question-mark by a mediant walk down the Farey tree, the four integer
 kernels by the one-letter-at-a-time loops they used before their product
-trees and half-gcd peel, the matrix of an anti-periodic period by the
+trees and half-gcd peel, the half-gcd's base peel by its loop over the four
+matrix entries, the matrix of an anti-periodic period by the
 whole-period product, the matrix symmetries by three word products,
 quotient pairs by a right-to-left fold, continued fractions by a tail
 fold in Fractions, the order and differences of extended rationals by
@@ -91,6 +92,52 @@ def linear_word_matrix(bits: str) -> tuple[int, int, int, int]:
             a = a + b
             c = c + d
     return a, b, c, d
+
+
+def scalar_peel(x: int, y: int, floor: int) -> tuple:
+    """The path of (x, y) peeled run by run while both stay >= floor, with
+    the four matrix entries updated one at a time: (runs, (p, q, r, s),
+    x', y') with (p q; r s) (x', y') = (x, y)."""
+    runs = []
+    p, q, r, s = 1, 0, 0, 1
+    if x < floor or y < floor:
+        return runs, (p, q, r, s), x, y
+    while True:
+        if x > y:
+            x -= y
+            if x < floor:
+                x += y
+                break
+            if x - y < floor:
+                q += p
+                s += r
+                runs.append("1")
+                continue
+            j = (x - floor) // y
+            x -= j * y
+            j += 1
+            q += j * p
+            s += j * r
+            runs.append("1" * j)
+        elif y > x:
+            y -= x
+            if y < floor:
+                y += x
+                break
+            if y - x < floor:
+                p += q
+                r += s
+                runs.append("0")
+                continue
+            j = (y - floor) // x
+            y -= j * x
+            j += 1
+            p += j * q
+            r += j * s
+            runs.append("0" * j)
+        else:
+            break
+    return runs, (p, q, r, s), x, y
 
 
 def whole_period_matrix(h: str) -> tuple[int, int, int, int]:

@@ -28,6 +28,8 @@ def test_stern(capsys):
     assert code == 0 and out.strip() == "3"
     code, out, _ = run(capsys, "stern", "--sdi", "6", "51")
     assert code == 0 and out.strip() == "12"
+    assert run(capsys, "stern", " 5 ")[:2] == (0, "3\n")
+    assert run(capsys, "matrix", "to-design", " 5,7;2,3 ")[:2] == (0, "11001\n")
 
 
 def test_stern_bad_input_exits_2(capsys):
@@ -212,6 +214,14 @@ TYPED_ERRORS = [
     (("assembly", "eval"), "DomainError", "assembly eval takes 1 argument, got 0"),
     # usage errors take the same path as every other error
     (("stern", "3", "x"), "DomainError", "stern takes 1 argument, got 2"),
+    # an integer is ASCII digits after an optional minus, not any text int() reads
+    (("stern", "1_0"), "DomainError", "expected an integer, got '1_0'"),
+    (("stern", "+5"), "DomainError", "expected an integer, got '+5'"),
+    (("design", "from-ratio", "1_0/3"), "DesignSyntaxError", "bad ratio '1_0/3'"),
+    (("design", "from-ratio", "3/ 4"), "DesignSyntaxError", "bad ratio '3/ 4'"),
+    (("assembly", "inverse", "\u0663/4"), "DomainError", "bad rational '\u0663/4'"),
+    (("matrix", "to-design", "5,+7;2,3"), "DesignSyntaxError", "bad matrix text '5,+7;2,3'"),
+    (("matrix", "to-design", "5, 7;2,3"), "DesignSyntaxError", "bad matrix text '5, 7;2,3'"),
     (("stern", "5", "--sdi", "x"), "DomainError", "argument --sdi: invalid int value: 'x'"),
     (("design", "theta", "1", "--bogus"), "DomainError", "unrecognized arguments: --bogus"),
     (("design", "theta", "--bogus", "1"), "DomainError", "unrecognized arguments: --bogus 1"),

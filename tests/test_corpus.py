@@ -14,7 +14,7 @@ import corpus
 
 DIGESTS = {
     "rational": [
-        "03add6efe153438a", "94367fdfe0fc65c0",
+        "03add6efe153438a", "e0deddbeb773738e",
     ],
     "enclosure": [
         "789b639a2ae1c398", "76e9e6ba36bef7d1", "d4534f08c65398e3", "9efd67f1507732a4",

@@ -8,8 +8,10 @@ public values read off the kernels (assembly values, table quadruples,
 quotient pairs, continued fractions) to the same loops and folds at the
 same sizes."""
 
+import math
 import random
 import sys
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,7 @@ from oracles import (
     linear_continuant_pair,
     linear_stern_pair,
     linear_word_matrix,
+    scalar_peel,
     stern_table,
 )
 
@@ -95,13 +98,14 @@ def test_no_overflow_at_large_magnitude():
 
 # ------------------------------------------------- across the cutoffs
 #
-# Each size list straddles the cutoffs in diatomic._backend; hypothesis
-# draws the seed of the random input, a few examples per size.
+# Each size list straddles the cutoffs in diatomic._backend, and the word
+# sizes a whole number of tree leaves, one letter short of it and one past
+# it; hypothesis draws the seed of the random input, a few examples per size.
 
 LEAF, WORD = _backend._LEAF_BITS, _backend._WORD_BITS
 LEAF_ITEMS, ITEMS = _backend._LEAF_ITEMS, _backend._CONT_ITEMS
 WORD_SIZES = [1, LEAF - 1, LEAF, LEAF + 1, 3 * LEAF + 5, WORD - 1, WORD, WORD + 1,
-              2 * WORD + 7, 5000, 30000]
+              2 * WORD + 7, 6 * LEAF - 1, 6 * LEAF, 6 * LEAF + 1, 12 * LEAF + 7, 5000, 30000]
 ITEM_COUNTS = [1, LEAF_ITEMS, LEAF_ITEMS + 1, ITEMS - 1, ITEMS, ITEMS + 1,
                3 * ITEMS + 11, 10000]
 # Random words of these lengths have largest entries on both sides of the
@@ -233,6 +237,99 @@ def test_peel_stops_below_its_floor_and_at_an_equal_pair():
     assert _backend._peel(5, 100, 8) == ([], (1, 0, 0, 1), 5, 100)
     # (2 1; 1 1) (9, 9) = (27, 18): one 1 and one 0 reach the equal pair
     assert _backend._peel(27, 18, 8) == (["1", "0"], (2, 1, 1, 1), 9, 9)
+
+
+# ------------------------------------------------------ packed columns
+#
+# The tree's word leaves and the half-gcd's base peel keep each matrix
+# column as one int of two lanes.  The words include the ones with the
+# largest entries of their length, at sizes on each side of a leaf and of
+# the tree cutoff, and the pairs fill the base peel's size.
+
+
+def lane_words(rng, n):
+    """A random word, the two alternating words (Fibonacci entries, the
+    largest any n-letter word has) and the two constant words, n letters each."""
+    return [random_bits(rng, n), ("10" * n)[:n], ("01" * n)[:n], "1" * n, "0" * n]
+
+
+@pytest.mark.parametrize("n", [LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 1, WORD - 1, WORD + 1])
+def test_packed_word_leaves_match_the_linear_loop(n, monkeypatch):
+    rng = random.Random(n)
+    for w in lane_words(rng, n):
+        pieces = [w[i:i + LEAF] for i in range(0, n, LEAF)]
+        assert _backend._word_leaves(w) == [linear_word_matrix(p) for p in pieces]
+        assert word_matrix(w) == linear_word_matrix(w)
+    monkeypatch.setattr(_backend, "_WORD_BITS", 0)  # every word through the tree
+    for w in lane_words(rng, n):
+        assert word_matrix(w) == linear_word_matrix(w)
+
+
+def test_packed_peel_matches_the_scalar_peel():
+    # random pairs up to the base-peel size, both of one drawn size so that
+    # no run is astronomically long, with random floors: some start below
+    # the floor, most stop at it, and pairs with a common factor at or above
+    # the floor end at an equal pair
+    rng = random.Random(27)
+    top = _backend._PEEL_BITS
+    endings = set()
+    for _ in range(3000):
+        k = rng.randrange(1, top)
+        x, y = rng.getrandbits(k) + 1, rng.getrandbits(k) + 1
+        floor = rng.getrandbits(rng.randrange(1, k + 1)) + 1
+        if rng.random() < 0.3:
+            g = rng.getrandbits(rng.randrange(1, top // 2)) + 1
+            x, y = g * (x >> g.bit_length()) + g, g * (y >> g.bit_length()) + g
+            floor = rng.randrange(1, g + 1)
+        got = _backend._peel(x, y, floor)
+        assert got == scalar_peel(x, y, floor)
+        x1, y1 = got[2:]
+        endings.add("start" if got[0] == [] else "equal" if x1 == y1 else "floor")
+    assert endings == {"start", "equal", "floor"}
+
+
+def test_matrix_word_cost_stays_within_its_bounds(monkeypatch):
+    # A cost guard that needs no clock: over a geometric ladder of word
+    # lengths, the product tree's leaf count, the half-gcd's recursion depth,
+    # and the size and run count of every base peel.  A run can be split
+    # between two base peels, so each peel may add one to the word's runs.
+    half, peel, leaves = _backend._half, _backend._peel, _backend._word_leaves
+    seen = {}
+
+    def counted_half(x, y):
+        seen["depth"] += 1
+        seen["deepest"] = max(seen["deepest"], seen["depth"])
+        try:
+            return half(x, y)
+        finally:
+            seen["depth"] -= 1
+
+    def counted_peel(x, y, floor):
+        out = peel(x, y, floor)
+        seen["peels"] += 1
+        seen["runs"] += len(out[0])
+        seen["peel_bits"] = max(seen["peel_bits"], x.bit_length(), y.bit_length())
+        return out
+
+    def counted_leaves(bits):
+        out = leaves(bits)
+        seen["leaves"].append(len(out))
+        return out
+
+    monkeypatch.setattr(_backend, "_half", counted_half)
+    monkeypatch.setattr(_backend, "_peel", counted_peel)
+    monkeypatch.setattr(_backend, "_word_leaves", counted_leaves)
+    rng = random.Random(10)
+    for n in (10_000, 31_623, 100_000):
+        w = random_bits(rng, n)
+        seen.update(depth=0, deepest=0, peels=0, runs=0, peel_bits=0, leaves=[])
+        a, b, c, d = word_matrix(w)
+        assert seen["leaves"] == [math.ceil(n / LEAF)]
+        assert matrix_word(a, b, c, d) == w
+        pair_bits = max(a + b, c + d).bit_length()
+        assert seen["deepest"] <= math.ceil(math.log2(pair_bits / _backend._PEEL_BITS)) + 2
+        assert seen["peel_bits"] <= _backend._PEEL_BITS
+        assert seen["runs"] <= len(list(groupby(w))) + seen["peels"]
 
 
 HUGE_RUNS = {

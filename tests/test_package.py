@@ -199,6 +199,13 @@ NON_INTEGER_ERRORS = {
     "affine_derivative_factor": (lambda: diatomic.affine_derivative_factor(
         diatomic.FiniteDesign("10"), Fraction(1, 3)), OutOfRange,
         "need an ExtRational, got Fraction"),
+    "Enclosure lo": (lambda: diatomic.Enclosure("a", diatomic.ExtRational(1), 3), OutOfRange,
+                     "need an ExtRational, got str"),
+    "Enclosure hi": (lambda: diatomic.Enclosure(diatomic.ExtRational(0), Fraction(1, 2), 3),
+                     OutOfRange, "need an ExtRational, got Fraction"),
+    "Enclosure bits_used": (lambda: diatomic.Enclosure(diatomic.ExtRational(0),
+                                                       diatomic.ExtRational(1), 3.0),
+                            OutOfRange, "need an int, got float"),
     "Enclosure.contains": (lambda: diatomic.assembly_enclose("101", 3).contains(Fraction(1, 3)),
                            OutOfRange, "need an ExtRational, got Fraction"),
     "Enclosure.contains of a QuadIrr": (lambda: diatomic.assembly_enclose("101", 3).contains(

@@ -52,3 +52,17 @@ def test_parsing():
             parse_ratio(bad)
     with pytest.raises(DomainError):
         parse_fraction("inf")
+
+
+@pytest.mark.parametrize("text", ["+3", "3/+4", "1_000", "1/1_0", "\u0663/4", "3/ 4", "3 /4",
+                                  "- 3", "\u22123", "--3", "-", "0x10", "1/"])
+def test_an_integer_part_is_ascii_digits_after_an_optional_minus(text):
+    # int() reads each of these; the text grammar does not
+    with pytest.raises(DomainError) as info:
+        parse_ratio(text)
+    assert type(info.value) is DomainError and str(info.value) == f"bad rational {text!r}"
+
+
+def test_whitespace_around_the_whole_text_is_stripped():
+    assert parse_ratio("\t-0/5 \n") == ExtRational(0)
+    assert parse_fraction(" 12/8 ") == Fraction(3, 2)
