@@ -24,6 +24,7 @@ from diatomic import (
     ExtRational,
     FiniteDesign,
     QuadIrr,
+    Side,
     UniModMatrix,
     affine_derivative_factor,
     apply_mobius,
@@ -34,6 +35,7 @@ from diatomic import (
     parse_fraction,
     parse_ratio,
     question_mark_inverse,
+    quotient_scan,
     reflection,
     sdm,
 )
@@ -159,7 +161,29 @@ def kinds():
         yield call("parse_fraction", parse_fraction, x)
 
 
-FAMILIES = {f.__name__: f for f in (rational, enclosure, action, kinds)}
+def scan():
+    """quotient_scan on both sides of every a/q in (0, 1) with q < 40, of
+    seeded points whose periods have 1,018 to 1,090 bits, of dyadic points,
+    and its error paths: jmax below the first step inside (0, 1), eta outside
+    (0, 1) and a side that is not a Side."""
+    points = list(dict.fromkeys(Fraction(a, q) for q in range(2, 40) for a in range(1, q)))
+    rng = random.Random(28)
+    for p in (1019, 1061, 1091):  # 2 has order p - 1 mod each
+        points += [Fraction(rng.randrange(1, p), p), Fraction(rng.randrange(1, 4 * p, 2), 4 * p)]
+    points += [Fraction(1, 2), Fraction(3, 8), Fraction(1, 1024), Fraction(1021, 1024)]
+    for eta in points:
+        for side in Side:
+            yield call("quotient_scan", quotient_scan, eta, side, 36)
+    for eta, side, jmax in [(Fraction(1, 1000), Side.LEFT, 9), (Fraction(1, 1000), Side.LEFT, 10),
+                            (Fraction(999, 1000), Side.RIGHT, 9), (Fraction(1, 3), Side.LEFT, 0),
+                            (Fraction(0), Side.RIGHT, 5), (Fraction(1), Side.LEFT, 5),
+                            (Fraction(3, 2), Side.LEFT, 5), (Fraction(-1, 2), Side.RIGHT, 5),
+                            (Fraction(1, 3), "left", 5), (Fraction(1, 3), None, 5),
+                            (Fraction(1, 3), 1, 5)]:
+        yield call("quotient_scan", quotient_scan, eta, side, jmax)
+
+
+FAMILIES = {f.__name__: f for f in (rational, enclosure, action, kinds, scan)}
 
 
 def digests(family: str) -> list:

@@ -8,9 +8,12 @@ change that alters an output on purpose lists every changed call in
 CHANGES.md before it writes new digests here.
 """
 
+from math import gcd
+
 import pytest
 
 import corpus
+from diatomic import derivative
 
 DIGESTS = {
     "rational": [
@@ -37,6 +40,9 @@ DIGESTS = {
     "kinds": [
         "ca8f9e97fc4de9c8",
     ],
+    "scan": [
+        "4fc5b3117ff71169", "1d415cfd6c55b2a0", "8277cbc94ceccd40",
+    ],
 }
 
 
@@ -47,3 +53,20 @@ def test_corpus_outcomes_are_unchanged(family):
         first = i * corpus.CHUNK + 1
         assert g == w, f"{family}: lines {first}-{first + corpus.CHUNK - 1} changed"
     assert len(got) == len(want), f"{family}: {len(got)} chunks, expected {len(want)}"
+
+
+def test_scan_family_meets_common_factors_of_a2_and_n2(monkeypatch):
+    # a sample's gap shares h^2 with 2 a2 n2, h = gcd(a2, n2); the family
+    # must reach h = 1, an even h and an odd h > 1
+    seen, moved_gap = set(), derivative._moved_gap
+
+    def sample(frame, a, b, c, e, k):
+        a2, b1, c0 = frame[:3]
+        h = gcd(a2, (a2 * e + b1 * c) * e - c0 * c * c)
+        seen.add(min(h, 2 + h % 2))  # 1, 2 for an even h, 3 for an odd h > 1
+        return moved_gap(frame, a, b, c, e, k)
+
+    monkeypatch.setattr(derivative, "_moved_gap", sample)
+    for _ in corpus.scan():
+        pass
+    assert seen == {1, 2, 3}
