@@ -30,6 +30,9 @@ def _int(text: str) -> int:
         raise DomainError(f"expected an integer, got {text!r}") from None
 
 
+_int.__name__ = "int"  # argparse names an option's type in "invalid int value: 'x'"
+
+
 def _finite(text: str) -> design.FiniteDesign:
     d = design.parse_design(text)
     if not isinstance(d, design.FiniteDesign):
@@ -98,12 +101,12 @@ def _scan(eta, side, jmax, csv):
 # option dest: (default, argparse keywords); "{}" in a help text names the
 # actions that read the option
 _OPTIONS = {
-    "sdi": (None, dict(type=int, metavar="N",
+    "sdi": (None, dict(type=_int, metavar="N",
                        help="read the table at depth N instead (order = M)")),
-    "n": (0, dict(type=int, help="bits to use for {}")),
-    "grid": (3, dict(type=int, help="dyadic grid depth for {}")),
+    "n": (0, dict(type=_int, help="bits to use for {}")),
+    "grid": (3, dict(type=_int, help="dyadic grid depth for {}")),
     "side": ("right", dict(choices=["left", "right"], help="side of eta that {} probes")),
-    "jmax": (10, dict(type=int, help="last step 2^-JMAX of {}")),
+    "jmax": (10, dict(type=_int, help="last step 2^-JMAX of {}")),
     "csv": (False, dict(action="store_true",
                         help="accepted and ignored: {} always prints CSV rows")),
 }

@@ -6,10 +6,12 @@ are negative powers of two only, so every probed point stays inside that
 field: eta and eta + 2**-j share every bit past the j-th, and by the
 composition law (prepending a word applies the Moebius action of its
 matrix) the probed value is the base value moved by two j-bit matrices.
-Their product has determinant 1, so it moves the base's primitive equation
-to another; a sample takes big-by-small products and one gcd against a2,
-the equation's leading coefficient.  At a dyadic point it moves the reduced
-value, and a sample is one normalisation.
+Their product has determinant 1, so it moves the base's primitive equation,
+read straight off the point's value generator, to another; a sample takes
+big-by-small products and one gcd against a2, the equation's leading
+coefficient, and its common factor is a power of two shifted out, or
+else a gcd that starts from a small operand.  At a dyadic point it moves
+the reduced value, and a sample is one normalisation.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from fractions import Fraction
 
 from ._backend import continuant_pair
 from ._value import Value, _set
-from .assembly import assembly_of_rational_theta
-from .design import FiniteDesign
+from .assembly import assembly_dyadic
+from .design import FiniteDesign, design_of_theta
 from .errors import OutOfRange, TerminalDesign, ZeroLength, _check_fraction, _check_int, _check_kind
 from .matrix import sdm
-from .quadratic import FieldElement, _gap_frame, _moved_gap
+from .quadratic import FieldElement, _equation, _gap_frame, _moved_gap, _value_generator
 from .rational import ExtRational
 
 
@@ -65,10 +67,11 @@ def quotient_scan(eta: Fraction, side: Side, jmax: int) -> QuotientScan:
     discriminant fixed by eta.  With u and w the first j bits of eta and of
     eta + h, A(eta + h) = M(w) M(u)^-1 A(eta) by the composition law, and
     one walk over eta's bits grows M(u) and M(w) by a letter each per step.
-    A sample moves the base equation by that det-1 matrix, with big-by-small
-    products of the coefficient products formed once per scan and one gcd
-    against a2, or at a dyadic eta moves the base value with one
-    normalisation.  No radicand is checked.
+    A sample moves the base equation, read off eta's value generator, by
+    that det-1 matrix, with big-by-small products of the coefficient
+    products formed once per scan and one gcd against a2, or at a dyadic
+    eta moves the base value with one normalisation.  No radicand is
+    checked.
     """
     _check_fraction(eta)
     if not isinstance(side, Side):
@@ -84,11 +87,12 @@ def quotient_scan(eta: Fraction, side: Side, jmax: int) -> QuotientScan:
     first = (den // (den - num if sgn > 0 else num)).bit_length()
     if first > jmax:
         raise OutOfRange("jmax must be >= {} for a step inside (0, 1), got {}", first, jmax)
-    base = assembly_of_rational_theta(eta)
-    if isinstance(base, ExtRational):  # dyadic eta
+    design = design_of_theta(eta)
+    if isinstance(design, FiniteDesign):  # dyadic eta: the value at its design number
+        base = assembly_dyadic(design.number, design.length)
         moved, at = _moved_ratio_gap, (base.num, base.den)
-    else:
-        moved, at = _moved_gap, _gap_frame(base)
+    else:  # the base value's primitive equation, with no QuadIrr built
+        moved, at = _moved_gap, _gap_frame(*_equation(*_value_generator(design)))
     # w = u + sgn starts at the first bit `start` as the old M(u) times the
     # other letter; then it takes the letter u does not, as the carry runs
     start, r = int(sgn < 0), num
@@ -103,8 +107,8 @@ def quotient_scan(eta: Fraction, side: Side, jmax: int) -> QuotientScan:
         else:
             a, c, wb, wd = a + b, c + d, wa + wb, wc + wd
         if j >= first:  # M(w) times M(u)^-1 = (d -b; -c a), as det M(u) = 1
-            m = wa * d - wb * c, wb * a - wa * b, wc * d - wd * c, wd * a - wc * b
-            samples.append((Fraction(sgn, 1 << j), moved(at, *m, sgn << j)))
+            samples.append((Fraction(sgn, 1 << j), moved(
+                at, wa * d - wb * c, wb * a - wa * b, wc * d - wd * c, wd * a - wc * b, sgn << j)))
     return QuotientScan(eta, side, tuple(samples))
 
 

@@ -6,7 +6,9 @@ generator is the period's matrix, whose entries are the table quadruple at
 (n, m), or for a period h + flip(h) a det -1 matrix G whose square G^2 is
 the period's matrix, read off half the word.  One exact type holds the
 value: QuadIrr, a FieldElement (p + q sqrt(d))/r read back as its
-primitive equation.
+primitive equation.  One route, _equation, turns a generator into that
+equation (a2, b1, c0, s); the QuadIrr wraps it, and a quotient scan's gaps
+are moved from it with no QuadIrr in between.
 Roots are compared through integer sign tests, never floats.
 """
 
@@ -225,10 +227,12 @@ def _check_period(period: FiniteDesign) -> FiniteDesign:
     return period
 
 
-def _fixed_point(a: int, b: int, c: int, d: int) -> QuadIrr:
-    """The attracting fixed point of x -> (a x + b)/(c x + d), of determinant
-    e = +-1 and trace t, for a period's generator (see _period_matrix),
-    conjugated by a preperiod's matrix or not; conjugation keeps e and t.
+def _equation(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    """The primitive equation (a2, b1, c0, s) of the attracting fixed point of
+    x -> (a x + b)/(c x + d), of determinant e = +-1 and trace t, for a
+    period's generator (see _period_matrix), conjugated by a preperiod's
+    matrix or not; conjugation keeps e and t.  The root is
+    (b1 + s sqrt(disc))/(2 a2) of a2 X^2 - b1 X - c0 = 0, a2 >= 1.
     A det-1 generator is a positive matrix, so a d = 1 + b c >= 2 and t >= 3;
     the det -1 (b a; d c) has t = b + c >= 1, as M(h) is not the identity.
 
@@ -238,35 +242,39 @@ def _fixed_point(a: int, b: int, c: int, d: int) -> QuadIrr:
     one above 1 for these t.  So the attracting root takes +sqrt(disc)/(2c):
     the plus branch exactly when c > 0.
 
-    The root is built on the trusted path.  Its discriminant is
-    (a - d)^2 + 4 b c = t^2 - 4 e, never a square: t^2 - 4 e = u^2 with
-    u >= 0 gives |t - u| (t + u) = 4, two factors of one parity, so both
-    are 2 and t is 2 or 0.  Dividing the equation by its content g divides
-    the discriminant by g^2, which keeps it a nonsquare.  The root is
-    positive: it is the value of a periodic design, M(y) for the
-    preperiod's matrix M and the attracting fixed point y of the period's
-    matrix, which is the generator's.  A period mixes both letters, so its
-    matrix is positive and maps [0, inf] into (0, inf), where y lies; a
-    nonnegative det-1 M keeps (0, inf).
+    Its discriminant is (a - d)^2 + 4 b c = t^2 - 4 e, never a square:
+    t^2 - 4 e = u^2 with u >= 0 gives |t - u| (t + u) = 4, two factors of
+    one parity, so both are 2 and t is 2 or 0.  Dividing the equation by
+    its content g divides the discriminant by g^2, which keeps it a
+    nonsquare.  The root is positive: it is the value of a periodic design,
+    M(y) for the preperiod's matrix M and the attracting fixed point y of
+    the period's matrix, which is the generator's.  A period mixes both
+    letters, so its matrix is positive and maps [0, inf] into (0, inf),
+    where y lies; a nonnegative det-1 M keeps (0, inf).
     """
     s = 1 if c > 0 else -1
     a2, b1, c0 = s * c, s * (a - d), s * b
     g = gcd(a2, b1, c0)
-    a2, b1, c0 = a2 // g, b1 // g, c0 // g
-    # gcd(b1, s, 2 a2) = 1, so the parts are reduced
+    if g > 1:
+        a2, b1, c0 = a2 // g, b1 // g, c0 // g
+    return a2, b1, c0, s
+
+
+def _fixed_point(a: int, b: int, c: int, d: int) -> QuadIrr:
+    """The root of _equation's primitive equation, on the trusted path: its
+    discriminant is a nonsquare and the root positive (see _equation), and
+    gcd(b1, s, 2 a2) = 1, so the parts are reduced."""
+    a2, b1, c0, s = _equation(a, b, c, d)
     return _quad(b1, s, 2 * a2, b1 * b1 + 4 * a2 * c0)
 
 
-def _gap_frame(x: FieldElement) -> tuple:
-    """What every gap moved from x reads, computed once: for x stored as a
-    QuadIrr stores its root, (b1 + s sqrt(disc))/(2 a2) with the primitive
-    equation a2 X^2 - b1 X - c0 = 0, the tuple (a2, b1, c0, s, disc) and the
-    products 2 a2^2, a2 b1, 2 a2 b1, 2 a2 c0, b1 c0 and b1^2."""
-    b1, s, a2, disc = x.p, x.q, x.r >> 1, x.d
-    bb = b1 * b1
-    ac = (disc - bb) >> 2  # disc = b1^2 + 4 a2 c0
-    c0, ab = ac // a2, a2 * b1
-    return a2, b1, c0, s, disc, 2 * a2 * a2, ab, 2 * ab, 2 * ac, b1 * c0, bb
+def _gap_frame(a2: int, b1: int, c0: int, s: int) -> tuple:
+    """What every gap moved from the root (b1 + s sqrt(disc))/(2 a2) of the
+    primitive equation a2 X^2 - b1 X - c0 = 0 reads, computed once: the tuple
+    (a2, b1, c0, s, disc) and the products 2 a2^2, a2 b1, 2 a2 b1, 2 a2 c0,
+    b1 c0 and b1^2, with disc = b1^2 + 4 a2 c0."""
+    bb, ab, ac = b1 * b1, a2 * b1, a2 * c0
+    return a2, b1, c0, s, bb + 4 * ac, 2 * a2 * a2, ab, 2 * ab, 2 * ac, b1 * c0, bb
 
 
 def _moved_gap(frame: tuple, a: int, b: int, c: int, e: int, k: int) -> FieldElement:
@@ -281,26 +289,39 @@ def _moved_gap(frame: tuple, a: int, b: int, c: int, e: int, k: int) -> FieldEle
     The gap is (p + q sqrt(disc))/r with p = (a2 n1 - b1 n2) k,
     q = s (a2 - n2) k and r = 2 a2 n2.  Over the frame's products, and with
     a e + b c = 2 b c + 1, each term of p and r is a frame value times a
-    small entry of the step.
+    small entry of the step.  A negative r turns k's sign before p and q
+    are formed, so r > 0 costs no negation of a long part.
 
     With h = gcd(a2, n2), g = gcd(p, q, r) divides 2 h^2 k: at a prime l,
     if l divides a2 and n2 to different orders, the smaller order is l's in
     h and a2 - n2 has exactly that order, so l's order in q is at most
     l's in h k; otherwise l's order in r is that of 2 h^2.  So g is
-    gcd(2 h^2 k, p, q, r), whose first operand is small.
+    gcd(2 h^2 k, p, q, r), whose first operand is small.  When h^2 k is
+    +-2^u, as in every scan sample whose h is a power of two, g is a power
+    of two too, and it is the lowest set bit of p | q | r.
     """
     a2, b1, c0, s, disc, aa2, ab, ab2, ac2, bc, bb = frame
     ee, ce, cc = e * e, c * e, c * c
     n2 = (a2 * e + b1 * c) * e - c0 * cc
+    r = ee * aa2 + ce * ab2 - cc * ac2
+    if r < 0:
+        r, k = -r, -k
     p = (b * e * aa2 + (2 * b * c + 1 - ee) * ab - a * c * ac2 - ce * bb + cc * bc) * k
     q = (a2 - n2) * s * k
-    r = ee * aa2 + ce * ab2 - cc * ac2
     h = gcd(a2, n2)
-    g = gcd(2 * h * h * k, p, q, r)
-    if r < 0:
-        g = -g
+    w = 2 * h * h * k
+    v = w if w > 0 else -w
     # the normal form over the base's checked disc: r // g > 0 and no common factor
-    return _field(p // g, q // g, r // g, disc)
+    if v & (v - 1):  # 2 h^2 k is not +-2^(u+1)
+        g = gcd(w, p, q, r)
+        return _field(p // g, q // g, r // g, disc)
+    # g divides 2^(u+1), so it is 2^t, t the least of the parts' orders of 2:
+    # the trailing zeros of their OR, as a negative x in two's complement
+    # ends in the zeros of -x.  Each part is a multiple of 2^t, so a right
+    # shift divides it exactly and keeps its sign.
+    x = p | q | r
+    t = (x & -x).bit_length() - 1
+    return _field(p >> t, q >> t, r >> t, disc)
 
 
 def _period_matrix(period: FiniteDesign) -> tuple[int, int, int, int]:
@@ -321,15 +342,21 @@ def quad_from_period(period: FiniteDesign) -> QuadIrr:
     return _fixed_point(*_period_matrix(_check_period(period)))
 
 
-def quad_of_periodic(pd: PeriodicDesign) -> QuadIrr:
-    """Value of a canonical periodic design: with M the preperiod's matrix
-    (the identity for a pure design) and P the period's generator, the
-    attracting fixed point of M P M^-1."""
+def _value_generator(pd: PeriodicDesign) -> tuple[int, int, int, int]:
+    """A generator whose attracting fixed point is pd's value: with M the
+    preperiod's matrix (the identity for a pure design) and P the period's
+    generator, M P M^-1."""
     e, f, g, h = _period_matrix(pd.period)
     a, b, c, d = word_matrix(pd.preperiod.bits)
     # M P = (ta tb; tc td), times M^-1 = (d -b; -c a)
     ta, tb, tc, td = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-    return _fixed_point(ta * d - tb * c, tb * a - ta * b, tc * d - td * c, td * a - tc * b)
+    return ta * d - tb * c, tb * a - ta * b, tc * d - td * c, td * a - tc * b
+
+
+def quad_of_periodic(pd: PeriodicDesign) -> QuadIrr:
+    """Value of a canonical periodic design: the attracting fixed point of
+    its value generator."""
+    return _fixed_point(*_value_generator(pd))
 
 
 def _cf_walk(p: int, q: int, d: int) -> tuple[list[int], list[int]]:

@@ -102,6 +102,7 @@ def test_csv_is_accepted_ignored_and_says_so(capsys, argv):
      "1,-2 + 2*sqrt(5)\n2,0 + 8/5*sqrt(5)\n"),
     (("design", "compose", "10", "101"), "10101\n"),
     (("stern", "--sdi", "6", "51"), "12\n"),
+    (("stern", "--sdi", " 6 ", "51"), "12\n"),
     (("stern", "--", "5"), "3\n"),
 ])
 def test_options_may_come_before_between_or_after_the_arguments(capsys, argv, out):
@@ -223,6 +224,14 @@ TYPED_ERRORS = [
     (("matrix", "to-design", "5,+7;2,3"), "DesignSyntaxError", "bad matrix text '5,+7;2,3'"),
     (("matrix", "to-design", "5, 7;2,3"), "DesignSyntaxError", "bad matrix text '5, 7;2,3'"),
     (("stern", "5", "--sdi", "x"), "DomainError", "argument --sdi: invalid int value: 'x'"),
+    # the integer options read integers as the positionals do
+    (("stern", "--sdi", "1_0", "5"), "DomainError", "argument --sdi: invalid int value: '1_0'"),
+    (("assembly", "enclose", "101010", "--n", "+4"), "DomainError",
+     "argument --n: invalid int value: '+4'"),
+    (("assembly", "sample", "--grid", "\u0662"), "DomainError",
+     "argument --grid: invalid int value: '\u0662'"),
+    (("deriv", "scan", "1/3", "--jmax", "1_0"), "DomainError",
+     "argument --jmax: invalid int value: '1_0'"),
     (("design", "theta", "1", "--bogus"), "DomainError", "unrecognized arguments: --bogus"),
     (("design", "theta", "--bogus", "1"), "DomainError", "unrecognized arguments: --bogus 1"),
     (("assembly", "enclose", "--n", "4", "-x", "1"), "DomainError", "unrecognized arguments: -x 1"),

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from diatomic import (
     quotient_scan,
     theta_of,
 )
-from diatomic import derivative, quadratic
+from diatomic import assembly, derivative, quadratic
 from diatomic.errors import OutOfRange, ZeroLength
 
 from oracles import ext_key, fib, rebuild_quotient_scan, recording_gcd
@@ -269,11 +270,11 @@ def test_scan_matches_rebuild_oracle_on_a_long_period():
 
 
 def test_scan_samples_take_no_gcd_past_a2_but_big_by_small(monkeypatch):
-    # A sample takes one gcd against a2 and one that starts from the small
-    # 2 h^2 k.  The gap's parts p and r have about twice a2's bits; a gcd
-    # step that meets one of them with another long operand (q has a2's
-    # bits) costs a long division and a long gcd, more than the rest of
-    # the sample.
+    # A sample takes one gcd against a2, and, unless its common factor is a
+    # power of two, one that starts from the small 2 h^2 k.  The gap's parts
+    # p and r have about twice a2's bits; a gcd step that meets one of them
+    # with another long operand (q has a2's bits) costs a long division and
+    # a long gcd, more than the rest of the sample.
     eta = Fraction(2000, 8069)  # an 8068-bit period
     limit = assembly_of_rational_theta(eta).a2.bit_length() + 64
     pairs, in_sample = [], []
@@ -288,8 +289,30 @@ def test_scan_samples_take_no_gcd_past_a2_but_big_by_small(monkeypatch):
     monkeypatch.setattr(quadratic, "gcd", recording_gcd(pairs, lambda: in_sample))
     monkeypatch.setattr(derivative, "_moved_gap", sample)
     samples = sum(len(quotient_scan(eta, side, 12).samples) for side in Side)
-    assert samples == 22 and len(pairs) >= 2 * samples
+    assert samples == 22 and sum(lo > 64 for lo, _ in pairs) == samples
     assert [(lo, hi) for lo, hi in pairs if hi > limit and lo > 64] == []
+
+
+def test_scan_reads_the_base_equation_without_building_the_base_value(monkeypatch):
+    # the frame comes from the value generator's primitive equation: no
+    # QuadIrr is made, and the public value route does not run
+    calls, value = [], assembly.assembly_of_rational_theta.__code__
+
+    def make(*parts, make=quadratic._quad):
+        calls.append("_quad")
+        return make(*parts)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is value:
+            calls.append("assembly_of_rational_theta")
+
+    monkeypatch.setattr(quadratic, "_quad", make)
+    sys.setprofile(profile)
+    try:
+        scans = [quotient_scan(Fraction(2000, 8069), side, 12) for side in Side]
+    finally:
+        sys.setprofile(None)
+    assert calls == [] and [len(s.samples) for s in scans] == [10, 12]
 
 
 @pytest.mark.parametrize("eta", [

@@ -426,7 +426,7 @@ scales = st.builds(lambda s, j: s << j, st.sampled_from([1, -1]), st.integers(0,
 
 
 def _assert_gap_like_mobius(x, m, k):
-    got, want = _moved_gap(_gap_frame(x), *m, k), sub_times(mobius(x, *m), x, k)
+    got, want = _moved_gap(_gap_frame(*_equation(x)[:4]), *m, k), sub_times(mobius(x, *m), x, k)
     assert type(got) is FieldElement
     assert (got.p, got.q, got.r, got.d) == (want.p, want.q, want.r, want.d)
     eq = equation_moved_gap(_equation(x), *m, k)
@@ -481,7 +481,7 @@ def test_moved_gap_takes_an_odd_common_factor_of_a2_and_n2(k):
     # x/(3 x + 1): n2 = 3 - 9 = -6 shares 3 with a2 = 3, and the gap's
     # three parts share 9 = h^2 before the factors of k
     x = QuadIrr(3, 0, 1)
-    frame = _gap_frame(x)
+    frame = _gap_frame(*_equation(x)[:4])
     assert frame[:5] == (3, 0, 1, 1, 12)
     got = _assert_gap_like_mobius(x, (1, 0, 3, 1), k)
     raw_r = 2 * 3 * -6  # 2 a2 n2
@@ -492,8 +492,9 @@ def test_moved_gap_takes_an_odd_common_factor_of_a2_and_n2(k):
 
 def test_moved_gap_matches_the_oracle_on_every_small_equation_and_step():
     # primitive equations and det-1 steps with small entries, at odd and
-    # even k: many have h = gcd(a2, n2) > 1, odd or even
-    seen_odd_h = 0
+    # even k and at a scan's k = +-2^j: many have h = gcd(a2, n2) > 1, odd
+    # or even with h^2 k a power of two, and many a negative r = 2 a2 n2
+    seen_odd_h = seen_power_of_two = seen_negative_r = 0
     steps = [(a, (a * e - 1) // c, c, e) for c in range(-3, 4) for e in range(-3, 4)
              for a in range(-3, 4) if c and (a * e - 1) % c == 0]
     steps += [(1, 2, 0, 1), (-1, 3, 0, -1)]
@@ -506,11 +507,15 @@ def test_moved_gap_matches_the_oracle_on_every_small_equation_and_step():
                 for s in (1, -1):
                     x = FieldElement(b1, s, 2 * a2, disc)
                     for m in steps:
-                        h = gcd(a2, a2 * m[3] ** 2 + b1 * m[2] * m[3] - c0 * m[2] ** 2)
+                        n2 = a2 * m[3] ** 2 + b1 * m[2] * m[3] - c0 * m[2] ** 2
+                        h = gcd(a2, n2)
                         seen_odd_h += h > 1 and h % 2 == 1
-                        for k in (-3, 4):
+                        seen_negative_r += n2 < 0
+                        for k in (-3, 4, -(1 << 20), 1 << 61):
+                            v = abs(h * h * k)
+                            seen_power_of_two += h > 1 and v & (v - 1) == 0
                             _assert_gap_like_mobius(x, m, k)
-    assert seen_odd_h > 100
+    assert seen_odd_h > 100 and seen_power_of_two > 100 and seen_negative_r > 100
 
 
 def test_random_periodic_roots_sit_inside_their_enclosures():
