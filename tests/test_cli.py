@@ -102,8 +102,8 @@ def test_csv_is_accepted_ignored_and_says_so(capsys, argv):
      "1,-2 + 2*sqrt(5)\n2,0 + 8/5*sqrt(5)\n"),
     (("design", "compose", "10", "101"), "10101\n"),
     (("stern", "--sdi", "6", "51"), "12\n"),
-    (("stern", "--sdi", " 6 ", "51"), "12\n"),
     (("stern", "--", "5"), "3\n"),
+    (("stern", "--sdi", " 6 ", "51"), "12\n"),
 ])
 def test_options_may_come_before_between_or_after_the_arguments(capsys, argv, out):
     assert run(capsys, *argv) == (0, out, "")
