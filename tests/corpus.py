@@ -23,6 +23,7 @@ from diatomic import (
     Enclosure,
     ExtRational,
     FiniteDesign,
+    PeriodicDesign,
     QuadIrr,
     Side,
     UniModMatrix,
@@ -30,10 +31,15 @@ from diatomic import (
     apply_mobius,
     assembly_enclose,
     assembly_inverse,
+    assembly_of_rational_theta,
     assembly_theta,
     compose_action,
+    design_of_theta,
+    make_periodic,
     parse_fraction,
     parse_ratio,
+    quad_from_period,
+    quad_of_periodic,
     question_mark_inverse,
     quotient_scan,
     reflection,
@@ -183,7 +189,41 @@ def scan():
         yield call("quotient_scan", quotient_scan, eta, side, jmax)
 
 
-FAMILIES = {f.__name__: f for f in (rational, enclosure, action, kinds, scan)}
+def values():
+    """design_of_theta and assembly_of_rational_theta at every a/q in [0, 1]
+    with q < 64; quad_of_periodic, quad_from_period and equation_str on
+    those periodic designs and on seeded ones whose periods have 1,000 to
+    4,000 bits and preperiods up to 64 bits; and the error paths: a period
+    of one letter only, a terminal period and theta outside [0, 1]."""
+    ts = list(dict.fromkeys(Fraction(a, q) for q in range(1, 64) for a in range(q + 1)))
+    designs = []
+    for t in ts:
+        yield call("design_of_theta", design_of_theta, t)
+        yield call("assembly_of_rational_theta", assembly_of_rational_theta, t)
+        d = design_of_theta(t)
+        if isinstance(d, PeriodicDesign):
+            designs.append(d)
+    rng, count = random.Random(29), len(designs) + 24
+    while len(designs) < count:
+        n = rng.randrange(1000, 4001)
+        d = make_periodic(format(rng.getrandbits(64), "064b")[:rng.randrange(65)],
+                          format(rng.getrandbits(n), f"0{n}b"))
+        if isinstance(d, PeriodicDesign):
+            designs.append(d)
+    for d in designs:
+        yield call("quad_of_periodic", quad_of_periodic, d)
+        yield call("quad_from_period", quad_from_period, d.period)
+        yield call("QuadIrr.equation_str", QuadIrr.equation_str, quad_of_periodic(d))
+    for w in ["", "0", "1", "00", "11", "0000", "1111111"]:
+        yield call("quad_from_period", quad_from_period, FiniteDesign(w))
+    for n in range(4):
+        yield call("quad_from_period", quad_from_period, FiniteDesign.terminal_of(n))
+    for t in [Fraction(-1, 3), Fraction(-1), Fraction(65, 64), Fraction(4, 3), Fraction(2)]:
+        yield call("design_of_theta", design_of_theta, t)
+        yield call("assembly_of_rational_theta", assembly_of_rational_theta, t)
+
+
+FAMILIES = {f.__name__: f for f in (rational, enclosure, action, kinds, scan, values)}
 
 
 def digests(family: str) -> list:

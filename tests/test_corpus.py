@@ -43,6 +43,12 @@ DIGESTS = {
     "scan": [
         "4fc5b3117ff71169", "1d415cfd6c55b2a0", "8277cbc94ceccd40",
     ],
+    "values": [
+        "32ab5598bd209a69", "902615e991d555b3", "c680af8f9a489c1a", "c5237e6f8d0e2340",
+        "e2816074d3ff5bbc", "feb0464c6a7148ec", "47728fe8dddda727", "865aa3b63247714e",
+        "b6cc0244aad9d059", "167a665cc11b68a5", "d0761ec57d9f8591", "40e9b665295008ad",
+        "b08e9b8b0444cf46", "0a4de4a9eea320a4", "2c90d17de41ebf30", "fc126a4a4c91c761",
+    ],
 }
 
 
