@@ -9,12 +9,20 @@ range of calls.  A change that alters an output on purpose dumps the
 families at its parent and at the change, lists every call whose line
 differs, and writes the new digests.
 
-    PYTHONPATH=src python tests/corpus.py --dump FAMILY   # one transcript
-    PYTHONPATH=src python tests/corpus.py --digests       # every chunk digest
+    PYTHONPATH=src python tests/corpus.py --dump FAMILY           # one transcript
+    PYTHONPATH=src python tests/corpus.py --digests               # every chunk digest
+    PYTHONPATH=src python tests/corpus.py --diff FAMILY OLD_SRC   # the changed lines
+
+--diff dumps the family once more under PYTHONPATH=OLD_SRC, say the src/
+of a checkout of the parent, and prints only the lines that differ, each
+hunk headed by its line numbers in the old and the new transcript.
 """
 
+import difflib
 import hashlib
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
@@ -33,7 +41,9 @@ from diatomic import (
     assembly_inverse,
     assembly_of_rational_theta,
     assembly_theta,
+    classify_type,
     compose_action,
+    conjugate_root_design,
     design_of_theta,
     make_periodic,
     parse_fraction,
@@ -149,7 +159,8 @@ def action():
 def kinds():
     """Each entry point this corpus covers, given every kind of argument."""
     args = [3, 1.5, "1/3", Fraction(1, 3), (1, 3), [1, 3], None, FiniteDesign("10"),
-            ExtRational(1, 3), UniModMatrix(2, 1, 1, 1), QuadIrr(1, 1, 1)]
+            ExtRational(1, 3), UniModMatrix(2, 1, 1, 1), QuadIrr(1, 1, 1),
+            PeriodicDesign(FiniteDesign(""), FiniteDesign("10"))]
     e = assembly_enclose("101", 3)
     for x in args:
         yield call("assembly_inverse", assembly_inverse, x)
@@ -165,6 +176,10 @@ def kinds():
         yield call("ExtRational", ExtRational, 1, x)
         yield call("parse_ratio", parse_ratio, x)
         yield call("parse_fraction", parse_fraction, x)
+        yield call("compose_action", compose_action, x, ExtRational(1, 3))
+        yield call("affine_derivative_factor", affine_derivative_factor, x, ExtRational(1, 3))
+        for fn in (quad_of_periodic, quad_from_period, classify_type, conjugate_root_design):
+            yield call(fn.__name__, fn, x)
 
 
 def scan():
@@ -233,7 +248,22 @@ def digests(family: str) -> list:
             for i in range(0, len(lines), CHUNK)]
 
 
+def diff(family: str, old_src: str) -> list:
+    """The lines of the family's transcript that differ under old_src, as
+    unified-diff hunks with no context."""
+    env = {**os.environ, "PYTHONPATH": old_src}
+    old = subprocess.run([sys.executable, __file__, "--dump", family], env=env,
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    new = list(FAMILIES[family]())
+    return list(difflib.unified_diff(old, new, old_src, "new", n=0, lineterm=""))
+
+
 def main(argv: list) -> int:
+    if len(argv) == 3 and argv[0] == "--diff" and argv[1] in FAMILIES:
+        lines = diff(argv[1], argv[2])
+        for line in lines:
+            print(line)
+        return 1 if lines else 0
     if len(argv) == 2 and argv[0] == "--dump" and argv[1] in FAMILIES:
         for line in FAMILIES[argv[1]]():
             print(line)
@@ -242,7 +272,9 @@ def main(argv: list) -> int:
         for family in FAMILIES:
             print(f"    {family!r}: {digests(family)!r},")
         return 0
-    print(f"usage: corpus.py --dump {{{','.join(FAMILIES)}}} | --digests", file=sys.stderr)
+    names = ",".join(FAMILIES)
+    print(f"usage: corpus.py --dump {{{names}}} | --digests | --diff {{{names}}} OLD_SRC",
+          file=sys.stderr)
     return 2
 
 

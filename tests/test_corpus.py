@@ -8,11 +8,13 @@ change that alters an output on purpose lists every changed call in
 CHANGES.md before it writes new digests here.
 """
 
+import os
 from math import gcd
 
 import pytest
 
 import corpus
+import diatomic
 from diatomic import derivative
 
 DIGESTS = {
@@ -38,7 +40,7 @@ DIGESTS = {
         "58c16c393e0b3399", "ae9939e399d160ad", "1a437796ee0f60f5",
     ],
     "kinds": [
-        "ca8f9e97fc4de9c8",
+        "71beeb0073881f4a",
     ],
     "scan": [
         "4fc5b3117ff71169", "1d415cfd6c55b2a0", "8277cbc94ceccd40",
@@ -76,3 +78,17 @@ def test_scan_family_meets_common_factors_of_a2_and_n2(monkeypatch):
     for _ in corpus.scan():
         pass
     assert seen == {1, 2, 3}
+
+
+def test_diff_lists_only_the_lines_that_differ(tmp_path):
+    # against the library it runs on, nothing differs; against a copy whose
+    # reflection is broken, exactly the reflection lines do
+    src = os.path.dirname(os.path.dirname(diatomic.__file__))
+    assert corpus.diff("kinds", src) == []
+    (tmp_path / "sitecustomize.py").write_text(
+        "import diatomic\ndiatomic.reflection = lambda t: 'mirror'\n")
+    changed = corpus.diff("kinds", os.pathsep.join([str(tmp_path), src]))
+    assert changed[:2] == [f"--- {tmp_path}{os.pathsep}{src}", "+++ new"]
+    body = [line for line in changed[2:] if not line.startswith("@@")]
+    assert body and all(line[1:].startswith("reflection(") for line in body)
+    assert len(body) == 2 * len([line for line in corpus.kinds() if line.startswith("reflection(")])
