@@ -21,8 +21,8 @@ from .errors import (
     _check_kind,
     _check_str,
 )
-from .matrix import apply_mobius, sdm
-from .quadratic import QuadIrr, quad_of_periodic
+from .matrix import UniModMatrix, apply_mobius, sdm
+from .quadratic import QuadIrr, _moved, _root, quad_of_periodic
 from .rational import ExtRational, _ratio
 
 
@@ -115,19 +115,20 @@ def assembly_of_rational_theta(t: Fraction) -> ExtRational | QuadIrr:
     return quad_of_periodic(d)
 
 
-def reflection(t: Fraction) -> tuple[ExtRational, ExtRational]:
+def reflection(t: Fraction) -> tuple[ExtRational | QuadIrr, ExtRational | QuadIrr]:
     """(value at 1-t, reciprocal of value at t); equal by the mirror law."""
-    v = assembly_theta(t)
-    return assembly_theta(1 - t), _ratio(v.den, v.num)  # a reduced pair swapped
+    v, w = assembly_of_rational_theta(t), assembly_of_rational_theta(1 - t)  # t checked first
+    if isinstance(v, QuadIrr):  # the reciprocal is the action of J = (0 1; 1 0)
+        return w, _root(*_moved((v.a2, v.b1, v.c0, v.q), 0, 1, 1, 0))
+    return w, _ratio(v.den, v.num)  # a reduced pair swapped
 
 
-def compose_action(d: FiniteDesign, v: ExtRational) -> ExtRational:
+def compose_action(d: FiniteDesign, v: ExtRational | QuadIrr) -> ExtRational | QuadIrr:
     """Prepending the word d moves the value by the Moebius action of sdm(d)."""
-    _check_kind(v, ExtRational)
+    _check_kind(d, FiniteDesign)
     return apply_mobius(sdm(d), v)
 
 
-def question_mark_inverse(t: Fraction) -> ExtRational:
-    """Inverse Minkowski question mark at a dyadic, as v/(v+1) of the value."""
-    v = assembly_theta(t)
-    return _ratio(v.num, v.num + v.den)  # gcd(n, n + d) = gcd(n, d) = 1, and n + d >= 1
+def question_mark_inverse(t: Fraction) -> ExtRational | QuadIrr:
+    """Inverse Minkowski question mark at rational theta: v/(v+1) of the value."""
+    return apply_mobius(UniModMatrix(1, 0, 1, 1), assembly_of_rational_theta(t))

@@ -27,7 +27,7 @@ def _int(text: str) -> int:
     try:
         return _read_int(text.strip())
     except ValueError:
-        raise DomainError(f"expected an integer, got {text!r}") from None
+        raise DomainError("expected an integer, got {!r}", text) from None
 
 
 _int.__name__ = "int"  # argparse names an option's type in "invalid int value: 'x'"
@@ -48,7 +48,7 @@ def _design_from_ratio(text: str) -> design.Design:
         try:
             a, b = _read_int(a), _read_int(b)
         except ValueError as exc:
-            raise DesignSyntaxError(f"bad ratio {text!r}") from exc
+            raise DesignSyntaxError("bad ratio {!r}", text) from exc
         return design.euclidean_design(a, b)
     return assembly.assembly_inverse(parse_ratio(text))
 

@@ -7,7 +7,7 @@ field: eta and eta + 2**-j share every bit past the j-th, and by the
 composition law (prepending a word applies the Moebius action of its
 matrix) the probed value is the base value moved by two j-bit matrices.
 Their product has determinant 1, so it moves the base's primitive equation,
-read straight off the point's value generator, to another; a sample takes
+the period's moved by the preperiod's matrix, to another; a sample takes
 big-by-small products and one gcd against a2, the equation's leading
 coefficient, and its common factor is a power of two shifted out, or
 else a gcd that starts from a small operand.  At a dyadic point it moves
@@ -19,13 +19,13 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from ._backend import continuant_pair
+from ._backend import continuant_pair, word_matrix
 from ._value import Value, _set
 from .assembly import assembly_dyadic
 from .design import FiniteDesign, design_of_theta
 from .errors import OutOfRange, TerminalDesign, ZeroLength, _check_fraction, _check_int, _check_kind
 from .matrix import sdm
-from .quadratic import FieldElement, _equation, _gap_frame, _moved_gap, _value_generator
+from .quadratic import FieldElement, _equation, _gap_frame, _moved, _moved_gap, _period_matrix
 from .rational import ExtRational
 
 
@@ -67,11 +67,10 @@ def quotient_scan(eta: Fraction, side: Side, jmax: int) -> QuotientScan:
     discriminant fixed by eta.  With u and w the first j bits of eta and of
     eta + h, A(eta + h) = M(w) M(u)^-1 A(eta) by the composition law, and
     one walk over eta's bits grows M(u) and M(w) by a letter each per step.
-    A sample moves the base equation, read off eta's value generator, by
-    that det-1 matrix, with big-by-small products of the coefficient
-    products formed once per scan and one gcd against a2, or at a dyadic
-    eta moves the base value with one normalisation.  No radicand is
-    checked.
+    A sample moves the base equation, the period's moved by the preperiod's
+    matrix, by that det-1 matrix, with big-by-small products of the
+    coefficient products formed once per scan and one gcd against a2, or at
+    a dyadic eta moves the base value with one normalisation.
     """
     _check_fraction(eta)
     if not isinstance(side, Side):
@@ -92,7 +91,8 @@ def quotient_scan(eta: Fraction, side: Side, jmax: int) -> QuotientScan:
         base = assembly_dyadic(design.number, design.length)
         moved, at = _moved_ratio_gap, (base.num, base.den)
     else:  # the base value's primitive equation, with no QuadIrr built
-        moved, at = _moved_gap, _gap_frame(*_equation(*_value_generator(design)))
+        eq = _equation(*_period_matrix(design.period))
+        moved, at = _moved_gap, _gap_frame(*_moved(eq, *word_matrix(design.preperiod.bits)))
     # w = u + sgn starts at the first bit `start` as the old M(u) times the
     # other letter; then it takes the letter u does not, as the carry runs
     start, r = int(sgn < 0), num
@@ -133,6 +133,7 @@ def affine_derivative_factor(d: FiniteDesign, v: ExtRational) -> ExtRational:
 
     v is the map's value at the suffix's theta; v = inf is allowed.
     """
+    _check_kind(d, FiniteDesign)
     _check_kind(v, ExtRational)
     if d.terminal:
         raise TerminalDesign("prefix must be a plain word")

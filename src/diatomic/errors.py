@@ -11,7 +11,13 @@ def _text(x) -> str:
     """An operand as str() prints it, but with an integer that the
     interpreter's digit limit would refuse to convert named by its bit
     length: an int, each part of a Fraction, or a tuple by its length and
-    its largest item's bit length, items of nested tuples and lists too."""
+    its largest item's bit length, items of nested tuples and lists too;
+    and a quoted text past 64 characters by its length or digit count."""
+    if isinstance(x, str) and len(x) > 64:
+        digits = x[1:] if x[:1] == "-" else x
+        if digits.isascii() and digits.isdigit():
+            return f"<{'-' if digits != x else ''}{len(digits)}-digit integer>"
+        return f"<{len(x)}-character text>"
     try:
         return str(x)
     except ValueError:

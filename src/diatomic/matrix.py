@@ -21,6 +21,7 @@ from .errors import (
     _check_kind,
     _check_str,
 )
+from .quadratic import QuadIrr, _moved, _root
 from .rational import ExtRational, _ratio, _read_int
 
 
@@ -69,7 +70,7 @@ def parse_matrix(text: str) -> UniModMatrix:
         rows = text.strip().split(";")
         (a, b), (c, d) = (tuple(_read_int(x) for x in row.split(",")) for row in rows)
     except ValueError as exc:
-        raise DesignSyntaxError(f"bad matrix text {text!r}") from exc
+        raise DesignSyntaxError("bad matrix text {!r}", text) from exc
     return UniModMatrix(a, b, c, d)
 
 
@@ -87,9 +88,11 @@ def design_of_matrix(m: UniModMatrix) -> FiniteDesign:
     return _word(matrix_word(*m.entries()), False)
 
 
-def apply_mobius(m: UniModMatrix, x: ExtRational) -> ExtRational:
-    """(a x + b)/(c x + d) on the extended rationals; infinity maps to a/c."""
+def apply_mobius(m: UniModMatrix, x: ExtRational | QuadIrr) -> ExtRational | QuadIrr:
+    """(a x + b)/(c x + d) on ExtRational (infinity maps to a/c) and QuadIrr values."""
     _check_kind(m, UniModMatrix)
+    if isinstance(x, QuadIrr):  # nonnegative entries keep a positive x positive
+        return _root(*_moved((x.a2, x.b1, x.c0, x.q), m.a, m.b, m.c, m.d))
     _check_kind(x, ExtRational)
     # a determinant-1 matrix keeps the gcd of the pair it moves: a reduced
     # x, never 0/0, has a reduced image, never 0/0

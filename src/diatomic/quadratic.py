@@ -1,15 +1,15 @@
 """Periodic designs and the quadratic irrationals they evaluate to.
 
 A periodic design's value is the attracting fixed point of one det +-1
-generator of the period's map, conjugated by the preperiod's matrix.  The
+generator of the period's map, moved by the preperiod's matrix.  The
 generator is the period's matrix, whose entries are the table quadruple at
 (n, m), or for a period h + flip(h) a det -1 matrix G whose square G^2 is
 the period's matrix, read off half the word.  One exact type holds the
 value: QuadIrr, a FieldElement (p + q sqrt(d))/r read back as its
-primitive equation.  One route, _equation, turns a generator into that
-equation (a2, b1, c0, s); the QuadIrr wraps it, and a quotient scan's gaps
-are moved from it with no QuadIrr in between.
-Roots are compared through integer sign tests, never floats.
+primitive equation (a2, b1, c0, s).  _equation reads it off a generator,
+_moved moves it by any det +-1 matrix and _root wraps it; a quotient
+scan's gaps are moved from it directly.  Roots are compared through
+integer sign tests, never floats.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .errors import (
     PerfectSquare,
     _check_fraction,
     _check_int,
+    _check_kind,
 )
 from .sdi import sdi_quadruple
 
@@ -219,6 +220,7 @@ class Purity(enum.Enum):
 
 
 def _check_period(period: FiniteDesign) -> FiniteDesign:
+    _check_kind(period, FiniteDesign)
     if period.terminal:
         raise InvalidPeriod("terminal designs cannot be periods")
     w = period.bits
@@ -230,8 +232,7 @@ def _check_period(period: FiniteDesign) -> FiniteDesign:
 def _equation(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
     """The primitive equation (a2, b1, c0, s) of the attracting fixed point of
     x -> (a x + b)/(c x + d), of determinant e = +-1 and trace t, for a
-    period's generator (see _period_matrix), conjugated by a preperiod's
-    matrix or not; conjugation keeps e and t.  The root is
+    period's generator (see _period_matrix).  The root is
     (b1 + s sqrt(disc))/(2 a2) of a2 X^2 - b1 X - c0 = 0, a2 >= 1.
     A det-1 generator is a positive matrix, so a d = 1 + b c >= 2 and t >= 3;
     the det -1 (b a; d c) has t = b + c >= 1, as M(h) is not the identity.
@@ -246,11 +247,8 @@ def _equation(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
     t^2 - 4 e = u^2 with u >= 0 gives |t - u| (t + u) = 4, two factors of
     one parity, so both are 2 and t is 2 or 0.  Dividing the equation by
     its content g divides the discriminant by g^2, which keeps it a
-    nonsquare.  The root is positive: it is the value of a periodic design,
-    M(y) for the preperiod's matrix M and the attracting fixed point y of
-    the period's matrix, which is the generator's.  A period mixes both
-    letters, so its matrix is positive and maps [0, inf] into (0, inf),
-    where y lies; a nonnegative det-1 M keeps (0, inf).
+    nonsquare.  The root is positive: a period mixes both letters, so its
+    matrix, whose attracting fixed point it is, maps [0, inf] into (0, inf).
     """
     s = 1 if c > 0 else -1
     a2, b1, c0 = s * c, s * (a - d), s * b
@@ -260,11 +258,25 @@ def _equation(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
     return a2, b1, c0, s
 
 
-def _fixed_point(a: int, b: int, c: int, d: int) -> QuadIrr:
-    """The root of _equation's primitive equation, on the trusted path: its
-    discriminant is a nonsquare and the root positive (see _equation), and
-    gcd(b1, s, 2 a2) = 1, so the parts are reduced."""
-    a2, b1, c0, s = _equation(a, b, c, d)
+def _moved(eq: tuple, a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    """The primitive equation n2 Y^2 - n1 Y - n0 = 0 of (a x + b)/(c x + d),
+    for the root x of eq = (a2, b1, c0, s) and a det e = +-1 matrix: X =
+    (d Y - b)/(a - c Y) put into a2 X^2 - b1 X - c0 = 0.  No gcd: the
+    substitution and its inverse are integral, so each equation's content
+    divides the other's, and n1^2 + 4 n2 n0 = e^2 disc.  As c X + d != 0 at
+    an irrational X, the roots' images differ by e sqrt(disc)/n2, e times
+    the moved roots' gap: x's image is on branch s e, or -s e once n2 > 0."""
+    a2, b1, c0, s = eq
+    n2 = (a2 * d + b1 * c) * d - c0 * c * c
+    n1 = 2 * a2 * b * d + b1 * (a * d + b * c) - 2 * c0 * a * c
+    n0 = c0 * a * a - b1 * a * b - a2 * b * b
+    sign = 1 if n2 > 0 else -1
+    return sign * n2, sign * n1, sign * n0, sign * s * (a * d - b * c)
+
+
+def _root(a2: int, b1: int, c0: int, s: int) -> QuadIrr:
+    """A positive root of an equation from _equation or _moved: its disc is
+    a nonsquare (see both), and gcd(b1, s, 2 a2) = 1 keeps it reduced."""
     return _quad(b1, s, 2 * a2, b1 * b1 + 4 * a2 * c0)
 
 
@@ -339,24 +351,14 @@ def _period_matrix(period: FiniteDesign) -> tuple[int, int, int, int]:
 
 def quad_from_period(period: FiniteDesign) -> QuadIrr:
     """Fixed-point equation of a purely periodic design with this period."""
-    return _fixed_point(*_period_matrix(_check_period(period)))
-
-
-def _value_generator(pd: PeriodicDesign) -> tuple[int, int, int, int]:
-    """A generator whose attracting fixed point is pd's value: with M the
-    preperiod's matrix (the identity for a pure design) and P the period's
-    generator, M P M^-1."""
-    e, f, g, h = _period_matrix(pd.period)
-    a, b, c, d = word_matrix(pd.preperiod.bits)
-    # M P = (ta tb; tc td), times M^-1 = (d -b; -c a)
-    ta, tb, tc, td = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-    return ta * d - tb * c, tb * a - ta * b, tc * d - td * c, td * a - tc * b
+    return _root(*_equation(*_period_matrix(_check_period(period))))
 
 
 def quad_of_periodic(pd: PeriodicDesign) -> QuadIrr:
-    """Value of a canonical periodic design: the attracting fixed point of
-    its value generator."""
-    return _fixed_point(*_value_generator(pd))
+    """Value of a periodic design: the period's root moved by the preperiod's matrix."""
+    _check_kind(pd, PeriodicDesign)
+    eq = _equation(*_period_matrix(pd.period))
+    return _root(*_moved(eq, *word_matrix(pd.preperiod.bits)))
 
 
 def _cf_walk(p: int, q: int, d: int) -> tuple[list[int], list[int]]:

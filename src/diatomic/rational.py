@@ -65,7 +65,7 @@ def _read_int(text: str) -> int:
     another script, all of which int() would read."""
     digits = text[1:] if text[:1] == "-" else text
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not an integer: {text!r}")
+        raise ValueError("not an integer")
     return int(text)
 
 
@@ -79,11 +79,10 @@ def parse_ratio(text: str) -> ExtRational:
     try:
         num, den = _read_int(num), _read_int(den) if slash else 1
     except ValueError as exc:
-        raise DomainError(f"bad rational {text!r}") from exc
+        raise DomainError("bad rational {!r}", text) from exc
     return ExtRational(num, den)
 
 
 def parse_fraction(text: str) -> Fraction:
     """Parse 'a/b' or a bare integer as a finite exact fraction."""
-    r = parse_ratio(text)
-    return r.as_fraction()
+    return parse_ratio(text).as_fraction()

@@ -4,13 +4,15 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diatomic import (
     Enclosure,
     ExtRational,
     FiniteDesign,
+    PeriodicDesign,
+    apply_mobius,
     assembly_dyadic,
     assembly_enclose,
     assembly_inverse,
@@ -18,11 +20,16 @@ from diatomic import (
     assembly_theta,
     compose,
     compose_action,
+    conjugate,
     design_number,
+    design_of_theta,
+    make_periodic,
     parse_design,
     quad_from_period,
+    quad_of_periodic,
     question_mark_inverse,
     reflection,
+    sdm,
     stern,
     theta_of,
 )
@@ -34,6 +41,7 @@ from oracles import (
     ext_difference,
     ext_key,
     mediant_question_mark_inverse,
+    mobius,
     sqrt_value,
     two_value_enclose,
 )
@@ -203,10 +211,11 @@ def test_reflection_examples():
 
 
 def test_reflection_names_the_callers_t():
-    for t in (Fraction(1, 3), Fraction(3, 2)):
+    # 1 - t lies outside [0, 1] too, at 1 - t = -1/2 and 9/8
+    for t in (Fraction(3, 2), Fraction(-1, 8)):
         with pytest.raises(OutOfRange) as info:
             reflection(t)
-        assert str(info.value) == f"need a dyadic in [0, 1], got {t}"
+        assert str(info.value) == f"theta must lie in [0, 1], got {t}"
 
 
 def test_reflection_exhaustive():
@@ -258,6 +267,102 @@ def test_question_mark_inverse_matches_mediant_walk():
             got = question_mark_inverse(t)
             want = mediant_question_mark_inverse(t)
             assert got == ExtRational(want.numerator, want.denominator)
+
+
+# --- the action and the mirror law at every rational theta ----------------------
+
+
+def _value(d):
+    """The value of a design by its own route: a word's table ratio, or a
+    periodic design's root, from its period and preperiod."""
+    if isinstance(d, PeriodicDesign):
+        return quad_of_periodic(d)
+    return assembly_dyadic(d.number, d.length)
+
+
+def _words(top):
+    return [format(m, f"0{n}b") if n else "" for n in range(top + 1) for m in range(1 << n)]
+
+
+def _thetas(top):
+    """Every t = a/q in [0, 1] with q < top."""
+    return list(dict.fromkeys(Fraction(a, q) for q in range(1, top) for a in range(q + 1)))
+
+
+def _assert_action(w, t, x):
+    """Prepending w to t's design moves x = A(t) by sdm(w): by the library's
+    action, by field arithmetic on x, and by the value of the longer design."""
+    d = FiniteDesign(w)
+    got = compose_action(d, x)
+    assert got == _value(compose(d, design_of_theta(t)))
+    if isinstance(x, QuadIrr):
+        assert type(got) is QuadIrr and got == mobius(x, *sdm(d).entries())
+
+
+@pytest.mark.parametrize("top, letters", [(100, 3), (16, 8)])
+def test_compose_action_matches_the_value_of_the_composed_design(top, letters):
+    # every t with q < 100 and words of up to 3 letters, then every t with
+    # q < 16 and words of up to 8 letters
+    words = _words(letters)
+    for t in _thetas(top):
+        x = assembly_of_rational_theta(t)
+        for w in words:
+            _assert_action(w, t, x)
+
+
+def test_compose_action_builds_a_root_the_checked_constructor_accepts():
+    # _root skips the radicand's isqrt and the sign test
+    for t in _thetas(24):
+        x = assembly_of_rational_theta(t)
+        for w in _words(3) if isinstance(x, QuadIrr) else ():
+            got = compose_action(FiniteDesign(w), x)
+            assert got == QuadIrr(got.a2, got.b1, got.c0, got.plus_branch)
+
+
+def test_reflection_holds_at_every_rational_t():
+    for t in _thetas(100):
+        lhs, rhs = reflection(t)
+        assert lhs == rhs
+        x = assembly_of_rational_theta(t)
+        if isinstance(x, QuadIrr):
+            assert type(rhs) is QuadIrr and rhs == mobius(x, 0, 1, 1, 0)
+            assert question_mark_inverse(t) == mobius(x, 1, 0, 1, 1)
+
+
+def test_question_mark_inverse_at_thirds():
+    # ?^-1(1/3) = [0; 2, 1, 1, 1, ...] = (3 - sqrt 5)/2, and ?^-1(2/3) = 1 - that
+    assert question_mark_inverse(Fraction(1, 3)) == QuadIrr(1, 3, -1, plus_branch=False)
+    assert question_mark_inverse(Fraction(2, 3)) == QuadIrr(1, -1, 1)
+
+
+def test_apply_mobius_on_a_root_matches_field_arithmetic():
+    roots = [QuadIrr(1, 1, 1), QuadIrr(3, 0, 1), QuadIrr(1, 5, -3, plus_branch=False),
+             quad_of_periodic(parse_design("0110(10010)"))]
+    for x in roots:
+        for w in _words(6):
+            m = sdm(FiniteDesign(w))
+            got = apply_mobius(m, x)
+            assert type(got) is QuadIrr and got == mobius(x, *m.entries())
+
+
+def _bit_words(lo, hi):
+    return st.integers(lo, hi).flatmap(
+        lambda n: st.integers(0, (1 << n) - 1).map(lambda m: format(m, f"0{n}b") if n else ""))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_bit_words(0, 64), _bit_words(2, 3000), _bit_words(0, 64))
+def test_the_action_and_the_mirror_law_at_long_periods(pre, per, w):
+    # design_of_theta finds the order of 2 in as many steps as the period has bits
+    pd = make_periodic(pre, per)
+    assume(isinstance(pd, PeriodicDesign))
+    t, x = theta_of(pd), quad_of_periodic(pd)
+    assert assembly_of_rational_theta(t) == x
+    _assert_action(w, t, x)
+    lhs, rhs = reflection(t)
+    assert lhs == rhs == mobius(x, 0, 1, 1, 0) == quad_of_periodic(conjugate(pd))
+    m = sdm(FiniteDesign(w))
+    assert apply_mobius(m, x) == mobius(x, *m.entries())
 
 
 # --- theta -> value -> design at 10^3..10^5 bits, through the half-gcd walk --

@@ -435,3 +435,15 @@ def test_an_option_the_action_does_not_read_always_exits_2(call):
     code, out, err = call_main(argv)
     assert code == 2 and out == "" and error_name(argv, err) == "DomainError"
     assert f"--{stray}" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("stern", "9" * 5000), "DomainError: expected an integer, got '<5000-digit integer>'"),
+    (("assembly", "inverse", "9" * 5000), "DomainError: bad rational '<5000-digit integer>'"),
+    (("design", "from-ratio", "9" * 5000 + "/2"),
+     "DesignSyntaxError: bad ratio '<5002-character text>'"),
+    (("matrix", "to-design", "1,0;1," + "9" * 5000),
+     "DesignSyntaxError: bad matrix text '<5006-character text>'"),
+])
+def test_an_integer_past_the_digit_limit_is_refused_by_its_size(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")

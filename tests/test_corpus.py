@@ -31,7 +31,7 @@ DIGESTS = {
         "02e731d6e66d9cdc",
     ],
     "action": [
-        "325923103c778749", "8e5f6ea631200b61", "2017f4402cef036b", "50e0806f6c3d50cd",
+        "035de9fb6a1957db", "8e5f6ea631200b61", "2017f4402cef036b", "50e0806f6c3d50cd",
         "2d29f16357e5937a", "bc10786c34ceb772", "294f8b1d1d65e3f3", "e079ec2deaeb2beb",
         "0c32bd8f4be53923", "2daae126571a0cb1", "05adbf7f3e2878e7", "885dbd4a35ae13bd",
         "f53ecd7bd842553d", "f0cda1fead38fa45", "bdb5d3f30224b4c3", "27154426fdd67167",
@@ -40,7 +40,7 @@ DIGESTS = {
         "58c16c393e0b3399", "ae9939e399d160ad", "1a437796ee0f60f5",
     ],
     "kinds": [
-        "71beeb0073881f4a",
+        "675e948d42c8fdcd",
     ],
     "scan": [
         "4fc5b3117ff71169", "1d415cfd6c55b2a0", "8277cbc94ceccd40",

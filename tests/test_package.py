@@ -199,6 +199,14 @@ NON_INTEGER_ERRORS = {
     "affine_derivative_factor": (lambda: diatomic.affine_derivative_factor(
         diatomic.FiniteDesign("10"), Fraction(1, 3)), OutOfRange,
         "need an ExtRational, got Fraction"),
+    "compose_action of a str": (lambda: diatomic.compose_action("10", diatomic.ExtRational(1, 3)),
+                                OutOfRange, "need a FiniteDesign, got str"),
+    "affine_derivative_factor of a str": (lambda: diatomic.affine_derivative_factor(
+        "10", diatomic.ExtRational(1, 3)), OutOfRange, "need a FiniteDesign, got str"),
+    "quad_of_periodic": (lambda: diatomic.quad_of_periodic("(10)"), OutOfRange,
+                         "need a PeriodicDesign, got str"),
+    "quad_from_period": (lambda: diatomic.quad_from_period("10"), OutOfRange,
+                         "need a FiniteDesign, got str"),
     "Enclosure lo": (lambda: diatomic.Enclosure("a", diatomic.ExtRational(1), 3), OutOfRange,
                      "need an ExtRational, got str"),
     "Enclosure hi": (lambda: diatomic.Enclosure(diatomic.ExtRational(0), Fraction(1, 2), 3),
@@ -237,6 +245,17 @@ def test_an_operand_below_the_digit_limit_prints_as_str():
     for x in (0, -5, 10**100, Fraction(3, 4), Fraction(-7), Fraction(1, 10**100),
               (1, -2, 10**100), (1.5, "0", Fraction(1, 3)), 2.5, "x"):
         assert str(DomainError("got {}", x)) == f"got {x}"
+
+
+def test_a_long_text_operand_is_named_by_its_size():
+    # a refusal quotes its text; past 64 characters the text is named by its
+    # length, or by its digit count if it writes an integer
+    for text, shown in [("7" * 64, "7" * 64), ("x" * 65, "<65-character text>"),
+                        ("1" * 5000, "<5000-digit integer>"),
+                        ("-" + "1" * 5000, "<-5000-digit integer>"),
+                        ("1" * 5000 + "/3", "<5002-character text>"),
+                        ("--" + "1" * 5000, "<5002-character text>")]:
+        assert str(DomainError("bad {!r}", text)) == f"bad {shown!r}"
 
 
 @pytest.mark.parametrize("error", ERROR_TYPES, ids=lambda error: error.__name__)

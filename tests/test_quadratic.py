@@ -33,7 +33,7 @@ from diatomic import (
 )
 from diatomic.errors import InvalidPeriod, NonPositive, OutOfRange, PerfectSquare
 from diatomic import quadratic
-from diatomic.quadratic import _fixed_point, _gap_frame, _moved_gap, _period_matrix
+from diatomic.quadratic import _gap_frame, _moved_gap, _period_matrix, _root
 from oracles import (
     compare_ext,
     conjugate_sign,
@@ -320,8 +320,10 @@ def _random_periodic_designs(seed, lengths):
     "d", _random_periodic_designs(2024, (2, 3, 5, 9, 40, 130, 500, 1000, 2000, 4000, 6000, 8000)),
     ids=lambda d: f"{d.preperiod.length}+{d.period.length}")
 def test_trusted_fixed_point_equals_the_checked_constructor(d):
-    # _fixed_point skips the discriminant's isqrt and the root's sign test;
-    # the public constructor runs both on the same equation and must agree
+    # _root skips the discriminant's isqrt and the root's sign test; the
+    # public constructor runs both on the same equation and must agree.  The
+    # conjugate M P M^-1 of the period's matrix P by the preperiod's M fixes
+    # the value, and _equation reads the value's equation off it as well
     a, b, c, e = sdm(d.preperiod).entries()
     pa, pb, pc, pe = sdm(d.period).entries()
     # M P M^-1 with M^-1 = (e -b; -c a)
@@ -331,7 +333,7 @@ def test_trusted_fixed_point_equals_the_checked_constructor(d):
         want = QuadIrr(m[2], m[0] - m[3], m[1])
     else:
         want = QuadIrr(-m[2], m[3] - m[0], -m[1], plus_branch=False)
-    got = _fixed_point(*m)
+    got = _root(*quadratic._equation(*m))
     assert type(got) is QuadIrr
     assert (got.p, got.q, got.r, got.d) == (want.p, want.q, want.r, want.d)
     assert got == quad_of_periodic(d)
@@ -366,7 +368,7 @@ def test_anti_periodic_generator_has_the_whole_periods_fixed_point(half):
     assert _period_matrix(FiniteDesign(half + half.translate(_FLIP))) == (b, a, d, c)
     pa, pb, pc, pd = whole_period_matrix(half)
     want = QuadIrr(pc, pa - pd, pb)  # pc > 0: the period mixes both letters
-    got = _fixed_point(b, a, d, c)
+    got = _root(*quadratic._equation(b, a, d, c))
     assert type(got) is QuadIrr
     assert (got.p, got.q, got.r, got.d) == (want.p, want.q, want.r, want.d)
 

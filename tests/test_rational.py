@@ -1,9 +1,10 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
-from diatomic import ExtRational, parse_fraction, parse_ratio
-from diatomic.errors import DomainError, OutOfRange
+from diatomic import ExtRational, parse_fraction, parse_matrix, parse_ratio
+from diatomic.errors import DesignSyntaxError, DomainError, OutOfRange
 
 
 def test_negative_component_names_a_huge_operand_by_its_bit_length(huge):
@@ -66,3 +67,31 @@ def test_an_integer_part_is_ascii_digits_after_an_optional_minus(text):
 def test_whitespace_around_the_whole_text_is_stripped():
     assert parse_ratio("\t-0/5 \n") == ExtRational(0)
     assert parse_fraction(" 12/8 ") == Fraction(3, 2)
+
+
+def test_an_integer_past_the_digit_limit_is_named_by_its_digit_count():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the interpreter has no digit limit")
+    assert parse_ratio("7" * limit) == ExtRational(int("7" * limit))
+    for n in (limit + 1, 5000, 100000):
+        with pytest.raises(DomainError) as info:
+            parse_ratio("1" * n)
+        assert type(info.value) is DomainError
+        assert str(info.value) == f"bad rational '<{n}-digit integer>'"
+
+
+@pytest.mark.parametrize("n", [65, 5000, 100000])
+def test_a_refusal_does_not_grow_with_the_text(n):
+    # the text is named by its size, so the message keeps its length
+    for call, error, text, message in [
+        (parse_ratio, DomainError, "x" * n, f"bad rational '<{n}-character text>'"),
+        (parse_ratio, DomainError, "3/+" + "4" * n, f"bad rational '<{n + 3}-character text>'"),
+        (parse_fraction, DomainError, "-" + "1" * n + "/",
+         f"bad rational '<{n + 2}-character text>'"),
+        (parse_matrix, DesignSyntaxError, "1,0;1," + "x" * n,
+         f"bad matrix text '<{n + 6}-character text>'"),
+    ]:
+        with pytest.raises(error) as info:
+            call(text)
+        assert type(info.value) is error and str(info.value) == message
