@@ -267,9 +267,9 @@ def _moved(eq: tuple, a: int, b: int, c: int, d: int) -> tuple[int, int, int, in
     an irrational X, the roots' images differ by e sqrt(disc)/n2, e times
     the moved roots' gap: x's image is on branch s e, or -s e once n2 > 0."""
     a2, b1, c0, s = eq
-    n2 = (a2 * d + b1 * c) * d - c0 * c * c
-    n1 = 2 * a2 * b * d + b1 * (a * d + b * c) - 2 * c0 * a * c
-    n0 = c0 * a * a - b1 * a * b - a2 * b * b
+    n2 = (a2 * d + b1 * c) * d - c * c * c0  # small products first
+    n1 = 2 * b * d * a2 + (a * d + b * c) * b1 - 2 * a * c * c0
+    n0 = a * a * c0 - a * b * b1 - b * b * a2
     sign = 1 if n2 > 0 else -1
     return sign * n2, sign * n1, sign * n0, sign * s * (a * d - b * c)
 
