@@ -258,6 +258,9 @@ def test_question_mark_inverse_examples():
     assert question_mark_inverse(Fraction(0)) == ExtRational(0)
     assert question_mark_inverse(Fraction(3, 4)) == ExtRational(2, 3)
     assert question_mark_inverse(Fraction(1)) == ExtRational(1)
+    # ?^-1(1/3) = [0; 2, 1, 1, 1, ...] = (3 - sqrt 5)/2, and ?^-1(2/3) = 1 - that
+    assert question_mark_inverse(Fraction(1, 3)) == QuadIrr(1, 3, -1, plus_branch=False)
+    assert question_mark_inverse(Fraction(2, 3)) == QuadIrr(1, -1, 1)
 
 
 def test_question_mark_inverse_matches_mediant_walk():
@@ -327,12 +330,6 @@ def test_reflection_holds_at_every_rational_t():
         if isinstance(x, QuadIrr):
             assert type(rhs) is QuadIrr and rhs == mobius(x, 0, 1, 1, 0)
             assert question_mark_inverse(t) == mobius(x, 1, 0, 1, 1)
-
-
-def test_question_mark_inverse_at_thirds():
-    # ?^-1(1/3) = [0; 2, 1, 1, 1, ...] = (3 - sqrt 5)/2, and ?^-1(2/3) = 1 - that
-    assert question_mark_inverse(Fraction(1, 3)) == QuadIrr(1, 3, -1, plus_branch=False)
-    assert question_mark_inverse(Fraction(2, 3)) == QuadIrr(1, -1, 1)
 
 
 def test_apply_mobius_on_a_root_matches_field_arithmetic():

@@ -3,9 +3,10 @@
 Each digest is the first 16 hex digits of the sha256 of one chunk of
 corpus.CHUNK transcript lines.  A mismatch names the family and the lines of
 the first chunk that differs; `PYTHONPATH=src python tests/corpus.py --dump
-FAMILY` prints the transcript to diff against a checkout of the parent.  A
-change that alters an output on purpose lists every changed call in
-CHANGES.md before it writes new digests here.
+FAMILY` prints the transcript, and `--diff FAMILY OLD_SRC` prints only the
+lines that differ under another source tree, such as a checkout of the
+parent.  A change that alters an output on purpose lists every changed call
+in CHANGES.md before it writes new digests here.
 """
 
 import os

@@ -294,7 +294,7 @@ def test_scan_samples_take_no_gcd_past_a2_but_big_by_small(monkeypatch):
 
 
 def test_scan_reads_the_base_equation_without_building_the_base_value(monkeypatch):
-    # the frame comes from the value generator's primitive equation: no
+    # the frame comes from the period's equation moved by the preperiod: no
     # QuadIrr is made, and the public value route does not run
     calls, value = [], assembly.assembly_of_rational_theta.__code__
 

@@ -296,8 +296,8 @@ def bit_words(draw, lo, hi):
 @settings(max_examples=40, deadline=None)
 @given(bit_words(0, 64), bit_words(2, 4000))
 def test_periodic_value_matches_the_mobius_route(pre, per):
-    # the composition law at scale: the conjugated fixed point equals the
-    # period's root moved by the preperiod's matrix
+    # the composition law at scale: the library's moved equation equals the
+    # period's root moved by the preperiod's matrix in field arithmetic
     d = make_periodic(pre, per)
     assume(isinstance(d, PeriodicDesign))
     assert quad_of_periodic(d) == mobius_quad_of_periodic(d)

@@ -140,7 +140,7 @@ def non_dyadic_points(draw):
 @settings(max_examples=60, deadline=None)
 @given(eta=non_dyadic_points(), side=st.sampled_from(Side), f=st.fractions(max_denominator=99))
 def test_trusted_quadratic_values_equal_the_checked_ones(eta, side, f):
-    base = assembly_of_rational_theta(eta)  # _fixed_point's root
+    base = assembly_of_rational_theta(eta)  # _root of a moved equation
     assert type(base) is QuadIrr
     assert_checked(base)
     # eta and 1 - eta exceed 2^-19 (den < 2^19), so steps to 2^-20 leave samples
