@@ -41,10 +41,14 @@ from diatomic import (
     assembly_inverse,
     assembly_of_rational_theta,
     assembly_theta,
+    cf_eval,
+    cf_product_decomposition,
     classify_type,
     compose_action,
     conjugate_root_design,
+    continuant,
     design_of_theta,
+    from_runs,
     make_periodic,
     parse_fraction,
     parse_ratio,
@@ -52,9 +56,13 @@ from diatomic import (
     quad_of_periodic,
     question_mark_inverse,
     quotient_scan,
+    realizing_pair,
     reflection,
+    sdi_corner_continuants,
+    sdi_from_runs,
     sdm,
 )
+from diatomic import runs as run_list
 
 CHUNK = 400
 INF = ExtRational.infinity()
@@ -67,7 +75,18 @@ def call(name: str, fn, *args) -> str:
         outcome = f"{r!r} | {r}"
     except Exception as exc:  # an error is an outcome like any other
         outcome = f"{type(exc).__name__}: {exc}"
-    return f"{name}({', '.join(map(repr, args))}) -> {outcome}"
+    return f"{name}({', '.join(map(_shown, args))}) -> {outcome}"
+
+
+def _shown(x) -> str:
+    """repr(x), but with an int past the interpreter's digit limit, alone or
+    in a tuple, shown by its bit length."""
+    if isinstance(x, tuple):
+        return f"({', '.join(map(_shown, x))}{',' if len(x) == 1 else ''})"
+    try:
+        return repr(x)
+    except ValueError:
+        return f"<{x.bit_length()}-bit int>"
 
 
 def _words(top: int) -> list:
@@ -238,7 +257,69 @@ def values():
         yield call("assembly_of_rational_theta", assembly_of_rational_theta, t)
 
 
-FAMILIES = {f.__name__: f for f in (rational, enclosure, action, kinds, scan, values)}
+def _tail_ends(ks) -> tuple:
+    """The count, first and last of cf_product_decomposition's tails; all of
+    them would print thousands of long values for a long list."""
+    tails = cf_product_decomposition(ks)
+    return len(tails), tails[0], tails[-1]
+
+
+def runs():
+    """runs on every word of up to 10 letters, on seeded words of 1,000 to
+    12,000 letters and on single long runs; from_runs, sdi_from_runs,
+    sdi_corner_continuants, continuant, cf_eval, cf_product_decomposition
+    and realizing_pair on each of their run lists, so continuant runs on
+    both sides of its 3,072-item tree cutoff; and the error paths: terminal
+    designs, even-length lists, negative and zero interior runs, float,
+    Fraction and str entries in short lists and in lists of 4,001 items,
+    and a 20,000-bit run."""
+    readers = (from_runs, sdi_from_runs, sdi_corner_continuants, continuant, cf_eval,
+               cf_product_decomposition, realizing_pair)
+    for w in _words(10):
+        d = FiniteDesign(w)
+        yield call("runs", run_list, d)
+        for fn in readers:
+            yield call(fn.__name__, fn, run_list(d))
+    rng = random.Random(30)
+    long_words = [format(rng.getrandbits(n), f"0{n}b")
+                  for n in [rng.randrange(1000, 12001) for _ in range(12)]]
+    long_words += ["1" * 5000, "0" * 5000, "0" * 3000 + "1" * 4000, "1" + "0" * 6000 + "1",
+                   "10" * 4000, "0" + "01" * 3500]
+    for w in long_words:
+        d = FiniteDesign(w)
+        yield call("runs", run_list, d)
+        ks = run_list(d)
+        for fn in readers[:-2]:
+            yield call(fn.__name__, fn, ks)
+        yield call("cf_product_decomposition ends", _tail_ends, ks)
+        yield call("realizing_pair", realizing_pair, ks)
+    for n in range(4):
+        yield call("runs", run_list, FiniteDesign.terminal_of(n))
+    yield call("runs", run_list, "101")
+    yield call("runs", run_list, None)
+    bad = [(), (1, 1), (2, 3, 4, 5), (1, 0, 1), (0, 0, 0), (-1,), (2, 2, -1), (-1, 1, 1),
+           (1, -1, 1), (3, 0), (0,), (1,), (2,), (0, 1, 0), (1.5,), (1, 2.0, 1),
+           (Fraction(1, 2),), (1, Fraction(3), 1), ("1",), (1, "2", 1), (True, 1, False),
+           None, 5, [1, 2, 3]]
+    ones = (1,) * 4001
+    for x in (1.5, Fraction(1, 2), "1"):
+        bad += [(x,) + ones[1:], ones[:1] + (x,) + ones[2:]]
+    bad += [ones[:-1] + (1.5,), ones[:-1] + (Fraction(3),), ones[:2000] + (0,) + ones[2001:],
+            ones[:-1] + (-1,), ones[1:]]
+    for ks in bad:
+        for fn in readers:
+            yield call(fn.__name__, fn, ks)
+    # a 20,000-bit run, in lists that every reader but continuant refuses
+    h = (1 << 19999) + 12345
+    for ks in [(h, 0, 1, 1), (1, 2, -h), (h, 0, 1), (-h,), (h, 1.5, 1), (1, 0, h), (h, -1, 3)]:
+        for fn in readers:
+            if fn is not continuant:
+                yield call(fn.__name__, fn, ks)
+    for ks in [(h, 1.5, 1), (1.5, h), (h, Fraction(1, 2))]:
+        yield call("continuant", continuant, ks)
+
+
+FAMILIES = {f.__name__: f for f in (rational, enclosure, action, kinds, scan, values, runs)}
 
 
 def digests(family: str) -> list:

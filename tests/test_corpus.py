@@ -52,6 +52,19 @@ DIGESTS = {
         "b6cc0244aad9d059", "167a665cc11b68a5", "d0761ec57d9f8591", "40e9b665295008ad",
         "b08e9b8b0444cf46", "0a4de4a9eea320a4", "2c90d17de41ebf30", "fc126a4a4c91c761",
     ],
+    "runs": [
+        "9815087b73479c22", "909a815bc0cb33c8", "953ffc66618fd01f", "3f272f8b7164725e",
+        "57ae2c8072e7f88f", "679cba32455c7dff", "f44d28f905153d06", "0b36bb88a7865a57",
+        "66b844f55241c880", "8e6b30343242c7dc", "f082c241a9ca37b9", "e09cd6e1c3e9cd4f",
+        "a833082c334e1db8", "a271f6ed578a44e5", "ef88c5d0eb6cb241", "fb75f8faba3c0e61",
+        "5fc3ec3831adeb8e", "9c45e5156c015371", "a6c33f1d2f877a17", "22aa5b01d9479749",
+        "30fb835585731bd5", "eb20d962f00e7fb2", "a9f289623ce3e50c", "5780075ced2ef247",
+        "3b74546c107438b5", "b1a4b4572c5a10f7", "f5451144e56b8ff2", "b6851d5b55cbee6b",
+        "32ba90086b3ce489", "df4ccbe2969686d0", "1e46be070a927c6e", "54571f34f5c523e5",
+        "a3dcd25a88c4aeaa", "1b40e516ae098807", "785251883d2c5413", "c055b554e53b0bb4",
+        "ef98bad410f4b7c5", "25d90cc096dd98c6", "1f30dcffd4b07320", "122ac9b32015ae41",
+        "32a4dcf6497d1a3f", "85fd40c2943cebd1", "eaa021bf9d178c5f",
+    ],
 }
 
 
