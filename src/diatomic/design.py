@@ -17,6 +17,7 @@ Text grammar (also the CLI wire format):
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, isqrt
 
 from ._backend import _pair_word, continuant_pair
@@ -209,14 +210,16 @@ def runs(d: FiniteDesign) -> tuple[int, ...]:
 
 
 def _runs_of_word(word: str) -> tuple[int, ...]:
-    ks = [0]
-    symbol = "1"
+    # the run being read is counted in a local and stored once, when it ends
+    ks = []
+    symbol, k = "1", 0
     for ch in word:
         if ch == symbol:
-            ks[-1] += 1
+            k += 1
         else:
-            ks.append(1)
-            symbol = ch
+            ks.append(k)
+            symbol, k = ch, 1
+    ks.append(k)
     if symbol == "0":
         ks.append(0)
     return tuple(ks)
@@ -224,13 +227,13 @@ def _runs_of_word(word: str) -> tuple[int, ...]:
 
 def check_runs(ks) -> tuple[int, ...]:
     ks = tuple(ks)
-    if not all(isinstance(k, int) for k in ks):
+    if not all(map(isinstance, ks, repeat(int))):
         raise MalformedRuns("runs must be integers: {}", ks)
     if len(ks) % 2 == 0:
         raise MalformedRuns("run list length must be odd: {}", ks)
-    if any(k < 0 for k in ks):
+    if min(ks) < 0:
         raise MalformedRuns("negative run in {}", ks)
-    if any(k < 1 for k in ks[1:-1]):
+    if min(ks[1:-1], default=1) < 1:  # a one-item list has no interior
         raise MalformedRuns("interior runs must be positive: {}", ks)
     return ks
 
