@@ -7,13 +7,15 @@ a det +-1 product of (k 1; 1 0) matrices; each value is that reduced pair.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from ._backend import continuant_pair
 from .design import check_runs
 from .errors import MalformedRuns
 from .rational import ExtRational, _ratio
 
 
-def continuant(ks) -> int:
+def continuant(ks: Iterable[int]) -> int:
     """[k0, ..., k_{l-1}] by the left-to-right recursion; [] gives 1.
 
     A float or Fraction entry carries its type into the value, so checking
@@ -39,7 +41,7 @@ def _check_cf_word(ks) -> tuple[int, ...]:
     return ks
 
 
-def cf_eval(ks) -> ExtRational:
+def cf_eval(ks: Iterable[int]) -> ExtRational:
     """Value of CF(k0, ..., k_{l-1}) in the extended rationals."""
     ks = _check_cf_word(ks)
     # K(ks) / K(ks[1:]): consecutive continuants, so a reduced pair
@@ -47,12 +49,12 @@ def cf_eval(ks) -> ExtRational:
     return _ratio(num, den)
 
 
-def sdi_from_runs(ks) -> int:
+def sdi_from_runs(ks: Iterable[int]) -> int:
     """Table value of the design whose run encoding is ks."""
     return continuant(check_runs(ks))
 
 
-def sdi_corner_continuants(ks) -> tuple[int, int, int, int]:
+def sdi_corner_continuants(ks: Iterable[int]) -> tuple[int, int, int, int]:
     """The matrix quadruple of a run word, as continuants:
 
     ([k0..k_{l-1}], [k1..k_{l-1}], [k0..k_{l-2}], [k1..k_{l-2}])
@@ -65,7 +67,7 @@ def sdi_corner_continuants(ks) -> tuple[int, int, int, int]:
     return head, tail, head_prev, tail_prev
 
 
-def cf_product_decomposition(ks) -> list[ExtRational]:
+def cf_product_decomposition(ks: Iterable[int]) -> list[ExtRational]:
     """The tail values CF(k_j, ..) whose product telescopes to the continuant.
 
     Words ending in 0 are first truncated by two entries; a bare (k0, 0)

@@ -16,6 +16,7 @@ Text grammar (also the CLI wire format):
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, isqrt
@@ -225,7 +226,7 @@ def _runs_of_word(word: str) -> tuple[int, ...]:
     return tuple(ks)
 
 
-def check_runs(ks) -> tuple[int, ...]:
+def check_runs(ks: Iterable[int]) -> tuple[int, ...]:
     ks = tuple(ks)
     if not all(map(isinstance, ks, repeat(int))):
         raise MalformedRuns("runs must be integers: {}", ks)
@@ -238,7 +239,7 @@ def check_runs(ks) -> tuple[int, ...]:
     return ks
 
 
-def from_runs(ks) -> FiniteDesign:
+def from_runs(ks: Iterable[int]) -> FiniteDesign:
     """Inverse of runs()."""
     return _word(_run_word(check_runs(ks), "10"), False)  # runs of the two letters
 
@@ -272,7 +273,7 @@ def partial_quotients(a: int, b: int) -> tuple[int, ...]:
     return tuple(rs)
 
 
-def realizing_pair(rs) -> tuple[int, int]:
+def realizing_pair(rs: Iterable[int]) -> tuple[int, int]:
     """The unique coprime (a, b) whose quotients are rs; inverts partial_quotients."""
     rs = tuple(rs)
     if not all(isinstance(r, int) for r in rs):

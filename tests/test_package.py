@@ -1,6 +1,9 @@
 import ast
+import inspect
 import pickle
 import sys
+import typing
+from collections.abc import Iterable
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +28,22 @@ def test_every_exported_name_resolves():
     names = diatomic.__all__
     assert len(set(names)) == len(names)
     assert [n for n in names if not hasattr(diatomic, n)] == []
+
+
+def test_every_public_parameter_has_a_resolvable_annotation():
+    # a kind check driven by the signatures needs a type for every argument
+    missing = []
+    for name in diatomic.__all__:
+        fn = getattr(diatomic, name)
+        if inspect.isfunction(fn):
+            hints = typing.get_type_hints(fn)
+            missing += [f"{name}({p})" for p in inspect.signature(fn).parameters if p not in hints]
+    assert missing == []
+    runs_readers = [diatomic.continuant, diatomic.cf_eval, diatomic.sdi_from_runs,
+                    diatomic.sdi_corner_continuants, diatomic.cf_product_decomposition,
+                    diatomic.from_runs, diatomic.design.check_runs, diatomic.realizing_pair]
+    assert {next(iter(typing.get_type_hints(fn).values())) for fn in runs_readers} == {
+        Iterable[int]}
 
 
 def test_benchmark_hooks_resolve():
