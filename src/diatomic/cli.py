@@ -18,7 +18,7 @@ import re
 import sys
 
 from . import assembly, derivative, design, matrix, quadratic
-from .errors import DesignSyntaxError, DomainError, OutOfRange
+from .errors import DesignSyntaxError, DomainError, OutOfRange, _text
 from .rational import _read_int, parse_fraction, parse_ratio
 from .sdi import sdi, stern
 
@@ -30,7 +30,14 @@ def _int(text: str) -> int:
         raise DomainError("expected an integer, got {!r}", text) from None
 
 
-_int.__name__ = "int"  # argparse names an option's type in "invalid int value: 'x'"
+def _int_option(text: str) -> int:
+    """_int for an integer option.  argparse prints an ArgumentTypeError's own
+    message, but after any other error it echoes the whole text; this one
+    names a text past 64 characters by its size, as every refusal does."""
+    try:
+        return _read_int(text.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_text(text)!r}") from None
 
 
 def _finite(text: str) -> design.FiniteDesign:
@@ -101,12 +108,12 @@ def _scan(eta, side, jmax, csv):
 # option dest: (default, argparse keywords); "{}" in a help text names the
 # actions that read the option
 _OPTIONS = {
-    "sdi": (None, dict(type=_int, metavar="N",
+    "sdi": (None, dict(type=_int_option, metavar="N",
                        help="read the table at depth N instead (order = M)")),
-    "n": (0, dict(type=_int, help="bits to use for {}")),
-    "grid": (3, dict(type=_int, help="dyadic grid depth for {}")),
+    "n": (0, dict(type=_int_option, help="bits to use for {}")),
+    "grid": (3, dict(type=_int_option, help="dyadic grid depth for {}")),
     "side": ("right", dict(choices=["left", "right"], help="side of eta that {} probes")),
-    "jmax": (10, dict(type=_int, help="last step 2^-JMAX of {}")),
+    "jmax": (10, dict(type=_int_option, help="last step 2^-JMAX of {}")),
     "csv": (False, dict(action="store_true",
                         help="accepted and ignored: {} always prints CSV rows")),
 }

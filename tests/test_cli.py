@@ -195,6 +195,8 @@ def test_bad_input_names_its_domain_error(capsys, argv, error):
 
 
 HUGE = "100000000000000000000000"  # 10^23, a run past sys.maxsize letters
+LONG = "1" * 5000  # an integer past the interpreter's 4,300-digit limit
+TEXT = "x" * 65  # one character past the longest text an error echoes
 TYPED_ERRORS = [
     (("design", "from-ratio", f"1/{HUGE}"), "OutOfRange",
      f"a path run of {10**23 - 1} letters is too long to build"),
@@ -232,6 +234,13 @@ TYPED_ERRORS = [
      "argument --grid: invalid int value: '\u0662'"),
     (("deriv", "scan", "1/3", "--jmax", "1_0"), "DomainError",
      "argument --jmax: invalid int value: '1_0'"),
+    # past 64 characters an option's text is named by its size, not echoed
+    (("stern", "--sdi", LONG, "5"), "DomainError",
+     "argument --sdi: invalid int value: '<5000-digit integer>'"),
+    (("deriv", "scan", "1/3", "--jmax", LONG), "DomainError",
+     "argument --jmax: invalid int value: '<5000-digit integer>'"),
+    (("assembly", "sample", "--grid", TEXT), "DomainError",
+     "argument --grid: invalid int value: '<65-character text>'"),
     (("design", "theta", "1", "--bogus"), "DomainError", "unrecognized arguments: --bogus"),
     (("design", "theta", "--bogus", "1"), "DomainError", "unrecognized arguments: --bogus 1"),
     (("assembly", "enclose", "--n", "4", "-x", "1"), "DomainError", "unrecognized arguments: -x 1"),
@@ -249,7 +258,9 @@ TYPED_ERRORS = [
 
 @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
 @pytest.mark.parametrize("argv, error, message", TYPED_ERRORS,
-                         ids=[" ".join(argv).replace(HUGE, "10^23") or "no command"
+                         ids=[" ".join(argv).replace(HUGE, "10^23").replace(LONG, "1*5000")
+                              .replace(TEXT, "x*65")
+                              or "no command"
                               for argv, _, _ in TYPED_ERRORS])
 def test_an_error_is_typed_in_both_modes(capsys, argv, error, message, json_mode):
     code, out, err = run(capsys, *(("--json",) if json_mode else ()), *argv)
