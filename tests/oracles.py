@@ -1,11 +1,12 @@
 """Independent oracles the tests check the library against.
 
 Each one recomputes a quantity by a different route than the library:
-the sequence by its literal recurrence, continuants by determinant
-expansion over permutations, Euler phi by gcd counting, the inverse
-question-mark by a mediant walk down the Farey tree, the four integer
-kernels by the one-letter-at-a-time loops they used before their product
-trees and half-gcd peel, the half-gcd's base peel by its loop over the four
+the sequence by its literal recurrence, run encodings by
+itertools.groupby, continuants by determinant expansion over
+permutations, Euler phi by gcd counting, the inverse question-mark by
+a mediant walk down the Farey tree, the four integer kernels by the
+one-letter-at-a-time loops they used before their product trees and
+half-gcd peel, the half-gcd's base peel by its loop over the four
 matrix entries, the matrix of an anti-periodic period by the
 whole-period product, the matrix symmetries by three word products,
 quotient pairs by a right-to-left fold, continued fractions by a tail
@@ -28,7 +29,7 @@ normalised by the public constructor.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import groupby, permutations
 from math import gcd, isqrt
 
 from diatomic import (
@@ -71,6 +72,18 @@ def linear_stern_pair(m: int) -> tuple[int, int]:
         else:
             a, b = a, a + b
     return a, b
+
+
+def grouped_runs(word: str) -> tuple:
+    """The run encoding 1^k0 0^k1 ... 1^k_{l-1} of a word from its maximal
+    blocks, as itertools.groupby splits them, with an empty run of 1s in
+    front of a word that does not start with 1 and after one that ends in 0."""
+    ks = [sum(1 for _ in block) for _, block in groupby(word)]
+    if not word.startswith("1"):
+        ks.insert(0, 0)
+    if word.endswith("0"):
+        ks.append(0)
+    return tuple(ks)
 
 
 def linear_continuant_pair(ks) -> tuple[int, int]:

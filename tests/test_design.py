@@ -38,6 +38,7 @@ from diatomic.errors import (
 from diatomic.design import _is_primitive_word, _order_of_two
 
 from oracles import (
+    grouped_runs,
     linear_order_of_two,
     long_division_design,
     quotient_block_design,
@@ -159,6 +160,36 @@ def test_runs_round_trip(w):
     assert len(ks) % 2 == 1
     assert all(k >= 1 for k in ks[1:-1])
     assert from_runs(ks).bits == w
+
+
+ENDS = st.sampled_from(["", "0", "1", "00", "11", "01", "10"])
+
+
+@st.composite
+def long_words(draw):
+    """Words of 0 to about 10^4 letters with both end letters forced, either
+    random bits or a few runs of up to thousands of letters each."""
+    head, tail = draw(ENDS), draw(ENDS)
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 10**4))
+        body = format(random.Random(draw(st.integers(0, 2**32))).getrandbits(n), "b")
+        body = body.zfill(n) if n else ""
+    else:
+        lengths = draw(st.lists(st.integers(1, 5000), min_size=1, max_size=4))
+        body = "".join("10"[(draw(st.integers(0, 1)) + i) & 1] * k
+                       for i, k in enumerate(lengths))
+    return head + body + tail
+
+
+@settings(max_examples=150, deadline=None)
+@given(long_words())
+def test_runs_match_a_groupby_splitter(w):
+    assert runs(FiniteDesign(w)) == grouped_runs(w)
+
+
+def test_runs_of_single_runs_match_a_groupby_splitter():
+    for w in ["", "0", "1", "1" * 7000, "0" * 7000, "0" * 3000 + "1", "1" + "0" * 3000]:
+        assert runs(FiniteDesign(w)) == grouped_runs(w)
 
 
 def test_from_runs_rejects_malformed():
