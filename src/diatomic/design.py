@@ -211,7 +211,8 @@ def runs(d: FiniteDesign) -> tuple[int, ...]:
 
 
 def _runs_of_word(word: str) -> tuple[int, ...]:
-    # the run being read is counted in a local and stored once, when it ends
+    # the open run is counted in a local and stored when it ends: a list
+    # store per letter cost about a third of the loop
     ks = []
     symbol, k = "1", 0
     for ch in word:
