@@ -210,19 +210,40 @@ def runs(d: FiniteDesign) -> tuple[int, ...]:
     return _runs_of_word(d.bits)
 
 
+def _byte_runs(b: int) -> tuple:
+    """(first, interior, last) runs of the 8-letter word of b; () for one run."""
+    rs = [len(r) for r in format(b, "08b").replace("01", "0 1").replace("10", "1 0").split()]
+    return (rs[0], tuple(rs[1:-1]), rs[-1]) if len(rs) > 1 else ()
+
+
+_BYTE_RUNS = [_byte_runs(b) for b in range(256)]
+
+
 def _runs_of_word(word: str) -> tuple[int, ...]:
-    # the open run is counted in a local and stored when it ends: a list
-    # store per letter cost about a third of the loop
+    """Eight letters per step: each byte of the word indexes its runs.
+
+    k counts the open run, of the letter s, and is stored once, when the
+    run ends.  1s put in front to fill the first byte lengthen only the
+    first run of 1s, so k starts at minus their count.
+    """
+    pad = -len(word) & 7
     ks = []
-    symbol, k = "1", 0
-    for ch in word:
-        if ch == symbol:
-            k += 1
-        else:
+    s, k = 1, -pad
+    for b in int("1" * pad + word or "0", 2).to_bytes((len(word) + pad) >> 3, "big"):
+        if b >> 7 != s:
             ks.append(k)
-            symbol, k = ch, 1
+            k = 0
+        t = _BYTE_RUNS[b]
+        if t:
+            first, interior, last = t
+            ks.append(k + first)
+            ks.extend(interior)
+            k = last
+        else:
+            k += 8
+        s = b & 1
     ks.append(k)
-    if symbol == "0":
+    if s == 0:
         ks.append(0)
     return tuple(ks)
 
