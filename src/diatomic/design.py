@@ -211,7 +211,8 @@ def runs(d: FiniteDesign) -> tuple[int, ...]:
 
 
 def _byte_runs(b: int) -> tuple:
-    """(first, interior, last) runs of the 8-letter word of b; () for one run."""
+    """(first, interior, last) runs of the 8-letter word of b, split where the
+    letter changes; () for a byte of one letter."""
     rs = [len(r) for r in format(b, "08b").replace("01", "0 1").replace("10", "1 0").split()]
     return (rs[0], tuple(rs[1:-1]), rs[-1]) if len(rs) > 1 else ()
 
