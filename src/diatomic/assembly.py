@@ -16,10 +16,7 @@ from .errors import (
     DomainError,
     InsufficientBits,
     OutOfRange,
-    _check_fraction,
-    _check_int,
     _check_kind,
-    _check_str,
 )
 from .matrix import UniModMatrix, apply_mobius, sdm
 from .quadratic import QuadIrr, _moved, _root, quad_of_periodic
@@ -29,8 +26,8 @@ from .rational import ExtRational, _ratio
 def assembly_dyadic(m: int, n: int) -> ExtRational:
     """Value at m/2**n: b/d of the matrix of the n-bit word of m, the table
     values at orders m and 2**n - m; m = 2**n is allowed and gives infinity."""
-    _check_int(m)
-    _check_int(n)
+    _check_kind(m, int)
+    _check_kind(n, int)
     # m > 2**n, with neither built: past n + 1 bits, or n + 1 bits but not 2**n
     if n < 0 or m < 0 or (m.bit_length() > n and (m.bit_length() > n + 1 or m.bit_count() > 1)):
         raise OutOfRange("need 0 <= m <= 2^n, got m={}, n={}", m, n)
@@ -42,7 +39,7 @@ def assembly_dyadic(m: int, n: int) -> ExtRational:
 
 def assembly_theta(t: Fraction) -> ExtRational:
     """Value at a dyadic theta given as an exact fraction."""
-    _check_fraction(t)
+    _check_kind(t, (int, Fraction))
     q = t.denominator
     if t < 0 or t > 1 or q & (q - 1):
         raise OutOfRange("need a dyadic in [0, 1], got {}", t)
@@ -65,7 +62,7 @@ class Enclosure(Value):
     def __init__(self, lo: ExtRational, hi: ExtRational, bits_used: int):
         _check_kind(lo, ExtRational)
         _check_kind(hi, ExtRational)
-        _check_int(bits_used)
+        _check_kind(bits_used, int)
         _set(self, "lo", lo)
         _set(self, "hi", hi)
         _set(self, "bits_used", bits_used)
@@ -93,8 +90,8 @@ def assembly_enclose(bits: str, n: int) -> Enclosure:
     The prefix followed by 0s, and by 1s, gives b/d and a/c for its matrix
     (a b; c d), so the width is exactly 1 / (c * d) and shrinks to 0.
     """
-    _check_str(bits)
-    _check_int(n)
+    _check_kind(bits, str)
+    _check_kind(n, int)
     if n < 0:
         raise OutOfRange("n must be >= 0, got {}", n)
     if len(bits) < n:

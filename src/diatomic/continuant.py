@@ -18,11 +18,15 @@ from .rational import ExtRational, _ratio
 def continuant(ks: Iterable[int]) -> int:
     """[k0, ..., k_{l-1}] by the left-to-right recursion; [] gives 1.
 
+    sum() first refuses an entry that no int adds to (a str, list, tuple
+    or bytes), which the fold would repeat as often as the continuant before it.
     A float or Fraction entry carries its type into the value, so checking
-    the value's type rejects one without a pass over the entries.
+    the value's type rejects one.
     """
     try:
-        value = continuant_pair(list(ks))[1]
+        ks = list(ks)
+        sum(ks)
+        value = continuant_pair(ks)[1]
     except (OverflowError, TypeError):  # a float past its range, or not a number
         value = None
     if not isinstance(value, int):

@@ -23,7 +23,7 @@ from ._backend import continuant_pair, word_matrix
 from ._value import Value, _set
 from .assembly import assembly_dyadic
 from .design import FiniteDesign, design_of_theta
-from .errors import OutOfRange, TerminalDesign, ZeroLength, _check_fraction, _check_int, _check_kind
+from .errors import OutOfRange, TerminalDesign, ZeroLength, _check_kind
 from .matrix import sdm
 from .quadratic import FieldElement, _equation, _gap_frame, _moved, _moved_gap, _period_matrix
 from .rational import ExtRational
@@ -31,7 +31,7 @@ from .rational import ExtRational
 
 def fib_continuant(m: int) -> int:
     """Continuant of m ones: 1, 2, 3, 5, 8, ... (the Fibonacci shift)."""
-    _check_int(m)
+    _check_kind(m, int)
     if m < 1:
         raise ZeroLength("need m >= 1, got {}", m)
     return continuant_pair([1] * m)[1]
@@ -72,12 +72,12 @@ def quotient_scan(eta: Fraction, side: Side, jmax: int) -> QuotientScan:
     coefficient products formed once per scan and one gcd against a2, or at
     a dyadic eta moves the base value with one normalisation.
     """
-    _check_fraction(eta)
+    _check_kind(eta, (int, Fraction))
     if not isinstance(side, Side):
         raise OutOfRange("side must be a Side, got {}", type(side).__name__)
     if not 0 < eta < 1:
         raise OutOfRange("eta must lie in (0, 1), got {}", eta)
-    _check_int(jmax)
+    _check_kind(jmax, int)
     if jmax < 1:
         raise OutOfRange("jmax must be >= 1, got {}", jmax)
     sgn = 1 if side is Side.RIGHT else -1
@@ -120,7 +120,7 @@ def _moved_ratio_gap(at: tuple, a: int, b: int, c: int, e: int, k: int) -> ExtRa
 
 def derivative_at_rational(eta: Fraction) -> Verdict:
     """Dyadic points blow up on both sides; elsewhere a derivative, if any, is 0."""
-    _check_fraction(eta)
+    _check_kind(eta, (int, Fraction))
     if not 0 < eta < 1:
         raise OutOfRange("eta must lie in (0, 1), got {}", eta)
     if eta.denominator & (eta.denominator - 1) == 0:

@@ -31,9 +31,7 @@ from .errors import (
     OutOfRange,
     TerminalDesign,
     ZeroInput,
-    _check_fraction,
-    _check_int,
-    _check_str,
+    _check_kind,
 )
 
 
@@ -42,7 +40,7 @@ _FLIP = str.maketrans("01", "10")
 
 
 def _check_word(word: str) -> None:
-    _check_str(word)
+    _check_kind(word, str)
     if word.translate(_BITS):
         raise DesignSyntaxError(f"design word may contain only 0 and 1: {word!r}")
 
@@ -65,7 +63,7 @@ class FiniteDesign(Value):
 
     @classmethod
     def terminal_of(cls, n: int) -> "FiniteDesign":
-        _check_int(n)
+        _check_kind(n, int)
         if n < 0:
             raise OutOfRange("terminal length must be >= 0, got {}", n)
         return cls(_terminal_word(n), terminal=True)
@@ -102,6 +100,8 @@ class PeriodicDesign(Value):
     __slots__ = _fields = ("preperiod", "period")
 
     def __init__(self, preperiod: FiniteDesign, period: FiniteDesign):
+        _check_kind(preperiod, FiniteDesign)
+        _check_kind(period, FiniteDesign)
         if preperiod.terminal or period.terminal:
             raise DesignSyntaxError("periodic design parts must be plain words")
         per = period.bits
@@ -182,7 +182,7 @@ def _canonical(pre: str, per: str) -> PeriodicDesign:
 
 def parse_design(text: str) -> Design:
     """Parse the design grammar; periodic results come out canonical."""
-    _check_str(text)
+    _check_kind(text, str)
     text = text.strip()
     if text.endswith("t"):
         body = text[:-1]
@@ -273,8 +273,8 @@ def design_number(d: FiniteDesign) -> tuple[int, int]:
 
 
 def _check_coprime_pair(a: int, b: int) -> None:
-    _check_int(a)
-    _check_int(b)
+    _check_kind(a, int)
+    _check_kind(b, int)
     if a < 1 or b < 1:
         raise ZeroInput("need positive integers, got ({}, {})", a, b)
     if gcd(a, b) != 1:
@@ -412,7 +412,7 @@ def design_of_theta(t: Fraction) -> Design:
     most sqrt(q')): its bits are the remainder r of 2**k * t times
     (2**n - 1) / q', one big-int quotient.  _canonical rotates the tail.
     """
-    _check_fraction(t)
+    _check_kind(t, (int, Fraction))
     if t < 0 or t > 1:
         raise OutOfRange("theta must lie in [0, 1], got {}", t)
     q = t.denominator

@@ -39,30 +39,15 @@ def _most_bits(x) -> int:
     return 0
 
 
-def _check_int(x) -> None:
-    """Refuse anything but an int (a bool counts as one) where an integer is read."""
-    if not isinstance(x, int):
-        raise OutOfRange("need an int, got {}", type(x).__name__)
-
-
-def _check_str(x) -> None:
-    """Refuse anything but a str where a word or a text is read."""
-    if not isinstance(x, str):
-        raise OutOfRange("need a str, got {}", type(x).__name__)
-
-
-def _check_kind(x, cls: type) -> None:
-    """Refuse anything but a cls where one of the library's values is read."""
-    if not isinstance(x, cls):
-        name = cls.__name__
-        raise OutOfRange("need {} {}, got {}", "an" if name[0] in "AEIO" else "a", name,
-                         type(x).__name__)
-
-
-def _check_fraction(x) -> None:
-    """Refuse anything but an int or a Fraction where an exact rational is read."""
-    if not isinstance(x, (int, Fraction)):
-        raise OutOfRange("need an int or a Fraction, got {}", type(x).__name__)
+def _check_kind(x, kind) -> None:
+    """Refuse anything but an instance of kind, a type or a tuple of types;
+    a bool counts as an int.  The message names each type with its article,
+    "an" before a, e, i or o only: "need an int or a Fraction", "need a
+    UniModMatrix"."""
+    if not isinstance(x, kind):
+        names = [k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,))]
+        raise OutOfRange("need {}, got {}", " or ".join(
+            ("an " if n[0] in "aeioAEIO" else "a ") + n for n in names), type(x).__name__)
 
 
 class DomainError(ValueError):

@@ -19,7 +19,6 @@ from .errors import (
     OutOfRange,
     TerminalDesign,
     _check_kind,
-    _check_str,
 )
 from .quadratic import QuadIrr, _moved, _root
 from .rational import ExtRational, _ratio, _read_int
@@ -65,7 +64,7 @@ _matrix = trusted(UniModMatrix)  # for nonnegative entries of determinant 1
 
 def parse_matrix(text: str) -> UniModMatrix:
     """Parse the wire format 'a,b;c,d'."""
-    _check_str(text)
+    _check_kind(text, str)
     try:
         rows = text.strip().split(";")
         (a, b), (c, d) = (tuple(_read_int(x) for x in row.split(",")) for row in rows)

@@ -33,8 +33,6 @@ from .errors import (
     NonPositive,
     OutOfRange,
     PerfectSquare,
-    _check_fraction,
-    _check_int,
     _check_kind,
 )
 from .sdi import sdi_quadruple
@@ -80,7 +78,7 @@ class FieldElement(Value):
 
     def __init__(self, p: int, q: int, r: int, d: int):
         for x in (p, q, r, d):
-            _check_int(x)
+            _check_kind(x, int)
         if r == 0:
             raise OutOfRange("zero denominator in field element")
         if d <= 0 or _is_square(d):
@@ -105,14 +103,14 @@ class FieldElement(Value):
                                 self.r * other.r), self.d)
 
     def mul_fraction(self, f: Fraction) -> "FieldElement":
-        _check_fraction(f)
+        _check_kind(f, (int, Fraction))
         # over self's checked d, with r and f's denominator nonzero
         return _field(*_reduced(self.p * f.numerator, self.q * f.numerator,
                                 self.r * f.denominator), self.d)
 
     def compare_fraction(self, f: Fraction) -> int:
         """Sign of self - f: of (p den - num r) + q den sqrt(d), as r den > 0."""
-        _check_fraction(f)
+        _check_kind(f, (int, Fraction))
         den = f.denominator
         return _sign_p_q_sqrt(self.p * den - f.numerator * self.r, self.q * den, self.d)
 
@@ -153,7 +151,7 @@ class QuadIrr(FieldElement):
 
     def __init__(self, a2: int, b1: int, c0: int, plus_branch: bool = True):
         for x in (a2, b1, c0):
-            _check_int(x)
+            _check_kind(x, int)
         if a2 <= 0:
             raise OutOfRange("leading coefficient must be positive")
         g = gcd(a2, b1, c0)
@@ -385,8 +383,8 @@ def _cf_walk(p: int, q: int, d: int) -> tuple[list[int], list[int]]:
 
 def sqrt_cf(num: int, den: int) -> tuple[list[int], list[int]]:
     """Continued fraction of sqrt(num/den): (prefix, repeating cycle)."""
-    _check_int(num)
-    _check_int(den)
+    _check_kind(num, int)
+    _check_kind(den, int)
     if num < 1 or den < 1:
         raise NonPositive("need a positive rational, got {}/{}", num, den)
     if _is_square(num * den):
@@ -413,7 +411,7 @@ def periodic_design_of_sqrt(value: Fraction) -> PeriodicDesign:
     purely periodic with a run-palindromic period.  sqrt_cf rejects a
     value that is not positive or whose square root is rational.
     """
-    _check_fraction(value)
+    _check_kind(value, (int, Fraction))
     value = Fraction(value)
     prefix, cycle = sqrt_cf(value.numerator, value.denominator)
     cyc = cycle if len(cycle) % 2 == 0 else cycle + cycle
@@ -441,7 +439,7 @@ def conjugate_root_design(period: FiniteDesign) -> FiniteDesign:
 
 def purity_test(t: Fraction) -> Purity:
     """Classify the value at rational theta by the denominator's 2-part."""
-    _check_fraction(t)
+    _check_kind(t, (int, Fraction))
     if t < 0 or t >= 1:
         raise OutOfRange("theta must lie in [0, 1), got {}", t)
     q = t.denominator

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from ._value import Value, _set, trusted
-from .errors import DomainError, OutOfRange, _check_int, _check_str
+from .errors import DomainError, OutOfRange, _check_kind
 
 
 class ExtRational(Value):
@@ -21,8 +21,8 @@ class ExtRational(Value):
     __slots__ = _fields = ("num", "den")
 
     def __init__(self, num: int, den: int = 1):
-        _check_int(num)
-        _check_int(den)
+        _check_kind(num, int)
+        _check_kind(den, int)
         if num < 0 or den < 0:
             raise OutOfRange("negative component {}/{}", num, den)
         if num == 0 and den == 0:
@@ -71,7 +71,7 @@ def _read_int(text: str) -> int:
 
 def parse_ratio(text: str) -> ExtRational:
     """Parse 'a/b', a bare integer, or 'inf'; whitespace around the text is ignored."""
-    _check_str(text)
+    _check_kind(text, str)
     text = text.strip()
     if text == "inf":
         return ExtRational.infinity()

@@ -11,13 +11,13 @@ from functools import lru_cache
 
 from ._backend import stern_pair, word_matrix
 from .design import _bits
-from .errors import OutOfTable, _check_int
+from .errors import OutOfTable, _check_kind
 
 
 def stern(m: int) -> int:
     """a_m, the first of the pair (a_m, a_{m+1}): a generator-matrix product
     along the bits of m, folded in a balanced tree for long indices."""
-    _check_int(m)
+    _check_kind(m, int)
     if m < 0:
         raise OutOfTable("sequence index must be nonnegative, got {}", m)
     return stern_pair(m)[0]
@@ -47,8 +47,8 @@ def sdi_quadruple(depth: int, order: int) -> tuple[int, int, int, int]:
 
 
 def _check_address(depth: int, order: int, limit_offset: int) -> None:
-    _check_int(depth)
-    _check_int(order)
+    _check_kind(depth, int)
+    _check_kind(order, int)
     if depth < 0 or order < 0:
         raise OutOfTable("negative address ({}, {})", depth, order)
     bits = order.bit_length()

@@ -69,13 +69,18 @@ INF = ExtRational.infinity()
 
 
 def call(name: str, fn, *args) -> str:
-    """The line for fn(*args), named as name(args...)."""
+    """The line for fn(*args), named as name(args...).  Only the call is in
+    the try: a result is formatted after it, so an int past the digit limit
+    is recorded as that result, by its bit length, and not as an error."""
+    head = f"{name}({', '.join(map(_shown, args))}) -> "
     try:
         r = fn(*args)
-        outcome = f"{r!r} | {r}"
     except Exception as exc:  # an error is an outcome like any other
-        outcome = f"{type(exc).__name__}: {exc}"
-    return f"{name}({', '.join(map(_shown, args))}) -> {outcome}"
+        return f"{head}{type(exc).__name__}: {exc}"
+    try:
+        return f"{head}{r!r} | {r}"
+    except ValueError:  # the digit limit
+        return f"{head}{_shown(r)}"
 
 
 def _shown(x) -> str:

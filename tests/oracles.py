@@ -2,8 +2,9 @@
 
 Each one recomputes a quantity by a different route than the library:
 the sequence by its literal recurrence, run encodings by
-itertools.groupby, continuants by determinant expansion over
-permutations, Euler phi by gcd counting, the inverse question-mark by
+itertools.groupby, continuants by fraction-free elimination of their
+tridiagonal determinant (itself checked against the expansion over
+permutations), Euler phi by gcd counting, the inverse question-mark by
 a mediant walk down the Farey tree, the four integer kernels by the
 one-letter-at-a-time loops they used before their product trees and
 half-gcd peel, the half-gcd's base peel by its loop over the four
@@ -235,27 +236,50 @@ def greedy_matrix_word(a: int, b: int, c: int, d: int) -> str:
     return "".join(out)
 
 
-def det_continuant(ks) -> int:
-    """Tridiagonal determinant (diag ks, super 1, sub -1) by Leibniz expansion."""
+def tridiagonal(ks) -> list:
+    """The matrix whose determinant is the continuant of ks: ks on the
+    diagonal, 1 above it and -1 below it."""
     ks = list(ks)
-    l = len(ks)
-    if l == 0:
-        return 1
-    mat = [[0] * l for _ in range(l)]
-    for i in range(l):
-        mat[i][i] = ks[i]
-        if i + 1 < l:
+    mat = [[0] * len(ks) for _ in ks]
+    for i, k in enumerate(ks):
+        mat[i][i] = k
+        if i + 1 < len(ks):
             mat[i][i + 1] = 1
             mat[i + 1][i] = -1
+    return mat
+
+
+def det_continuant(ks) -> int:
+    """The tridiagonal determinant by fraction-free elimination (Bareiss):
+    a zero pivot swaps in a row below it, and a column with none is 0.
+    Each step divides exactly by the previous pivot."""
+    mat = tridiagonal(ks)
+    n = len(mat)
+    sign, pivot = 1, 1
+    for k in range(n - 1):
+        if mat[k][k] == 0:
+            below = [i for i in range(k + 1, n) if mat[i][k]]
+            if not below:
+                return 0
+            mat[k], mat[below[0]] = mat[below[0]], mat[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // pivot
+        pivot = mat[k][k]
+    return sign * mat[-1][-1] if n else 1
+
+
+def leibniz_det(mat) -> int:
+    """The determinant as the signed sum over permutations, n! terms."""
     total = 0
-    for perm in permutations(range(l)):
-        sign = _parity(perm)
-        prod = 1
+    for perm in permutations(range(len(mat))):
+        prod = _parity(perm)
         for i, j in enumerate(perm):
             prod *= mat[i][j]
             if prod == 0:
                 break
-        total += sign * prod
+        total += prod
     return total
 
 

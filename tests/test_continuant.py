@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from diatomic import (
 )
 from diatomic.errors import MalformedRuns
 
-from oracles import det_continuant
+from oracles import det_continuant, leibniz_det, tridiagonal
 
 entries = st.lists(st.integers(min_value=0, max_value=6), max_size=8)
 pos_entries = st.lists(st.integers(min_value=1, max_value=6), max_size=8)
@@ -49,9 +51,30 @@ def test_continuant_rejects_non_integer_entries(ks):
         continuant(ks)
 
 
+@pytest.mark.parametrize("x", ["a", [0], (0,), b"a"], ids=["str", "list", "tuple", "bytes"])
+def test_a_sequence_entry_is_refused_before_it_is_repeated(x):
+    # an int times a sequence repeats it: the fold would build a copy as
+    # long as the continuant before the entry, F(31) = 1,346,269 items here
+    ks = [1] * 30 + [x]
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedRuns, match="^continuant entries must be integers$"):
+            continuant(ks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 @given(entries)
 def test_matches_determinant_oracle(ks):
     assert continuant(ks) == det_continuant(ks)
+
+
+def test_determinant_oracle_matches_the_leibniz_expansion():
+    for n in range(6):
+        for ks in product(range(4), repeat=n):
+            assert det_continuant(ks) == leibniz_det(tridiagonal(ks))
 
 
 @given(entries)

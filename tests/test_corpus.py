@@ -94,6 +94,13 @@ def test_scan_family_meets_common_factors_of_a2_and_n2(monkeypatch):
     assert seen == {1, 2, 3}
 
 
+def test_a_result_past_the_digit_limit_is_recorded_as_a_result(huge):
+    # the result is formatted after the call's try, so a value too long for
+    # str() is named by its bit length, not recorded as a ValueError
+    line = corpus.call("continuant", diatomic.continuant, (huge, 1))
+    assert line == "continuant((<20000-bit int>, 1)) -> <20000-bit int>"
+
+
 def test_diff_lists_only_the_lines_that_differ(tmp_path):
     # against the library it runs on, nothing differs; against a copy whose
     # reflection is broken, exactly the reflection lines do

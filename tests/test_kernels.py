@@ -356,6 +356,13 @@ def test_a_run_past_sys_maxsize_letters_is_out_of_range(case):
     assert str(info.value) == f"a path run of {run} letters is too long to build"
 
 
+def test_a_run_of_2_to_the_16_letters_or_more_is_one_division():
+    # the pair walk's division branch for 0s, on the plain word it spells
+    n = 1 << 17
+    assert design_of_matrix(UniModMatrix(1, 0, n, 1)).bits == "0" * n
+    assert euclidean_design(1, n + 1).bits == "0" * n + "1"
+
+
 # ------------------------------------- public values across the cutoffs
 
 

@@ -222,6 +222,10 @@ NON_INTEGER_ERRORS = {
                                 OutOfRange, "need a FiniteDesign, got str"),
     "affine_derivative_factor of a str": (lambda: diatomic.affine_derivative_factor(
         "10", diatomic.ExtRational(1, 3)), OutOfRange, "need a FiniteDesign, got str"),
+    "PeriodicDesign": (lambda: diatomic.PeriodicDesign("a", "b"), OutOfRange,
+                       "need a FiniteDesign, got str"),
+    "PeriodicDesign period": (lambda: diatomic.PeriodicDesign(diatomic.FiniteDesign(""), "10"),
+                              OutOfRange, "need a FiniteDesign, got str"),
     "quad_of_periodic": (lambda: diatomic.quad_of_periodic("(10)"), OutOfRange,
                          "need a PeriodicDesign, got str"),
     "quad_from_period": (lambda: diatomic.quad_from_period("10"), OutOfRange,
