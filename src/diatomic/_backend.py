@@ -93,8 +93,8 @@ def _pair_word(x, y):
             try:
                 prefix, _, x, y = _half(x, y)
             except OverflowError:  # "1" * j in a base peel, caught here to keep its loop lean
-                raise OutOfRange(f"a path run of more than {sys.maxsize} letters "
-                                 "is too long to build") from None
+                raise OutOfRange("a path run of more than {} letters is too long to build",
+                                 sys.maxsize) from None
             if not prefix:  # a run too long for a half step: walk the rest
                 break
             out += prefix

@@ -97,7 +97,7 @@ def assembly_enclose(bits: str, n: int) -> Enclosure:
     if len(bits) < n:
         raise InsufficientBits("need {} bits, got {}", n, len(bits))
     if bits.strip("01"):
-        raise OutOfRange(f"bits must be 0/1, got {bits!r}")
+        raise OutOfRange("bits must be 0/1, got {!r}", bits)
     a, b, c, d = word_matrix(bits[:n])
     # ad - bc = 1: both pairs are coprime, d >= 1, and c = 0 only for an
     # all-ones prefix, (1 n; 0 1), whose a/c is the canonical infinity 1/0

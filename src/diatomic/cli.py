@@ -43,7 +43,7 @@ def _int_option(text: str) -> int:
 def _finite(text: str) -> design.FiniteDesign:
     d = design.parse_design(text)
     if not isinstance(d, design.FiniteDesign):
-        raise DomainError(f"expected a finite design, got {text!r}")
+        raise DomainError("expected a finite design, got {!r}", text)
     return d
 
 
@@ -196,7 +196,7 @@ class _Parser(argparse.ArgumentParser):
             rest.remove("--")
         for i, arg in enumerate(rest):
             if self._OPTION.match(arg):  # named with what follows it, such as its value
-                self.error(f"unrecognized arguments: {' '.join(rest[i:])}")
+                raise DomainError("unrecognized arguments: {}", " ".join(rest[i:]))
         return rest
 
 
@@ -229,11 +229,11 @@ def _run(args, positionals: list[str]) -> tuple[str, dict]:
     name = f"{args.command} {action}" if action else args.command
     want, given = len(parsers), vars(args)
     if len(positionals) != want:
-        raise DomainError(f"{name} takes {want} argument{'' if want == 1 else 's'}, "
-                          f"got {len(positionals)}")
+        raise DomainError("{} takes {} argument{}, got {}", name, want,
+                          "" if want == 1 else "s", len(positionals))
     unread = [f"--{dest}" for dest in _OPTIONS if dest in given and dest not in options]
     if unread:
-        raise DomainError(f"{name} does not read {', '.join(unread)}")
+        raise DomainError("{} does not read {}", name, ", ".join(unread))
     result = call(*[parse(text) for parse, text in zip(parsers, positionals)],
                   *[given.get(dest, _OPTIONS[dest][0]) for dest in options])
     if key is None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from ._backend import continuant_pair
-from .design import check_runs
+from .design import _entries, check_runs
 from .errors import MalformedRuns
 from .rational import ExtRational, _ratio
 
@@ -35,7 +35,7 @@ def continuant(ks: Iterable[int]) -> int:
 
 
 def _check_cf_word(ks) -> tuple[int, ...]:
-    ks = tuple(ks)
+    ks = _entries(ks, "continued fraction word")
     if not ks:
         raise MalformedRuns("continued fraction word must be nonempty")
     if not all(isinstance(k, int) for k in ks):

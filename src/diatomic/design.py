@@ -42,7 +42,7 @@ _FLIP = str.maketrans("01", "10")
 def _check_word(word: str) -> None:
     _check_kind(word, str)
     if word.translate(_BITS):
-        raise DesignSyntaxError(f"design word may contain only 0 and 1: {word!r}")
+        raise DesignSyntaxError("design word may contain only 0 and 1: {!r}", word)
 
 
 def _terminal_word(n: int) -> str:
@@ -106,9 +106,9 @@ class PeriodicDesign(Value):
             raise DesignSyntaxError("periodic design parts must be plain words")
         per = period.bits
         if not per or not per.strip("0") or not per.strip("1"):
-            raise InvalidPeriod(f"period {per!r} must mix 0s and 1s")
+            raise InvalidPeriod("period {!r} must mix 0s and 1s", per)
         if not _is_primitive_word(per):
-            raise InvalidPeriod(f"period {per!r} repeats a shorter word")
+            raise InvalidPeriod("period {!r} repeats a shorter word", per)
         if preperiod.bits and preperiod.bits[-1] == per[-1]:
             raise InvalidPeriod("preperiod can be rotated into the period")
         _set(self, "preperiod", preperiod)
@@ -194,12 +194,12 @@ def parse_design(text: str) -> Design:
         head, _, rest = text.partition("(")
         per, close, tail = rest.partition(")")
         if not close or tail:
-            raise DesignSyntaxError(f"unbalanced period group in {text!r}")
+            raise DesignSyntaxError("unbalanced period group in {!r}", text)
         if not per:
             raise DesignSyntaxError("empty period group")
         return make_periodic(head, per)
     if ")" in text:
-        raise DesignSyntaxError(f"unbalanced period group in {text!r}")
+        raise DesignSyntaxError("unbalanced period group in {!r}", text)
     return FiniteDesign(text)
 
 
@@ -249,8 +249,17 @@ def _runs_of_word(word: str) -> tuple[int, ...]:
     return tuple(ks)
 
 
+def _entries(xs, what: str) -> tuple:
+    """tuple(xs), with MalformedRuns naming the type of an xs that is not iterable."""
+    try:
+        return tuple(xs)
+    except TypeError:
+        raise MalformedRuns("{} must be an iterable of integers, got {}", what,
+                            type(xs).__name__) from None
+
+
 def check_runs(ks: Iterable[int]) -> tuple[int, ...]:
-    ks = tuple(ks)
+    ks = _entries(ks, "runs")
     if not all(map(isinstance, ks, repeat(int))):
         raise MalformedRuns("runs must be integers: {}", ks)
     if len(ks) % 2 == 0:
@@ -298,7 +307,7 @@ def partial_quotients(a: int, b: int) -> tuple[int, ...]:
 
 def realizing_pair(rs: Iterable[int]) -> tuple[int, int]:
     """The unique coprime (a, b) whose quotients are rs; inverts partial_quotients."""
-    rs = tuple(rs)
+    rs = _entries(rs, "quotients")
     if not all(isinstance(r, int) for r in rs):
         raise MalformedRuns("quotients must be integers: {}", rs)
     if rs == (1,):

@@ -223,7 +223,7 @@ def _check_period(period: FiniteDesign) -> FiniteDesign:
         raise InvalidPeriod("terminal designs cannot be periods")
     w = period.bits
     if not w.strip("0") or not w.strip("1"):
-        raise InvalidPeriod(f"period {w!r} must have length >= 2 and mix 0s and 1s")
+        raise InvalidPeriod("period {!r} must have length >= 2 and mix 0s and 1s", w)
     return period
 
 

@@ -1,7 +1,8 @@
 """A seeded differential corpus: one `call -> outcome` line per library call.
 
-The outcome is `repr | str` of the result, or `ErrorClass: message`.  Each
-family walks exhaustive small grids, edge values, error paths and a few
+The outcome is `repr | str` of the result, or `ErrorClass: message`; the cli
+family's line holds a `cli.main` call's argv, exit code, stdout and stderr.
+Each family walks exhaustive small grids, edge values, error paths and a few
 seeded random values, so its transcript is the same on every run.
 tests/test_corpus.py compares one sha256 per chunk of CHUNK lines with
 digests written in it, so a changed output fails there and points at a small
@@ -18,8 +19,10 @@ of a checkout of the parent, and prints only the lines that differ, each
 hunk headed by its line numbers in the old and the new transcript.
 """
 
+import contextlib
 import difflib
 import hashlib
+import io
 import os
 import random
 import subprocess
@@ -62,6 +65,7 @@ from diatomic import (
     sdi_from_runs,
     sdm,
 )
+from diatomic import cli as command_line
 from diatomic import runs as run_list
 
 CHUNK = 400
@@ -84,14 +88,23 @@ def call(name: str, fn, *args) -> str:
 
 
 def _shown(x) -> str:
-    """repr(x), but with an int past the interpreter's digit limit, alone or
-    in a tuple, shown by its bit length."""
+    """repr(x), but with an int past the interpreter's digit limit shown by
+    its bit length: alone, in a tuple or a list, as a part of a Fraction or
+    in a field of one of the library's values, named by its class."""
     if isinstance(x, tuple):
         return f"({', '.join(map(_shown, x))}{',' if len(x) == 1 else ''})"
     try:
         return repr(x)
-    except ValueError:
+    except ValueError:  # the digit limit
+        pass
+    if isinstance(x, int):
         return f"<{x.bit_length()}-bit int>"
+    if isinstance(x, Fraction):
+        return f"Fraction({_shown(x.numerator)}, {_shown(x.denominator)})"
+    if isinstance(x, list):
+        return f"[{', '.join(map(_shown, x))}]"
+    fields = ", ".join(f"{n}={_shown(getattr(x, n))}" for n in x._fields)
+    return f"{type(x).__qualname__}({fields})"
 
 
 def _words(top: int) -> list:
@@ -324,7 +337,129 @@ def runs():
         yield call("continuant", continuant, ks)
 
 
-FAMILIES = {f.__name__: f for f in (rational, enclosure, action, kinds, scan, values, runs)}
+def _cli_line(argv) -> str:
+    """The line for cli.main(argv): its argv, exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = command_line.main(list(argv))
+    return f"main({', '.join(map(repr, argv))}) -> {code} {out.getvalue()!r} {err.getvalue()!r}"
+
+
+# texts for each positional reader in cli.COMMANDS, a good one first: valid,
+# edge and refused arguments
+_POSITIONALS = {
+    "_int": ["5", "0", " 5 ", "-3", "x", "1_0", "9" * 70],
+    "_design_from_ratio": ["7/3", "0/1", "1/0", "6/4", "x/3", "-3/2", "inf", "2"],
+    "parse_design": ["11001", "", "101t", "1(10)", "0(01)", "(10", "12"],
+    "parse_fraction": ["2/3", "0", "1", "1/3", "25/32", "-1/2", "5/0", "x"],
+    "_finite": ["11001", "", "10t", "(10)", "2"],
+    "parse_matrix": ["5,7;2,3", "1,0;0,1", "2,1;1,1", "2,2;1,1", "1,2;3", "-1,2;3,4"],
+    "parse_ratio": ["7/3", "inf", "0", "-2/3", "6/4", "x"],
+    "str": ["101010", "", "12"],
+}
+# values for each option in cli._OPTIONS, None for a flag
+_OPTION_VALUES = {
+    "sdi": ["6", "0", "-1", "x", "9" * 70],
+    "n": ["4", "0", "7", "-1", "+4"],
+    "grid": ["3", "0", "5", "-1", "x"],
+    "side": ["left", "right", "up"],
+    "jmax": ["12", "1", "0", "-3", "1_0"],
+    "csv": [None],
+}
+
+
+def _option(dest: str, value) -> list:
+    return [f"--{dest}"] + ([] if value is None else [value])
+
+
+def _cli_calls():
+    """The argvs, without --json, of every action in cli.COMMANDS: each
+    positional text (every pair for two), each option value in every slot
+    after the command, all options at once, and the usage errors of a
+    missing or extra argument, an option the action does not read and an
+    unknown option."""
+    for command, actions in command_line.COMMANDS.items():
+        for action, (parsers, options, _, _) in actions.items():
+            head = [command] + ([action] if action else [])
+            texts = [_POSITIONALS[parse.__name__] for parse in parsers]
+            for args in product(*texts):
+                yield head + list(args)
+            argv = head + [t[0] for t in texts]
+            for dest in options:
+                for value in _OPTION_VALUES[dest]:
+                    for slot in range(1, len(argv) + 1):
+                        yield argv[:slot] + _option(dest, value) + argv[slot:]
+            if options:
+                every = [w for dest in options for w in _option(dest, _OPTION_VALUES[dest][0])]
+                yield head + every + argv[len(head):]
+            if texts:
+                yield argv[:-1]
+            yield argv + ["1"]
+            stray = next(dest for dest in command_line._OPTIONS if dest not in options)
+            middle = len(head) + len(texts) // 2
+            yield argv[:middle] + _option(stray, _OPTION_VALUES[stray][0]) + argv[middle:]
+            yield argv + ["--bogus"]
+    yield from [[], ["design"], ["bogus"], ["design", "bogus", "1"], ["stern", "--sdi"],
+                ["stern", "--", "5"], ["stern", "--", "-5"], ["stern", "-5"],
+                ["--json"], ["stern", "5", "--json"]]
+
+
+def _radicand(half: list) -> Fraction:
+    """The r with sqrt(r) = [1; (half, half[-2::-1], 2)]: a palindrome then
+    2 a0 is the cycle of a square root, and its short quotients keep the
+    design short however long r's numerator and denominator are."""
+    p, p0, q, q0 = 1, 0, 0, 1
+    for k in half + half[-2::-1] + [2]:
+        p, p0, q, q0 = k * p + p0, p, k * q + q0, q
+    # y, the cycle repeated, solves q y^2 + (q0 - p) y - p0 = 0; at x = 1 + 1/y
+    # the palindrome cancels the linear term, leaving p0 x^2 = q - q0 + p - p0
+    return Fraction(q - q0 + p - p0, p0)
+
+
+def _cli_large():
+    """Seeded arguments under the 4,300-digit limit: a 1,000-bit period and
+    its matrix, a scan at a/p with p = 1,019 (2 has order p - 1 mod p),
+    radicands whose numerator and denominator have 38 to 141 digits, their
+    squares, and a 1,000-bit index."""
+    rng = random.Random(33)
+    w = format(rng.getrandbits(999) | 1 << 999, "b")
+    matrix = str(sdm(FiniteDesign(w)))
+    yield from [["quad", "from-period", w], ["quad", "classify", w], ["design", "theta", f"({w})"],
+                ["design", "theta", f"0{w[:40]}({w})"], ["design", "conj", f"({w})"],
+                ["matrix", "of-design", w], ["design", "reduce", w], ["design", "inv", w],
+                ["assembly", "enclose", w, "--n", "1000"],
+                ["matrix", "to-design", matrix], ["matrix", "apply", matrix, "1/3"]]
+    eta = f"{rng.randrange(1, 1019)}/1019"
+    yield from [["deriv", "scan", eta, "--jmax", "16"], ["deriv", "scan", "--side", "left", eta],
+                ["deriv", "classify", eta], ["assembly", "eval", eta], ["design", "of-theta", eta]]
+    for length in (50, 200):
+        r = _radicand([rng.randrange(1, 4) for _ in range(length)])
+        yield from [["quad", "sqrt", str(r)], ["quad", "sqrt", str(r * r)]]
+    m = rng.getrandbits(1000)
+    yield from [["stern", str(m)], ["stern", "--sdi", "1000", str(m)],
+                ["assembly", "eval", f"{m}/{1 << 1000}"],
+                ["assembly", "qm-inverse", f"{m}/{1 << 1000}"]]
+
+
+def _cli_long():
+    """Refused arguments past 64 characters, which a message names by size."""
+    yield from [["design", "inv", "1" * 100 + "(01)"], ["design", "theta", "1", "--" + "x" * 100],
+                ["design", "theta", "2" * 100], ["design", "theta", "(" + "1" * 100],
+                ["design", "theta", "1" * 100 + ")"], ["design", "compose", "10", "2" * 100],
+                ["assembly", "enclose", "2" * 100, "--n", "3"], ["quad", "from-period", "1" * 100],
+                ["design", "of-theta", "x" * 100], ["stern", "9" * 100 + "x"]]
+
+
+def cli():
+    """cli.main in process, in text and --json modes, on every action of
+    cli.COMMANDS (see _cli_calls), on seeded large arguments and on refused
+    arguments past 64 characters."""
+    for argv in [*_cli_calls(), *_cli_large(), *_cli_long()]:
+        yield _cli_line(argv)
+        yield _cli_line(["--json"] + argv)
+
+
+FAMILIES = {f.__name__: f for f in (rational, enclosure, action, kinds, scan, values, runs, cli)}
 
 
 def digests(family: str) -> list:

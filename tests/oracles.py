@@ -49,15 +49,8 @@ from diatomic import (
 )
 
 
-def brute_stern(m: int) -> int:
-    """a_m by filling the recurrence table bottom-up."""
-    vals = [0, 1]
-    for k in range(2, m + 1):
-        vals.append(vals[k // 2] if k % 2 == 0 else vals[k // 2] + vals[k // 2 + 1])
-    return vals[m]
-
-
 def stern_table(limit: int) -> list:
+    """a_0, ..., a_limit by filling the recurrence table bottom-up."""
     vals = [0, 1]
     for k in range(2, limit + 1):
         vals.append(vals[k // 2] if k % 2 == 0 else vals[k // 2] + vals[k // 2 + 1])

@@ -10,6 +10,7 @@ in CHANGES.md before it writes new digests here.
 """
 
 import os
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -63,7 +64,10 @@ DIGESTS = {
         "32ba90086b3ce489", "df4ccbe2969686d0", "1e46be070a927c6e", "54571f34f5c523e5",
         "a3dcd25a88c4aeaa", "1b40e516ae098807", "785251883d2c5413", "c055b554e53b0bb4",
         "ef98bad410f4b7c5", "25d90cc096dd98c6", "1f30dcffd4b07320", "122ac9b32015ae41",
-        "32a4dcf6497d1a3f", "85fd40c2943cebd1", "eaa021bf9d178c5f",
+        "32a4dcf6497d1a3f", "484e9f21912242a6", "eaa021bf9d178c5f",
+    ],
+    "cli": [
+        "ffd688eff38f6ad3", "b0ff2b4fdecb86ce",
     ],
 }
 
@@ -99,6 +103,18 @@ def test_a_result_past_the_digit_limit_is_recorded_as_a_result(huge):
     # str() is named by its bit length, not recorded as a ValueError
     line = corpus.call("continuant", diatomic.continuant, (huge, 1))
     assert line == "continuant((<20000-bit int>, 1)) -> <20000-bit int>"
+
+
+def test_an_argument_past_the_digit_limit_is_named_part_by_part(huge):
+    # a Fraction by its parts, a library value by its class and its fields,
+    # each part named by its bit length
+    line = corpus.call("ExtRational", diatomic.ExtRational, huge + 1)
+    assert line == "ExtRational(<20000-bit int>) -> ExtRational(num=<20000-bit int>, den=1)"
+    line = corpus.call("Fraction", Fraction, 3, huge)
+    assert line == "Fraction(3, <20000-bit int>) -> Fraction(3, <20000-bit int>)"
+    line = corpus.call("list", list, (Fraction(huge, 3), diatomic.ExtRational(1, huge)))
+    assert line == ("list((Fraction(<20000-bit int>, 3), ExtRational(num=1, den=<20000-bit int>)))"
+                    " -> [Fraction(<20000-bit int>, 3), ExtRational(num=1, den=<20000-bit int>)]")
 
 
 def test_diff_lists_only_the_lines_that_differ(tmp_path):

@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import inspect
+import io
 import pickle
 import sys
 import typing
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import diatomic
-from diatomic import _backend, errors
+from diatomic import _backend, cli, errors
 from diatomic.errors import (
     DomainError,
     InsufficientBits,
@@ -148,6 +150,21 @@ NON_INTEGER_ERRORS = {
     "cf_product_decomposition": (lambda: diatomic.cf_product_decomposition((1.5,)),
                                  MalformedRuns,
                                  "continued fraction entries must be integers: (1.5,)"),
+    # a run list that is not iterable at all
+    "sdi_from_runs of an int": (lambda: diatomic.sdi_from_runs(5), MalformedRuns,
+                                "runs must be an iterable of integers, got int"),
+    "sdi_corner_continuants of an int": (lambda: diatomic.sdi_corner_continuants(5),
+                                         MalformedRuns,
+                                         "runs must be an iterable of integers, got int"),
+    "from_runs of None": (lambda: diatomic.from_runs(None), MalformedRuns,
+                          "runs must be an iterable of integers, got NoneType"),
+    "realizing_pair of an int": (lambda: diatomic.realizing_pair(5), MalformedRuns,
+                                 "quotients must be an iterable of integers, got int"),
+    "cf_eval of an int": (lambda: diatomic.cf_eval(5), MalformedRuns,
+                          "continued fraction word must be an iterable of integers, got int"),
+    "cf_product_decomposition of a float": (
+        lambda: diatomic.cf_product_decomposition(1.5), MalformedRuns,
+        "continued fraction word must be an iterable of integers, got float"),
     "design_of_theta": (lambda: diatomic.design_of_theta(0.5), OutOfRange,
                         "need an int or a Fraction, got float"),
     "assembly_theta": (lambda: diatomic.assembly_theta(0.5), OutOfRange,
@@ -295,6 +312,82 @@ def test_every_error_names_a_huge_operand_by_its_bit_length(error, huge):
     ]:
         e = error("at {} and {}", operand, 7)
         assert type(e) is error and e.args == (f"at {text} and 7",)
+
+
+BAD_TEXT = "2" * 10**5  # no design letter, no rational, no matrix
+
+
+def _refusal(call, *args) -> tuple:
+    """The name and the message of the DomainError that call(*args) raises."""
+    with pytest.raises(DomainError) as info:
+        call(*args)
+    return type(info.value).__name__, str(info.value)
+
+
+def _printed_refusal(*argv) -> tuple:
+    """The name and the message of the error that the CLI prints for argv."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main(list(argv)) == 2
+    return err.getvalue().removeprefix("error: ").rstrip("\n").split(": ", 1)
+
+
+# (refusal of a call given the 10^5-character text t, the error's name)
+LONG_TEXT_ERRORS = {
+    "parse_design": (lambda t: _refusal(diatomic.parse_design, t), "DesignSyntaxError"),
+    "parse_design period group": (lambda t: _refusal(diatomic.parse_design, "(" + t),
+                                  "DesignSyntaxError"),
+    "parse_design stray close": (lambda t: _refusal(diatomic.parse_design, t + ")"),
+                                 "DesignSyntaxError"),
+    "FiniteDesign": (lambda t: _refusal(diatomic.FiniteDesign, t), "DesignSyntaxError"),
+    "make_periodic": (lambda t: _refusal(diatomic.make_periodic, "", t), "DesignSyntaxError"),
+    "PeriodicDesign of one letter": (
+        lambda t: _refusal(diatomic.PeriodicDesign, diatomic.FiniteDesign(""),
+                           diatomic.FiniteDesign("1" * len(t))), "InvalidPeriod"),
+    "PeriodicDesign of a repeat": (
+        lambda t: _refusal(diatomic.PeriodicDesign, diatomic.FiniteDesign(""),
+                           diatomic.FiniteDesign("10" * (len(t) // 2))), "InvalidPeriod"),
+    "quad_from_period": (lambda t: _refusal(diatomic.quad_from_period,
+                                            diatomic.FiniteDesign("0" * len(t))),
+                         "InvalidPeriod"),
+    "assembly_enclose": (lambda t: _refusal(diatomic.assembly_enclose, t, 3), "OutOfRange"),
+    "cli design inv": (lambda t: _printed_refusal("design", "inv", "1" * len(t) + "(01)"),
+                       "DomainError"),
+    "cli design theta --long": (lambda t: _printed_refusal("design", "theta", "1", "--" + t),
+                                "DomainError"),
+}
+
+
+@pytest.mark.parametrize("site", LONG_TEXT_ERRORS)
+def test_a_refusal_of_a_long_text_stays_short(site):
+    # the text reaches the message as an operand, which _text names by its size
+    refuse, error = LONG_TEXT_ERRORS[site]
+    name, message = refuse(BAD_TEXT)
+    assert name == error and len(message) <= 200
+    assert "-character text>" in message or "-digit integer>" in message
+
+
+def _formats_itself(message) -> bool:
+    """Whether a message expression builds its own text from data: an
+    f-string, a % expression or a .format() call anywhere in it."""
+    return any(isinstance(node, ast.JoinedStr)
+               or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+               or isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "format"
+               for node in ast.walk(message))
+
+
+def test_every_refusal_is_a_template_and_its_operands():
+    # DomainError formats each operand with _text, which names a long text or
+    # a huge integer by its size; a message that formats itself echoes it
+    names = {error.__name__ for error in ERROR_TYPES}
+    found = []
+    for path in sorted(Path(diatomic.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and node.args
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+                    and _formats_itself(node.args[0])):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_a_message_without_operands_keeps_its_braces():
