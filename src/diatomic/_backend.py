@@ -2,19 +2,22 @@
 
 Three loops do all the work.  The word product multiplies the generators
 U("1") = (1 1; 0 1) and U("0") = (1 0; 1 1) along a 0/1 word; the sequence
-pair is read off its top row.  The continuant fold multiplies the matrices
-(k 1; 1 0) along a list.  The pair walk reads off the Stern-Brocot path of
-a coprime pair: a matrix's word, and a ratio's reduced design.  Above a
-measured cutoff the products are built as a balanced tree, so the large
-multiplications fall where CPython's Karatsuba pays, and the walk starts
-with half-gcd rounds on the top bits.  The tree's word leaves and the
-half-gcd's base peel keep a matrix as two columns, each one int of two
-L-bit lanes (top entry high), so a letter or a run updates both rows in
-one operation.  No lane carries, as L exceeds every entry's bit length:
-a leaf's entries are at most 2**_LEAF_BITS, and a peel's at most the
-larger of its pair.  Inputs are pre-validated by the public modules.  All
-arithmetic is on Python ints, so there is no magnitude limit; only a path
-run too long for one string is refused.
+pair is read off its top row, and only that row is built.  The continuant
+fold multiplies the matrices (k 1; 1 0) along a list.  The pair walk
+reads off the Stern-Brocot path of a coprime pair: a matrix's word, and a
+ratio's reduced design.  Above a measured cutoff the products are built
+as a balanced tree, so the large multiplications fall where CPython's
+Karatsuba pays, and the walk starts with half-gcd rounds on the top bits.
+A kernel that returns a top row builds the tree's spine as rows: the left
+half's top row times the right half's product.  The tree's word leaves
+and the half-gcd's base peel keep a matrix as two columns, each one int
+of two L-bit lanes (top entry high), so a letter or a run updates both
+rows in one operation, and a leaf reads its word a byte at a time, one
+table matrix per byte.  No lane carries, as L exceeds every entry's bit
+length: a leaf's entries are at most 2**_LEAF_BITS, and a peel's at most
+the larger of its pair.  Inputs are pre-validated by the public modules.
+All arithmetic is on Python ints, so there is no magnitude limit; only a
+path run too long for one string is refused.
 """
 
 import sys
@@ -26,7 +29,7 @@ BACKEND = "python"
 # Cutoffs, each where the fast route overtook its kernel's linear loop when
 # timed on random words and their run lengths (Python 3.11, see CHANGES.md).
 _LEAF_BITS = 128  # word letters per tree leaf
-_WORD_BITS = 160  # word_matrix: word length above which the tree runs
+_WORD_BITS = 64  # word_matrix, stern_pair: word length above which the tree runs
 _LEAF_ITEMS = 64  # continuant items per tree leaf
 _CONT_ITEMS = 3072  # continuant_pair: list length above which the tree runs
 _HGCD_BITS = 4096  # _pair_word: pair size above which the half-gcd runs
@@ -37,9 +40,19 @@ def stern_pair(m):
     """Return (a_m, a_{m+1}) of the diatomic sequence.
 
     With n the bit length of m, the matrix of the n-bit word of m is the
-    table quadruple at (n, m), whose top row is (a_{m+1}, a_m).
+    table quadruple at (n, m), whose top row is (a_{m+1}, a_m); only that
+    row is built.
     """
-    a, b, _, _ = word_matrix(format(m, "b"))
+    bits = format(m, "b")
+    if len(bits) > _WORD_BITS:
+        a, b = _row(_word_leaves(bits))
+        return b, a
+    a, b = 1, 0
+    for ch in bits:
+        if ch == "1":
+            b += a
+        else:
+            a += b
     return b, a
 
 
@@ -47,8 +60,8 @@ def continuant_pair(ks):
     """Fold the continuant recursion; return (value of ks[:-1], value of ks)."""
     if len(ks) > _CONT_ITEMS:
         # (value, value of ks[:-1]) is the top row of the product of (k 1; 1 0).
-        leaves = [_continuant_leaf(ks[i:i + _LEAF_ITEMS]) for i in range(0, len(ks), _LEAF_ITEMS)]
-        cur, prev, _, _ = _product(leaves)
+        cur, prev = _row([_continuant_leaf(ks[i:i + _LEAF_ITEMS])
+                          for i in range(0, len(ks), _LEAF_ITEMS)])
         return prev, cur
     prev, cur = 0, 1
     for x in ks:
@@ -136,20 +149,44 @@ def _product(mats):
     return mats[0]
 
 
+def _row(mats):
+    """Top row of the product of a nonempty list of 2x2 matrices: the left
+    half's top row times the right half's product, so that the spine of the
+    tree never builds a bottom row."""
+    if len(mats) == 1:
+        return mats[0][:2]
+    h = len(mats) >> 1
+    a, b = _row(mats[:h])
+    e, f, g, u = _product(mats[h:])
+    return a * e + b * g, a * f + b * u
+
+
+# The generator product along each byte's 8-letter word, by the letter loop.
+_BYTE_MATRICES = [word_matrix(format(v, "08b")) for v in range(256)]
+
+
 def _word_leaves(bits):
     """Generator products of the consecutive _LEAF_BITS-letter pieces of a word.
 
     Each column of a leaf's matrix is one int of two L-bit lanes, the top
-    entry over the bottom: A = a << L | c and B = b << L | d, so a letter
-    is one addition.  No lane carries: each letter at most doubles the
-    largest entry, so a leaf's entries are at most 2**_LEAF_BITS < 2**L.
+    entry over the bottom: A = a << L | c and B = b << L | d.  The word is
+    read a byte at a time: the byte's matrix (p q; r s) moves the columns
+    to A p + B r and A q + B s, and the letters after the last whole byte
+    are one addition each.  No lane carries: each letter at most doubles
+    the largest entry, so a leaf's entries are at most 2**_LEAF_BITS < 2**L,
+    and every term of a byte step is at most the entry it adds up to.
     """
     L = _LEAF_BITS + 1
     mask = (1 << L) - 1
+    cut = len(bits) & -8  # the letters of whole bytes
+    data = int(bits[:cut] or "0", 2).to_bytes(cut >> 3, "big")
     leaves = []
     for i in range(0, len(bits), _LEAF_BITS):
         A, B = 1 << L, 1
-        for ch in bits[i:i + _LEAF_BITS]:
+        for v in data[i >> 3:(i + _LEAF_BITS) >> 3]:
+            p, q, r, s = _BYTE_MATRICES[v]
+            A, B = A * p + B * r, A * q + B * s
+        for ch in bits[cut:i + _LEAF_BITS]:  # empty but in the last piece
             if ch == "1":
                 B += A
             else:

@@ -185,6 +185,14 @@ class _Parser(argparse.ArgumentParser):
             return None
         return super()._parse_optional(arg_string)
 
+    def _check_value(self, action, value):
+        # argparse's own message would quote an unknown choice whole; the
+        # choices go into the template, as the parser's own names hold no braces
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise DomainError("argument {}: invalid choice: {} (choose from " + choices + ")",
+                              argparse._get_action_name(action), repr(value))
+
     def error(self, message):
         raise DomainError(message)
 

@@ -16,6 +16,7 @@ Text grammar (also the CLI wire format):
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import repeat
@@ -140,8 +141,13 @@ def _design_of(m: int, n: int) -> FiniteDesign:
 
 
 def _run_word(ks, letters: str) -> str:
-    """The word of alternating runs of the two letters, the first one first."""
-    return "".join(letters[i & 1] * k for i, k in enumerate(ks))
+    """The word of alternating runs of the two letters, the first one first.
+    A run past sys.maxsize letters, which no string can hold, raises OutOfRange."""
+    try:
+        return "".join(letters[i & 1] * k for i, k in enumerate(ks))
+    except OverflowError:  # letter * k, caught once here to keep the join lean
+        raise OutOfRange("a run of more than {} letters is too long to build",
+                         sys.maxsize) from None
 
 
 def _is_primitive_word(word: str) -> bool:

@@ -7,26 +7,29 @@ catch one type and map it to a diagnostic exit.
 from fractions import Fraction
 
 
+# 2**209 < 10**63: an int of at most this many bits prints in 64 characters, sign included
+_INT_BITS = 209
+
+
 def _text(x) -> str:
-    """An operand as str() prints it, but with an integer that the
-    interpreter's digit limit would refuse to convert named by its bit
-    length: an int, each part of a Fraction, or a tuple by its length and
-    its largest item's bit length, items of nested tuples and lists too;
-    and a quoted text past 64 characters by its length or digit count."""
+    """An operand as str() prints it, but with an integer past _INT_BITS
+    bits named by its bit length, so that no long integer is converted to
+    text: an int, each part of a Fraction, or a tuple or list by its length
+    and its largest item's bit length, items of nested tuples and lists
+    too; and a quoted text past 64 characters by its length or digit count."""
     if isinstance(x, str) and len(x) > 64:
         digits = x[1:] if x[:1] == "-" else x
         if digits.isascii() and digits.isdigit():
             return f"<{'-' if digits != x else ''}{len(digits)}-digit integer>"
         return f"<{len(x)}-character text>"
-    try:
+    if _most_bits(x) <= _INT_BITS:
         return str(x)
-    except ValueError:
-        if isinstance(x, tuple):
-            return f"<tuple of length {len(x)}, items up to {_most_bits(x)} bits>"
-        num, den = x.numerator, x.denominator
-        if den != 1:
-            return f"{_text(num)}/{_text(den)}"
-        return f"<{'-' if num < 0 else ''}{num.bit_length()}-bit integer>"
+    if isinstance(x, (tuple, list)):
+        return f"<{type(x).__name__} of length {len(x)}, items up to {_most_bits(x)} bits>"
+    num, den = x.numerator, x.denominator
+    if den != 1:
+        return f"{_text(num)}/{_text(den)}"
+    return f"<{'-' if num < 0 else ''}{num.bit_length()}-bit integer>"
 
 
 def _most_bits(x) -> int:

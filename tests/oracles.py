@@ -1,10 +1,11 @@
 """Independent oracles the tests check the library against.
 
 Each one recomputes a quantity by a different route than the library:
-the sequence by its literal recurrence, run encodings by
-itertools.groupby, continuants by fraction-free elimination of their
-tridiagonal determinant (itself checked against the expansion over
-permutations), Euler phi by gcd counting, the inverse question-mark by
+the sequence by its literal recurrence and by a fold over the bits of
+its index from the bottom, run encodings by itertools.groupby,
+continuants by fraction-free elimination of their tridiagonal
+determinant (itself checked against the expansion over permutations),
+Euler phi by gcd counting, the inverse question-mark by
 a mediant walk down the Farey tree, the four integer kernels by the
 one-letter-at-a-time loops they used before their product trees and
 half-gcd peel, the half-gcd's base peel by its loop over the four
@@ -66,6 +67,19 @@ def linear_stern_pair(m: int) -> tuple[int, int]:
         else:
             a, b = a, a + b
     return a, b
+
+
+def lsb_fusc(n: int) -> int:
+    """a_n by reading the bits of n from the bottom: a_n = a a_k + b a_{k+1}
+    holds from k = n down to k = 0, as a_{2j} = a_j and a_{2j+1} = a_j + a_{j+1}."""
+    a, b = 1, 0
+    while n:
+        if n & 1:
+            b += a
+        else:
+            a += b
+        n >>= 1
+    return b
 
 
 def grouped_runs(word: str) -> tuple:

@@ -204,6 +204,9 @@ TYPED_ERRORS = [
      f"a path run of {10**23 - 1} letters is too long to build"),
     (("matrix", "to-design", f"1,{HUGE};0,1"), "OutOfRange",
      f"a path run of {HUGE} letters is too long to build"),
+    # sqrt(2^130 + 1) = [2^65; 2^66, ...], a design run of 2^65 letters
+    (("quad", "sqrt", str(2**130 + 1)), "OutOfRange",
+     f"a run of more than {sys.maxsize} letters is too long to build"),
 ] + [
     ((command, action, "1", "junk"), "DomainError", f"{command} {action} takes 1 argument, got 2")
     for command, action in [("design", "from-ratio"), ("design", "theta"), ("design", "of-theta"),
@@ -247,6 +250,15 @@ TYPED_ERRORS = [
     (("design", "bogus", "1"), "DomainError",
      "argument action: invalid choice: 'bogus' (choose from 'from-ratio', 'theta', 'of-theta', "
      "'conj', 'inv', 'reduce', 'compose')"),
+    # past 64 characters a choice is named by the size of its quoted text
+    (("design", TEXT), "DomainError",
+     "argument action: invalid choice: <67-character text> (choose from 'from-ratio', 'theta', "
+     "'of-theta', 'conj', 'inv', 'reduce', 'compose')"),
+    ((TEXT,), "DomainError",
+     "argument command: invalid choice: <67-character text> (choose from 'stern', 'design', "
+     "'matrix', 'assembly', 'quad', 'deriv')"),
+    (("deriv", "scan", "1/3", "--side", TEXT), "DomainError",
+     "argument --side: invalid choice: <67-character text> (choose from 'left', 'right')"),
     ((), "DomainError", "the following arguments are required: command"),
     # an option the action does not read is refused, not ignored
     (("assembly", "eval", "1/2", "--n", "5"), "DomainError", "assembly eval does not read --n"),

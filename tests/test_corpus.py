@@ -67,7 +67,7 @@ DIGESTS = {
         "32a4dcf6497d1a3f", "484e9f21912242a6", "eaa021bf9d178c5f",
     ],
     "cli": [
-        "ffd688eff38f6ad3", "b0ff2b4fdecb86ce",
+        "ffd688eff38f6ad3", "10bde11a31ac30cc",
     ],
 }
 

@@ -39,6 +39,7 @@ from oracles import (
     linear_continuant_pair,
     linear_stern_pair,
     linear_word_matrix,
+    lsb_fusc,
     scalar_peel,
     stern_table,
 )
@@ -104,8 +105,9 @@ def test_no_overflow_at_large_magnitude():
 
 LEAF, WORD = _backend._LEAF_BITS, _backend._WORD_BITS
 LEAF_ITEMS, ITEMS = _backend._LEAF_ITEMS, _backend._CONT_ITEMS
-WORD_SIZES = [1, LEAF - 1, LEAF, LEAF + 1, 3 * LEAF + 5, WORD - 1, WORD, WORD + 1,
-              2 * WORD + 7, 6 * LEAF - 1, 6 * LEAF, 6 * LEAF + 1, 12 * LEAF + 7, 5000, 30000]
+# 159, 160, 161 and 327 are a leaf and a part of one, and 2 leaves and a part.
+WORD_SIZES = [1, WORD - 1, WORD, WORD + 1, LEAF - 1, LEAF, LEAF + 1, 159, 160, 161, 327,
+              3 * LEAF + 5, 6 * LEAF - 1, 6 * LEAF, 6 * LEAF + 1, 12 * LEAF + 7, 5000, 30000]
 ITEM_COUNTS = [1, LEAF_ITEMS, LEAF_ITEMS + 1, ITEMS - 1, ITEMS, ITEMS + 1,
                3 * ITEMS + 11, 10000]
 # Random words of these lengths have largest entries on both sides of the
@@ -253,7 +255,7 @@ def lane_words(rng, n):
     return [random_bits(rng, n), ("10" * n)[:n], ("01" * n)[:n], "1" * n, "0" * n]
 
 
-@pytest.mark.parametrize("n", [LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 1, WORD - 1, WORD + 1])
+@pytest.mark.parametrize("n", [WORD - 1, WORD + 1, LEAF - 1, LEAF, LEAF + 1, 159, 161, 2 * LEAF + 1])
 def test_packed_word_leaves_match_the_linear_loop(n, monkeypatch):
     rng = random.Random(n)
     for w in lane_words(rng, n):
@@ -263,6 +265,80 @@ def test_packed_word_leaves_match_the_linear_loop(n, monkeypatch):
     monkeypatch.setattr(_backend, "_WORD_BITS", 0)  # every word through the tree
     for w in lane_words(rng, n):
         assert word_matrix(w) == linear_word_matrix(w)
+
+
+def test_each_byte_matrix_is_the_product_of_its_eight_letters():
+    for v in range(256):
+        assert _backend._BYTE_MATRICES[v] == linear_word_matrix(format(v, "08b"))
+
+
+# every length to 300, one letter each side of a whole number of bytes, and
+# 1, 2, 3 and 5 whole leaves with a letter or a byte more or less
+BYTE_SIZES = sorted({*range(1, 301), *(8 * k + e for k in (40, 63, 100, 333) for e in (-1, 1)),
+                     *(j * LEAF + e for j in (1, 2, 3, 5) for e in (-9, -8, -1, 0, 1, 7, 8))})
+
+
+def test_word_matrix_reads_bytes_at_every_length(monkeypatch):
+    rng = random.Random(34)
+    for n in BYTE_SIZES:
+        for w in lane_words(rng, n):
+            assert word_matrix(w) == linear_word_matrix(w)
+    monkeypatch.setattr(_backend, "_WORD_BITS", 0)  # short words through the leaves too
+    for n in BYTE_SIZES:
+        for w in lane_words(rng, n):
+            assert word_matrix(w) == linear_word_matrix(w)
+
+
+# 2^k - 1, 2^k and 2^k + 1 are the all-ones word, a 1 then 0s, and 10...01
+STERN_EDGE_BITS = [*range(1, 140), 255, 256, 257, 1000, 3071, 3072, 3073, 10_000]
+
+
+@pytest.mark.parametrize("k", STERN_EDGE_BITS)
+def test_stern_pair_at_the_powers_of_two(k):
+    for m in ((1 << k) - 1, 1 << k, (1 << k) + 1):
+        assert stern_pair(m) == (lsb_fusc(m), lsb_fusc(m + 1))
+
+
+@pytest.mark.parametrize("n", [ITEMS - 1, ITEMS, ITEMS + 1])
+def test_continuant_pair_with_zero_entries(n):
+    # a 0 entry merges its neighbours; lists of 0s and 1s keep the values small
+    rng = random.Random(n)
+    for ks in ([0] * n, [0] + [1] * (n - 1), [1] * (n - 1) + [0],
+               [rng.choice([0, 0, 1, 2]) for _ in range(n)],
+               [rng.choice([0, 1, 5, 2**70]) for _ in range(n)]):
+        assert continuant_pair(ks) == linear_continuant_pair(ks)
+
+
+def test_top_row_kernels_build_no_full_product(monkeypatch):
+    # A cost guard that needs no clock: above the cutoff, stern_pair and
+    # continuant_pair multiply the left half's top row by the right half's
+    # product, so no product call takes the whole leaf list; below it,
+    # stern_pair folds the top row alone, with no call to word_matrix.
+    product, calls = _backend._product, []
+
+    def counted_product(mats):
+        calls.append(len(mats))
+        return product(mats)
+
+    def no_word_matrix(bits):
+        raise AssertionError("stern_pair below the cutoff called word_matrix")
+
+    monkeypatch.setattr(_backend, "_product", counted_product)
+    monkeypatch.setattr(_backend, "word_matrix", no_word_matrix)
+    rng = random.Random(8)
+    for n in (WORD + 1, LEAF + 1, 4 * LEAF, 10_000, 31_623):
+        calls.clear()
+        m = rng.getrandbits(n) | 1 << (n - 1)
+        assert stern_pair(m) == linear_stern_pair(m)
+        assert max(calls, default=0) < math.ceil(n / LEAF)
+    for n in (ITEMS + 1, 4 * ITEMS, 20_000):
+        calls.clear()
+        ks = [rng.randrange(0, 9) for _ in range(n)]
+        assert continuant_pair(ks) == linear_continuant_pair(ks)
+        assert 0 < max(calls) < math.ceil(n / LEAF_ITEMS)
+    for n in range(1, WORD + 1):
+        m = rng.getrandbits(n) | 1 << (n - 1)
+        assert stern_pair(m) == linear_stern_pair(m)
 
 
 def test_packed_peel_matches_the_scalar_peel():
@@ -338,7 +414,7 @@ HUGE_RUNS = {
     "1s of 10^23": (lambda: assembly_inverse(ExtRational(10**23)), str(10**23 - 1)),
     "1s of a matrix": (lambda: design_of_matrix(UniModMatrix(1, 10**23, 0, 1)), str(10**23)),
     # a 5,001-bit pair whose first run leaves no room for a half step
-    "no half step": (lambda: euclidean_design(1, (1 << 5000) + 1), str(1 << 5000)),
+    "no half step": (lambda: euclidean_design(1, (1 << 5000) + 1), "<5001-bit integer>"),
     # the half-gcd's base peel, on each letter, names only the bound
     "peeled 1s": (lambda: euclidean_design(1 << 5000, (1 << 4900) + 1),
                   f"more than {sys.maxsize}"),

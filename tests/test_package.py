@@ -282,9 +282,22 @@ ERROR_TYPES = [obj for obj in vars(errors).values()
 
 
 def test_an_operand_below_the_digit_limit_prints_as_str():
-    for x in (0, -5, 10**100, Fraction(3, 4), Fraction(-7), Fraction(1, 10**100),
-              (1, -2, 10**100), (1.5, "0", Fraction(1, 3)), 2.5, "x"):
+    # an int of up to 209 bits prints in 64 characters, sign included
+    top = 2**209 - 1
+    for x in (0, -5, top, -top, Fraction(3, 4), Fraction(-7), Fraction(1, top),
+              (1, -2, top), (1.5, "0", Fraction(1, 3)), 2.5, "x"):
         assert str(DomainError("got {}", x)) == f"got {x}"
+    assert len(str(-top)) == 64
+
+
+def test_an_int_past_209_bits_is_named_by_its_bit_length():
+    # decided from the bit length, so no long int is ever converted to text
+    for x, shown in [(2**209, "<210-bit integer>"), (-(10**100), "<-333-bit integer>"),
+                     (Fraction(10**100, 3), "<333-bit integer>/3"),
+                     (Fraction(1, 2**209), "1/<210-bit integer>"),
+                     ((1, -2, 10**100), "<tuple of length 3, items up to 333 bits>"),
+                     ([(Fraction(1, 2**300),)], "<list of length 1, items up to 301 bits>")]:
+        assert str(DomainError("got {}", x)) == f"got {shown}"
 
 
 def test_a_long_text_operand_is_named_by_its_size():
@@ -355,6 +368,13 @@ LONG_TEXT_ERRORS = {
                        "DomainError"),
     "cli design theta --long": (lambda t: _printed_refusal("design", "theta", "1", "--" + t),
                                 "DomainError"),
+    "cli design of a long action": (lambda t: _printed_refusal("design", t), "DomainError"),
+    "cli deriv scan --side": (lambda t: _printed_refusal("deriv", "scan", "1/3", "--side", t),
+                              "DomainError"),
+    # integers under the digit limit that print past 64 characters
+    "parse_ratio": (lambda t: _refusal(diatomic.parse_ratio, "-" + t[:4000]), "OutOfRange"),
+    "parse_matrix": (lambda t: _refusal(diatomic.parse_matrix, "1,2;3," + t[:4000]),
+                     "NotUnimodular"),
 }
 
 
@@ -364,7 +384,7 @@ def test_a_refusal_of_a_long_text_stays_short(site):
     refuse, error = LONG_TEXT_ERRORS[site]
     name, message = refuse(BAD_TEXT)
     assert name == error and len(message) <= 200
-    assert "-character text>" in message or "-digit integer>" in message
+    assert any(size in message for size in ("-character text>", "-digit integer>", "-bit integer>"))
 
 
 def _formats_itself(message) -> bool:

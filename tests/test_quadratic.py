@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
 from unittest import mock
@@ -582,6 +583,12 @@ def test_sqrt_rejects_bad_input():
         periodic_design_of_sqrt(Fraction(9, 4))
     with pytest.raises(NonPositive):
         periodic_design_of_sqrt(Fraction(0))
+
+
+def test_sqrt_with_a_run_past_sys_maxsize_letters_is_out_of_range():
+    # sqrt(2^130 + 1) = [2^65; 2^66, ...]: no string holds a run of 2^65 letters
+    with pytest.raises(OutOfRange, match=rf"^a run of more than {sys.maxsize} letters is too long"):
+        periodic_design_of_sqrt(2**130 + 1)
 
 
 def test_sqrt_cf_basics():
