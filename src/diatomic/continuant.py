@@ -53,11 +53,6 @@ def cf_eval(ks: Iterable[int]) -> ExtRational:
     return _ratio(num, den)
 
 
-def sdi_from_runs(ks: Iterable[int]) -> int:
-    """Table value of the design whose run encoding is ks."""
-    return continuant(check_runs(ks))
-
-
 def sdi_corner_continuants(ks: Iterable[int]) -> tuple[int, int, int, int]:
     """The matrix quadruple of a run word, as continuants:
 

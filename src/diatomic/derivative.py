@@ -22,8 +22,8 @@ from fractions import Fraction
 from ._backend import continuant_pair, word_matrix
 from ._value import Value, _set
 from .assembly import assembly_dyadic
-from .design import FiniteDesign, design_of_theta
-from .errors import OutOfRange, TerminalDesign, ZeroLength, _check_kind
+from .design import FiniteDesign, _plain, design_of_theta
+from .errors import OutOfRange, ZeroLength, _check_kind
 from .matrix import sdm
 from .quadratic import FieldElement, _equation, _gap_frame, _moved, _moved_gap, _period_matrix
 from .rational import ExtRational
@@ -133,10 +133,8 @@ def affine_derivative_factor(d: FiniteDesign, v: ExtRational) -> ExtRational:
 
     v is the map's value at the suffix's theta; v = inf is allowed.
     """
-    _check_kind(d, FiniteDesign)
+    _plain(d, "prefix must be a plain word")
     _check_kind(v, ExtRational)
-    if d.terminal:
-        raise TerminalDesign("prefix must be a plain word")
     m = sdm(d)
     if m.c == 0:  # d = 1^k with matrix (1 k; 0 1): the factor is 2**k at every v
         return ExtRational(1 << d.length)

@@ -209,11 +209,19 @@ def parse_design(text: str) -> Design:
     return FiniteDesign(text)
 
 
+def _plain(d: FiniteDesign, refusal: str) -> str:
+    """The word of d, a FiniteDesign that is not terminal: another kind raises
+    _check_kind's OutOfRange, and a terminal design TerminalDesign(refusal)."""
+    if not isinstance(d, FiniteDesign):
+        _check_kind(d, FiniteDesign)
+    if d.terminal:
+        raise TerminalDesign(refusal)
+    return d.bits
+
+
 def runs(d: FiniteDesign) -> tuple[int, ...]:
     """Odd-length run encoding 1^k0 0^k1 ... 1^k_{l-1}; end runs may be 0."""
-    if d.terminal:
-        raise TerminalDesign("terminal designs have the fixed encoding (1, n, 0)")
-    return _runs_of_word(d.bits)
+    return _runs_of_word(_plain(d, "terminal designs have the fixed encoding (1, n, 0)"))
 
 
 def _byte_runs(b: int) -> tuple:
@@ -284,6 +292,7 @@ def from_runs(ks: Iterable[int]) -> FiniteDesign:
 
 def design_number(d: FiniteDesign) -> tuple[int, int]:
     """(m, n) with m the word value and n the length; terminal gives (2**n, n)."""
+    _check_kind(d, FiniteDesign)
     return d.number, d.length
 
 
@@ -333,6 +342,7 @@ def euclidean_design(a: int, b: int) -> FiniteDesign:
 
 def conjugate(d: Design) -> Design:
     """Finite: the design of 2**n - m at the same length.  Periodic: flip bits."""
+    _check_kind(d, (FiniteDesign, PeriodicDesign))
     if isinstance(d, PeriodicDesign):
         # flipping every bit keeps a canonical design canonical
         return _periodic(_word(_flip(d.preperiod.bits), False),
@@ -347,9 +357,8 @@ def _flip(word: str) -> str:
 def inverse_design(d: FiniteDesign) -> FiniteDesign:
     """Reverse the run-length list; an involution that preserves the table value.
     The list starts and ends with a run of 1s, maybe empty: it reverses the word."""
-    if d.terminal:
-        raise TerminalDesign("terminal designs have the fixed encoding (1, n, 0)")
-    return _word(d.bits[::-1], False)  # the reversal of a checked word
+    word = _plain(d, "terminal designs have the fixed encoding (1, n, 0)")
+    return _word(word[::-1], False)  # the reversal of a checked word
 
 
 def compose(d: FiniteDesign, d2: Design) -> Design:
@@ -358,22 +367,21 @@ def compose(d: FiniteDesign, d2: Design) -> Design:
     On design numbers d2 adds m2 below m: a terminal one (m2 = 2**n2) adds 1
     to d, and the all-ones d overflows into the longer terminal design.
     """
-    if d.terminal:
-        raise TerminalDesign("left factor must be a plain word")
+    word = _plain(d, "left factor must be a plain word")
+    _check_kind(d2, (FiniteDesign, PeriodicDesign))
     if isinstance(d2, PeriodicDesign):
-        return make_periodic(d.bits + d2.preperiod.bits, d2.period.bits)
+        return make_periodic(word + d2.preperiod.bits, d2.period.bits)
     return _design_of((d.number << d2.length) + d2.number, d.length + d2.length)
 
 
 def reduce(d: FiniteDesign) -> FiniteDesign:
     """Strip trailing zeros; the theta value is unchanged."""
-    if d.terminal:
-        raise TerminalDesign("terminal designs do not reduce")
-    return FiniteDesign(d.bits.rstrip("0"))
+    return FiniteDesign(_plain(d, "terminal designs do not reduce").rstrip("0"))
 
 
 def is_reduced(d: FiniteDesign) -> bool:
     """Odd design number; the two length-0 designs count as reduced."""
+    _check_kind(d, FiniteDesign)
     if d.terminal:
         return d.length == 0
     return not d.bits or d.bits.endswith("1")
@@ -381,6 +389,7 @@ def is_reduced(d: FiniteDesign) -> bool:
 
 def is_primitive(d: FiniteDesign) -> bool:
     """Reduced with the leading bit set, i.e. 2**(n-1) <= m <= 2**n - 1."""
+    _check_kind(d, FiniteDesign)
     if d.terminal or not d.bits:
         return False
     return d.bits.startswith("1") and d.bits.endswith("1")
@@ -388,9 +397,10 @@ def is_primitive(d: FiniteDesign) -> bool:
 
 def theta_of(d: Design) -> Fraction:
     """The binary value in [0, 1] of the design's (possibly infinite) word."""
+    _check_kind(d, (FiniteDesign, PeriodicDesign))
     if isinstance(d, PeriodicDesign):
-        mp, k = design_number(d.preperiod)
-        mpp, n = design_number(d.period)
+        mp, k = d.preperiod.number, d.preperiod.length
+        mpp, n = d.period.number, d.period.length
         top = (1 << n) - 1
         return Fraction(top * mp + mpp, (1 << k) * top)
     return Fraction(d.number, 1 << d.length)  # a terminal design's 2**n / 2**n is 1

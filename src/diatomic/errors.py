@@ -12,20 +12,24 @@ _INT_BITS = 209
 
 
 def _text(x) -> str:
-    """An operand as str() prints it, but with an integer past _INT_BITS
-    bits named by its bit length, so that no long integer is converted to
-    text: an int, each part of a Fraction, or a tuple or list by its length
-    and its largest item's bit length, items of nested tuples and lists
-    too; and a quoted text past 64 characters by its length or digit count."""
+    """An operand as str() prints it, but named by its size past 64
+    characters, decided without printing a long integer or list: an int past
+    _INT_BITS bits, alone or as a part of a Fraction, by its bit length; a
+    tuple or list by its length and its items' largest bit length, nested
+    items too; and a quoted text by its length or digit count."""
     if isinstance(x, str) and len(x) > 64:
         digits = x[1:] if x[:1] == "-" else x
         if digits.isascii() and digits.isdigit():
             return f"<{'-' if digits != x else ''}{len(digits)}-digit integer>"
         return f"<{len(x)}-character text>"
-    if _most_bits(x) <= _INT_BITS:
-        return str(x)
+    bits = _most_bits(x)
     if isinstance(x, (tuple, list)):
-        return f"<{type(x).__name__} of length {len(x)}, items up to {_most_bits(x)} bits>"
+        # 22 items print in at least 66 characters: only a shorter list is printed to measure
+        if len(x) < 22 and bits <= _INT_BITS and len(text := str(x)) <= 64:
+            return text
+        return f"<{type(x).__name__} of length {len(x)}, items up to {bits} bits>"
+    if bits <= _INT_BITS:
+        return str(x)
     num, den = x.numerator, x.denominator
     if den != 1:
         return f"{_text(num)}/{_text(den)}"

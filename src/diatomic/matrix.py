@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from ._backend import matrix_word, word_matrix
 from ._value import Value, _set, trusted
-from .design import FiniteDesign, _word
+from .design import FiniteDesign, _plain, _word
 from .errors import (
     DesignSyntaxError,
     NegativeEntry,
     NotUnimodular,
     OutOfRange,
-    TerminalDesign,
     _check_kind,
 )
 from .quadratic import QuadIrr, _moved, _root
@@ -75,16 +74,16 @@ def parse_matrix(text: str) -> UniModMatrix:
 
 def sdm(d: FiniteDesign) -> UniModMatrix:
     """The table matrix of a finite design: generator product along its word."""
-    if d.terminal:
-        raise TerminalDesign("terminal designs have no matrix")
-    return _matrix(*word_matrix(d.bits))  # a generator product: nonnegative, determinant 1
+    # a generator product: nonnegative, determinant 1
+    return _matrix(*word_matrix(_plain(d, "terminal designs have no matrix")))
 
 
 def design_of_matrix(m: UniModMatrix) -> FiniteDesign:
     """The unique design word with sdm(word) == m, possibly unreduced."""
+    _check_kind(m, UniModMatrix)
     # matrix_word checks the sign and the determinant (a singular matrix
     # would walk forever), and its path is made of 0s and 1s only
-    return _word(matrix_word(*m.entries()), False)
+    return _word(matrix_word(m.a, m.b, m.c, m.d), False)
 
 
 def apply_mobius(m: UniModMatrix, x: ExtRational | QuadIrr) -> ExtRational | QuadIrr:

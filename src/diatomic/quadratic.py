@@ -25,7 +25,6 @@ from .design import (
     PeriodicDesign,
     _flip,
     _run_word,
-    inverse_design,
     make_periodic,
 )
 from .errors import (
@@ -398,6 +397,7 @@ def cf_of_root(x: QuadIrr) -> tuple[list[int], list[int]]:
     The root is (b1 +- sqrt(disc))/(2 a2), and 2 a2 divides
     disc - b1^2 = 4 a2 c0, so the integer walk takes it unscaled.
     """
+    _check_kind(x, QuadIrr)
     sign = 1 if x.plus_branch else -1
     return _cf_walk(sign * x.b1, sign * 2 * x.a2, x.discriminant)
 
@@ -430,11 +430,6 @@ def classify_type(period: FiniteDesign) -> int:
     if first:
         return 2 if last else 1
     return 4 if last else 3
-
-
-def conjugate_root_design(period: FiniteDesign) -> FiniteDesign:
-    """Period whose pure value is the negated conjugate root: the run reversal."""
-    return inverse_design(_check_period(period))
 
 
 def purity_test(t: Fraction) -> Purity:

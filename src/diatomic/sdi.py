@@ -31,7 +31,6 @@ def sdi(depth: int, order: int) -> int:
     return stern_pair(order)[0]
 
 
-@lru_cache(maxsize=8, typed=True)
 def sdi_quadruple(depth: int, order: int) -> tuple[int, int, int, int]:
     """The four row-n values around order m:
 
@@ -40,10 +39,14 @@ def sdi_quadruple(depth: int, order: int) -> tuple[int, int, int, int]:
     They are the matrix of the n-bit word of m, so a miss is one word
     product.  Cached in a few entries, read-through, so concurrent readers
     are safe; the two sides of a quotient scan share their period's address.
-    The cache is typed, so 3.0 misses the entry of 3 and meets the int check.
+    The address is checked before the cache hashes it, so a list is refused.
     """
     _check_address(depth, order, limit_offset=1)
-    return word_matrix(_bits(order, depth))
+    return _quadruple(depth, order)
+
+
+_quadruple = lru_cache(maxsize=8, typed=True)(lambda n, m: word_matrix(_bits(m, n)))
+sdi_quadruple.cache_info, sdi_quadruple.cache_clear = _quadruple.cache_info, _quadruple.cache_clear
 
 
 def _check_address(depth: int, order: int, limit_offset: int) -> None:

@@ -45,14 +45,22 @@ from diatomic import (
     assembly_of_rational_theta,
     assembly_theta,
     cf_eval,
+    cf_of_root,
     cf_product_decomposition,
     classify_type,
+    compose,
     compose_action,
-    conjugate_root_design,
+    conjugate,
     continuant,
+    design_number,
+    design_of_matrix,
     design_of_theta,
     from_runs,
+    inverse_design,
+    is_primitive,
+    is_reduced,
     make_periodic,
+    matrix_symmetries,
     parse_fraction,
     parse_ratio,
     quad_from_period,
@@ -60,10 +68,11 @@ from diatomic import (
     question_mark_inverse,
     quotient_scan,
     realizing_pair,
+    reduce,
     reflection,
     sdi_corner_continuants,
-    sdi_from_runs,
     sdm,
+    theta_of,
 )
 from diatomic import cli as command_line
 from diatomic import runs as run_list
@@ -194,7 +203,8 @@ def action():
 
 
 def kinds():
-    """Each entry point this corpus covers, given every kind of argument."""
+    """Each entry point this corpus covers, given every kind of argument; each
+    that takes a design, a matrix or a QuadIrr, a terminal design too."""
     args = [3, 1.5, "1/3", Fraction(1, 3), (1, 3), [1, 3], None, FiniteDesign("10"),
             ExtRational(1, 3), UniModMatrix(2, 1, 1, 1), QuadIrr(1, 1, 1),
             PeriodicDesign(FiniteDesign(""), FiniteDesign("10"))]
@@ -215,8 +225,16 @@ def kinds():
         yield call("parse_fraction", parse_fraction, x)
         yield call("compose_action", compose_action, x, ExtRational(1, 3))
         yield call("affine_derivative_factor", affine_derivative_factor, x, ExtRational(1, 3))
-        for fn in (quad_of_periodic, quad_from_period, classify_type, conjugate_root_design):
+        for fn in (quad_of_periodic, quad_from_period, classify_type):
             yield call(fn.__name__, fn, x)
+    for x in args + [FiniteDesign.terminal_of(2)]:
+        for fn in (run_list, inverse_design, reduce, sdm, matrix_symmetries, conjugate, theta_of,
+                   design_number, is_primitive, is_reduced, design_of_matrix, cf_of_root):
+            yield call(fn.__name__, fn, x)
+        yield call("compose", compose, x, FiniteDesign("10"))
+        yield call("compose", compose, FiniteDesign("10"), x)
+    yield call("affine_derivative_factor", affine_derivative_factor,
+               FiniteDesign.terminal_of(2), ExtRational(1, 3))
 
 
 def scan():
@@ -284,14 +302,14 @@ def _tail_ends(ks) -> tuple:
 
 def runs():
     """runs on every word of up to 10 letters, on seeded words of 1,000 to
-    12,000 letters and on single long runs; from_runs, sdi_from_runs,
+    12,000 letters and on single long runs; from_runs,
     sdi_corner_continuants, continuant, cf_eval, cf_product_decomposition
     and realizing_pair on each of their run lists, so continuant runs on
     both sides of its 3,072-item tree cutoff; and the error paths: terminal
     designs, even-length lists, negative and zero interior runs, float,
     Fraction and str entries in short lists and in lists of 4,001 items,
     and a 20,000-bit run."""
-    readers = (from_runs, sdi_from_runs, sdi_corner_continuants, continuant, cf_eval,
+    readers = (from_runs, sdi_corner_continuants, continuant, cf_eval,
                cf_product_decomposition, realizing_pair)
     for w in _words(10):
         d = FiniteDesign(w)

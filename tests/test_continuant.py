@@ -18,7 +18,6 @@ from diatomic import (
     inverse_design,
     runs,
     sdi_corner_continuants,
-    sdi_from_runs,
     sdi_quadruple,
     stern,
 )
@@ -142,18 +141,19 @@ def test_cf_word_error_names_a_huge_entry_by_its_bit_length(huge):
         cf_eval((1, 0, 1))
 
 
-def test_sdi_from_runs_examples():
-    assert sdi_from_runs((2, 2, 1)) == 7
-    assert sdi_from_runs((0,)) == 0
+def test_continuant_of_runs_examples():
+    # the table value of a design is the continuant of its run encoding
+    assert runs(FiniteDesign("11001")) == (2, 2, 1) and continuant((2, 2, 1)) == 7
+    assert runs(FiniteDesign("")) == (0,) and continuant((0,)) == 0
     for n in range(1, 8):
-        assert sdi_from_runs((1, n, 0)) == 1
+        assert runs(FiniteDesign("1" + "0" * n)) == (1, n, 0) and continuant((1, n, 0)) == 1
 
 
-def test_sdi_from_runs_matches_table():
+def test_continuant_of_runs_matches_table():
     for n in range(9):
         for m in range(1 << n):
             d = FiniteDesign(format(m, f"0{n}b") if n else "")
-            assert sdi_from_runs(runs(d)) == stern(m)
+            assert continuant(runs(d)) == stern(m)
 
 
 def _reorder(quad):

@@ -42,7 +42,7 @@ DIGESTS = {
         "58c16c393e0b3399", "ae9939e399d160ad", "1a437796ee0f60f5",
     ],
     "kinds": [
-        "675e948d42c8fdcd",
+        "fe47f9ebec6ee239", "9166d03569063864",
     ],
     "scan": [
         "4fc5b3117ff71169", "1d415cfd6c55b2a0", "8277cbc94ceccd40",
@@ -54,17 +54,16 @@ DIGESTS = {
         "b08e9b8b0444cf46", "0a4de4a9eea320a4", "2c90d17de41ebf30", "fc126a4a4c91c761",
     ],
     "runs": [
-        "9815087b73479c22", "909a815bc0cb33c8", "953ffc66618fd01f", "3f272f8b7164725e",
-        "57ae2c8072e7f88f", "679cba32455c7dff", "f44d28f905153d06", "0b36bb88a7865a57",
-        "66b844f55241c880", "8e6b30343242c7dc", "f082c241a9ca37b9", "e09cd6e1c3e9cd4f",
-        "a833082c334e1db8", "a271f6ed578a44e5", "ef88c5d0eb6cb241", "fb75f8faba3c0e61",
-        "5fc3ec3831adeb8e", "9c45e5156c015371", "a6c33f1d2f877a17", "22aa5b01d9479749",
-        "30fb835585731bd5", "eb20d962f00e7fb2", "a9f289623ce3e50c", "5780075ced2ef247",
-        "3b74546c107438b5", "b1a4b4572c5a10f7", "f5451144e56b8ff2", "b6851d5b55cbee6b",
-        "32ba90086b3ce489", "df4ccbe2969686d0", "1e46be070a927c6e", "54571f34f5c523e5",
-        "a3dcd25a88c4aeaa", "1b40e516ae098807", "785251883d2c5413", "c055b554e53b0bb4",
-        "ef98bad410f4b7c5", "25d90cc096dd98c6", "1f30dcffd4b07320", "122ac9b32015ae41",
-        "32a4dcf6497d1a3f", "484e9f21912242a6", "eaa021bf9d178c5f",
+        "d526bbdc8e4fb926", "74c0ae85ca1ffc32", "3edd38b209f0d71c", "eca1c8c7bfcbd165",
+        "d97a599569edb2a4", "7e3179087fde6179", "3ac24591c74239d4", "73a2d9252fd45f46",
+        "c397e3ba1c85b3e9", "f8db7acc43630705", "05b5fa902dfac0e2", "6888a06f8f787c76",
+        "2eddc209a0b2a114", "e04a05111792a842", "c8ef3dfdaced76c6", "e2f96406f5a8e073",
+        "72be756e4c9615b9", "e9afda3c9cfb4640", "a9a82785449ca545", "7f6148e12d35f7c9",
+        "731359c8144cd7f5", "7580950df90a8ce2", "cd32df6896f7c75b", "c8917218e318e6f9",
+        "c5b4490c383cd3de", "8b2c0f68eaa8678f", "b8e25348823dc5ad", "d1413bc6a294b47f",
+        "17965e0d23f253ff", "1bb026b95d9aaf4b", "5733b50bbdfcd7f1", "24f59ff9517ff997",
+        "eb07539b0f29a404", "8f50da96897f19da", "44c495f58d97d897", "9facedfa014e5825",
+        "e4dc629fe84a8ab2",
     ],
     "cli": [
         "ffd688eff38f6ad3", "10bde11a31ac30cc",

@@ -41,11 +41,60 @@ def test_every_public_parameter_has_a_resolvable_annotation():
             hints = typing.get_type_hints(fn)
             missing += [f"{name}({p})" for p in inspect.signature(fn).parameters if p not in hints]
     assert missing == []
-    runs_readers = [diatomic.continuant, diatomic.cf_eval, diatomic.sdi_from_runs,
-                    diatomic.sdi_corner_continuants, diatomic.cf_product_decomposition,
-                    diatomic.from_runs, diatomic.design.check_runs, diatomic.realizing_pair]
+    runs_readers = [diatomic.continuant, diatomic.cf_eval, diatomic.sdi_corner_continuants,
+                    diatomic.cf_product_decomposition, diatomic.from_runs,
+                    diatomic.design.check_runs, diatomic.realizing_pair]
     assert {next(iter(typing.get_type_hints(fn).values())) for fn in runs_readers} == {
         Iterable[int]}
+
+
+# one argument of each kind; an annotation admits some and excludes the rest
+KINDS = [3, 1.5, "1/3", Fraction(1, 3), (1, 3), [1, 3], None, diatomic.FiniteDesign("10"),
+         diatomic.ExtRational(1, 3), diatomic.UniModMatrix(2, 1, 1, 1), QuadIrr(1, 1, 1),
+         diatomic.PeriodicDesign(diatomic.FiniteDesign(""), diatomic.FiniteDesign("10")),
+         diatomic.Side.RIGHT]
+# a value of each admitted kind that most functions accept; VALID_ARGS holds the rest
+VALID = {int: 3, str: "10", Fraction: Fraction(1, 4), tuple: (2, 1, 2),
+         **{type(x): x for x in KINDS[7:]}}
+VALID_ARGS = {"assembly_enclose": ("101", 3), "parse_matrix": ("2,1;1,1",),
+              "sdi": (3, 5), "euclidean_design": (3, 2), "partial_quotients": (3, 2),
+              "periodic_design_of_sqrt": (Fraction(2, 3),), "sqrt_cf": (3, 1)}
+PUBLIC_FUNCTIONS = [name for name in diatomic.__all__
+                    if inspect.isfunction(inspect.unwrap(getattr(diatomic, name)))]
+
+
+def _admitted(hint) -> tuple:
+    """The kinds an annotation admits: its class or each class of its union,
+    an int where a Fraction goes too, and a tuple or list for an iterable."""
+    if typing.get_origin(hint) is Iterable:
+        return tuple, list
+    kinds = typing.get_args(hint) or (hint,)
+    return kinds + (int,) * (Fraction in kinds)
+
+
+@pytest.mark.parametrize("name", PUBLIC_FUNCTIONS)
+def test_every_parameter_refuses_each_kind_its_annotation_excludes(name):
+    # driven by the signatures, so a new function or parameter is probed
+    # without a hand-written row; the other slots hold values fn accepts
+    fn = getattr(diatomic, name)
+    hints = typing.get_type_hints(inspect.unwrap(fn))
+    params = list(inspect.signature(fn).parameters)
+    valid = VALID_ARGS.get(name) or tuple(VALID[_admitted(hints[p])[0]] for p in params)
+    fn(*valid)
+    found = []
+    for i, p in enumerate(params):
+        for x in KINDS:
+            if isinstance(x, _admitted(hints[p])):
+                continue
+            try:
+                fn(*valid[:i], x, *valid[i + 1:])
+            except DomainError:
+                continue
+            except Exception as exc:  # any other error is a gap in the checks
+                found.append(f"{p}={x!r}: {type(exc).__name__}")
+            else:
+                found.append(f"{p}={x!r}: no error")
+    assert found == []
 
 
 def test_benchmark_hooks_resolve():
@@ -133,8 +182,6 @@ def test_error_names_a_huge_operand_by_its_bit_length(site, huge):
 NON_INTEGER_ERRORS = {
     "matrix entries": (lambda: diatomic.UniModMatrix(2.0, 0, 0, 0.5), OutOfRange,
                        "entries must be integers, got (2.0, 0, 0, 0.5)"),
-    "sdi_from_runs": (lambda: diatomic.sdi_from_runs((1.5,)), MalformedRuns,
-                      "runs must be integers: (1.5,)"),
     "sdi_corner_continuants": (lambda: diatomic.sdi_corner_continuants((1.5,)), MalformedRuns,
                                "runs must be integers: (1.5,)"),
     "from_runs": (lambda: diatomic.from_runs((1, "0", 1)), MalformedRuns,
@@ -151,8 +198,6 @@ NON_INTEGER_ERRORS = {
                                  MalformedRuns,
                                  "continued fraction entries must be integers: (1.5,)"),
     # a run list that is not iterable at all
-    "sdi_from_runs of an int": (lambda: diatomic.sdi_from_runs(5), MalformedRuns,
-                                "runs must be an iterable of integers, got int"),
     "sdi_corner_continuants of an int": (lambda: diatomic.sdi_corner_continuants(5),
                                          MalformedRuns,
                                          "runs must be an iterable of integers, got int"),
@@ -187,6 +232,8 @@ NON_INTEGER_ERRORS = {
     # so an earlier sdi_quadruple(3, 1) would answer for the float
     "sdi_quadruple": (lambda: diatomic.sdi_quadruple.cache_clear() or
                       diatomic.sdi_quadruple(3.0, 1), OutOfRange, "need an int, got float"),
+    "sdi_quadruple of a list": (lambda: diatomic.sdi_quadruple([3], 1), OutOfRange,
+                                "need an int, got list"),
     "sdi_quadruple from a warm cache": (lambda: diatomic.sdi_quadruple(3, 1) and
                                         diatomic.sdi_quadruple(3.0, 1), OutOfRange,
                                         "need an int, got float"),
@@ -239,6 +286,18 @@ NON_INTEGER_ERRORS = {
                                 OutOfRange, "need a FiniteDesign, got str"),
     "affine_derivative_factor of a str": (lambda: diatomic.affine_derivative_factor(
         "10", diatomic.ExtRational(1, 3)), OutOfRange, "need a FiniteDesign, got str"),
+    "runs": (lambda: diatomic.runs(None), OutOfRange, "need a FiniteDesign, got NoneType"),
+    "sdm": (lambda: diatomic.sdm("101"), OutOfRange, "need a FiniteDesign, got str"),
+    "matrix_symmetries": (lambda: diatomic.matrix_symmetries(3), OutOfRange,
+                          "need a FiniteDesign, got int"),
+    "theta_of": (lambda: diatomic.theta_of("10"), OutOfRange,
+                 "need a FiniteDesign or a PeriodicDesign, got str"),
+    "compose d2": (lambda: diatomic.compose(diatomic.FiniteDesign("1"), 3), OutOfRange,
+                   "need a FiniteDesign or a PeriodicDesign, got int"),
+    "design_of_matrix": (lambda: diatomic.design_of_matrix((1, 0, 0, 1)), OutOfRange,
+                         "need a UniModMatrix, got tuple"),
+    "cf_of_root": (lambda: diatomic.cf_of_root(Fraction(1, 2)), OutOfRange,
+                   "need a QuadIrr, got Fraction"),
     "PeriodicDesign": (lambda: diatomic.PeriodicDesign("a", "b"), OutOfRange,
                        "need a FiniteDesign, got str"),
     "PeriodicDesign period": (lambda: diatomic.PeriodicDesign(diatomic.FiniteDesign(""), "10"),
@@ -285,9 +344,9 @@ def test_an_operand_below_the_digit_limit_prints_as_str():
     # an int of up to 209 bits prints in 64 characters, sign included
     top = 2**209 - 1
     for x in (0, -5, top, -top, Fraction(3, 4), Fraction(-7), Fraction(1, top),
-              (1, -2, top), (1.5, "0", Fraction(1, 3)), 2.5, "x"):
+              (1, -2, 10**54), (1.5, "0", Fraction(1, 3)), (1,) * 21, [1] * 21, 2.5, "x"):
         assert str(DomainError("got {}", x)) == f"got {x}"
-    assert len(str(-top)) == 64
+    assert len(str(-top)) == len(str((1, -2, 10**54))) == len(str((1,) * 21)) + 1 == 64
 
 
 def test_an_int_past_209_bits_is_named_by_its_bit_length():
@@ -297,6 +356,24 @@ def test_an_int_past_209_bits_is_named_by_its_bit_length():
                      (Fraction(1, 2**209), "1/<210-bit integer>"),
                      ((1, -2, 10**100), "<tuple of length 3, items up to 333 bits>"),
                      ([(Fraction(1, 2**300),)], "<list of length 1, items up to 301 bits>")]:
+        assert str(DomainError("got {}", x)) == f"got {shown}"
+
+
+class _Unprintable:
+    def __repr__(self):
+        raise AssertionError("printed")
+
+
+def test_a_tuple_or_list_past_64_characters_is_named_by_its_size():
+    # 22 items print in at least 66 characters, so such a list is named from
+    # its length and _most_bits, never printed; a shorter one is printed to
+    # measure it, so any text past 64 characters is named too
+    for x, shown in [((1,) * 22, "<tuple of length 22, items up to 1 bits>"),
+                     ([1] * 10**6, "<list of length 1000000, items up to 1 bits>"),
+                     ([_Unprintable()] * 22, "<list of length 22, items up to 0 bits>"),
+                     ((1, -2, 10**55), "<tuple of length 3, items up to 183 bits>"),
+                     (("x" * 10**5,), "<tuple of length 1, items up to 0 bits>"),
+                     ([[1] * 30], "<list of length 1, items up to 1 bits>")]:
         assert str(DomainError("got {}", x)) == f"got {shown}"
 
 
@@ -371,6 +448,13 @@ LONG_TEXT_ERRORS = {
     "cli design of a long action": (lambda t: _printed_refusal("design", t), "DomainError"),
     "cli deriv scan --side": (lambda t: _printed_refusal("deriv", "scan", "1/3", "--side", t),
                               "DomainError"),
+    # run lists of small integers that print past 64 characters
+    "from_runs of an even list": (lambda t: _refusal(diatomic.from_runs, [1] * len(t)),
+                                  "MalformedRuns"),
+    "from_runs of a str entry": (lambda t: _refusal(diatomic.from_runs, [1] * len(t) + ["a"]),
+                                 "MalformedRuns"),
+    "cf_eval of a negative end": (lambda t: _refusal(diatomic.cf_eval, [1] * len(t) + [-1]),
+                                  "MalformedRuns"),
     # integers under the digit limit that print past 64 characters
     "parse_ratio": (lambda t: _refusal(diatomic.parse_ratio, "-" + t[:4000]), "OutOfRange"),
     "parse_matrix": (lambda t: _refusal(diatomic.parse_matrix, "1,2;3," + t[:4000]),
@@ -384,7 +468,8 @@ def test_a_refusal_of_a_long_text_stays_short(site):
     refuse, error = LONG_TEXT_ERRORS[site]
     name, message = refuse(BAD_TEXT)
     assert name == error and len(message) <= 200
-    assert any(size in message for size in ("-character text>", "-digit integer>", "-bit integer>"))
+    assert any(size in message for size in ("-character text>", "-digit integer>", "-bit integer>",
+                                            " bits>"))
 
 
 def _formats_itself(message) -> bool:

@@ -17,7 +17,6 @@ from diatomic import (
     assembly_enclose,
     cf_of_root,
     classify_type,
-    conjugate_root_design,
     design_of_theta,
     inverse_design,
     make_periodic,
@@ -652,9 +651,10 @@ def test_types_match_root_positions():
 
 
 def test_conjugate_root_design_examples():
-    assert conjugate_root_design(parse_design("1001")).bits == "1001"
-    assert conjugate_root_design(parse_design("10")).bits == "01"
-    assert conjugate_root_design(parse_design("110")).bits == "011"
+    # the period whose pure value is the negated conjugate root is the run reversal
+    assert inverse_design(parse_design("1001")).bits == "1001"
+    assert inverse_design(parse_design("10")).bits == "01"
+    assert inverse_design(parse_design("110")).bits == "011"
 
 
 def test_conjugate_root_satisfies_mirrored_equation():
@@ -666,7 +666,7 @@ def test_conjugate_root_satisfies_mirrored_equation():
         m = rng.randrange(1, (1 << n) - 1)
         period = parse_design(format(m, f"0{n}b"))
         q = quad_from_period(period)
-        qi = quad_from_period(conjugate_root_design(period))
+        qi = quad_from_period(inverse_design(period))
         assert (qi.a2, qi.b1, qi.c0) == (q.a2, -q.b1, q.c0)
 
 
