@@ -4,142 +4,31 @@ Sequence values and table addressing, the design word algebra, continuants
 and continued fractions, nonnegative unimodular matrix words, the assembly
 map with exact enclosures, periodic designs with their quadratic
 irrationals, and difference-quotient probes at rational points.
+
+Each module's __all__ lists its public names; the package exports their union.
 """
 
+from . import assembly, continuant, derivative, design, matrix, quadratic, rational, sdi
 from ._backend import BACKEND
-from .assembly import (
-    Enclosure,
-    assembly_dyadic,
-    assembly_enclose,
-    assembly_inverse,
-    assembly_of_rational_theta,
-    assembly_theta,
-    compose_action,
-    question_mark_inverse,
-    reflection,
-)
-from .continuant import (
-    cf_eval,
-    cf_product_decomposition,
-    continuant,
-    sdi_corner_continuants,
-)
-from .derivative import (
-    QuotientScan,
-    Side,
-    Verdict,
-    affine_derivative_factor,
-    derivative_at_rational,
-    fib_continuant,
-    quotient_scan,
-)
-from .design import (
-    Design,
-    FiniteDesign,
-    PeriodicDesign,
-    compose,
-    conjugate,
-    design_number,
-    design_of_theta,
-    euclidean_design,
-    from_runs,
-    inverse_design,
-    is_primitive,
-    is_reduced,
-    make_periodic,
-    parse_design,
-    partial_quotients,
-    realizing_pair,
-    reduce,
-    runs,
-    theta_of,
-)
-from .matrix import (
-    UniModMatrix,
-    apply_mobius,
-    design_of_matrix,
-    matrix_symmetries,
-    parse_matrix,
-    sdm,
-)
-from .quadratic import (
-    FieldElement,
-    Purity,
-    QuadIrr,
-    cf_of_root,
-    classify_type,
-    periodic_design_of_sqrt,
-    purity_test,
-    quad_from_period,
-    quad_of_periodic,
-    sqrt_cf,
-)
-from .rational import ExtRational, parse_fraction, parse_ratio
-from .sdi import sdi, sdi_quadruple, stern
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BACKEND",
-    "Design",
-    "Enclosure",
-    "ExtRational",
-    "FieldElement",
-    "FiniteDesign",
-    "PeriodicDesign",
-    "Purity",
-    "QuadIrr",
-    "QuotientScan",
-    "Side",
-    "UniModMatrix",
-    "Verdict",
-    "affine_derivative_factor",
-    "apply_mobius",
-    "assembly_dyadic",
-    "assembly_enclose",
-    "assembly_inverse",
-    "assembly_of_rational_theta",
-    "assembly_theta",
-    "cf_eval",
-    "cf_of_root",
-    "cf_product_decomposition",
-    "classify_type",
-    "compose",
-    "compose_action",
-    "conjugate",
-    "continuant",
-    "derivative_at_rational",
-    "design_number",
-    "design_of_matrix",
-    "design_of_theta",
-    "euclidean_design",
-    "fib_continuant",
-    "from_runs",
-    "inverse_design",
-    "is_primitive",
-    "is_reduced",
-    "make_periodic",
-    "matrix_symmetries",
-    "parse_design",
-    "parse_fraction",
-    "parse_matrix",
-    "parse_ratio",
-    "partial_quotients",
-    "periodic_design_of_sqrt",
-    "purity_test",
-    "quad_from_period",
-    "quad_of_periodic",
-    "question_mark_inverse",
-    "quotient_scan",
-    "realizing_pair",
-    "reduce",
-    "reflection",
-    "runs",
-    "sdi",
-    "sdi_corner_continuants",
-    "sdi_quadruple",
-    "sdm",
-    "sqrt_cf",
-    "stern",
-    "theta_of",
-]
+# read before the star imports, whose functions continuant and sdi take their modules' names
+__all__ = ["BACKEND"]
+__all__ += assembly.__all__
+__all__ += continuant.__all__
+__all__ += derivative.__all__
+__all__ += design.__all__
+__all__ += matrix.__all__
+__all__ += quadratic.__all__
+__all__ += rational.__all__
+__all__ += sdi.__all__
+
+from .assembly import *
+from .continuant import *
+from .derivative import *
+from .design import *
+from .matrix import *
+from .quadratic import *
+from .rational import *
+from .sdi import *

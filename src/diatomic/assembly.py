@@ -22,6 +22,10 @@ from .matrix import UniModMatrix, apply_mobius, sdm
 from .quadratic import QuadIrr, _moved, _root, quad_of_periodic
 from .rational import ExtRational, _ratio
 
+__all__ = ["assembly_dyadic", "assembly_theta", "assembly_inverse", "Enclosure",
+           "assembly_enclose", "assembly_of_rational_theta", "reflection", "compose_action",
+           "question_mark_inverse"]
+
 
 def assembly_dyadic(m: int, n: int) -> ExtRational:
     """Value at m/2**n: b/d of the matrix of the n-bit word of m, the table

@@ -10,9 +10,11 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from ._backend import continuant_pair
-from .design import _entries, check_runs
+from .design import _check_runs, _entries
 from .errors import MalformedRuns
 from .rational import ExtRational, _ratio
+
+__all__ = ["continuant", "cf_eval", "sdi_corner_continuants", "cf_product_decomposition"]
 
 
 def continuant(ks: Iterable[int]) -> int:
@@ -60,7 +62,7 @@ def sdi_corner_continuants(ks: Iterable[int]) -> tuple[int, int, int, int]:
 
     For a single-run word this degenerates to (k0, 1, 1, 0).
     """
-    ks = check_runs(ks)
+    ks = _check_runs(ks)
     head_prev, head = continuant_pair(ks)
     tail_prev, tail = continuant_pair(ks[1:])
     return head, tail, head_prev, tail_prev

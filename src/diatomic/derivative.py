@@ -28,6 +28,9 @@ from .matrix import sdm
 from .quadratic import FieldElement, _equation, _gap_frame, _moved, _moved_gap, _period_matrix
 from .rational import ExtRational
 
+__all__ = ["fib_continuant", "Side", "Verdict", "QuotientScan", "quotient_scan",
+           "derivative_at_rational", "affine_derivative_factor"]
+
 
 def fib_continuant(m: int) -> int:
     """Continuant of m ones: 1, 2, 3, 5, 8, ... (the Fibonacci shift)."""

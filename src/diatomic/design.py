@@ -35,6 +35,11 @@ from .errors import (
     _check_kind,
 )
 
+__all__ = ["FiniteDesign", "PeriodicDesign", "Design", "make_periodic", "parse_design", "runs",
+           "from_runs", "design_number", "partial_quotients", "realizing_pair", "euclidean_design",
+           "conjugate", "inverse_design", "compose", "reduce", "is_reduced", "is_primitive",
+           "theta_of", "design_of_theta"]
+
 
 _BITS = str.maketrans("", "", "01")  # deletes the two letters
 _FLIP = str.maketrans("01", "10")
@@ -57,6 +62,7 @@ class FiniteDesign(Value):
 
     def __init__(self, bits: str, terminal: bool = False):
         _check_word(bits)
+        _check_kind(terminal, bool)
         if terminal and bits != _terminal_word(len(bits)):
             raise DesignSyntaxError("terminal design carries only its length")
         _set(self, "bits", bits)
@@ -272,7 +278,7 @@ def _entries(xs, what: str) -> tuple:
                             type(xs).__name__) from None
 
 
-def check_runs(ks: Iterable[int]) -> tuple[int, ...]:
+def _check_runs(ks: Iterable[int]) -> tuple[int, ...]:
     ks = _entries(ks, "runs")
     if not all(map(isinstance, ks, repeat(int))):
         raise MalformedRuns("runs must be integers: {}", ks)
@@ -287,7 +293,7 @@ def check_runs(ks: Iterable[int]) -> tuple[int, ...]:
 
 def from_runs(ks: Iterable[int]) -> FiniteDesign:
     """Inverse of runs()."""
-    return _word(_run_word(check_runs(ks), "10"), False)  # runs of the two letters
+    return _word(_run_word(_check_runs(ks), "10"), False)  # runs of the two letters
 
 
 def design_number(d: FiniteDesign) -> tuple[int, int]:

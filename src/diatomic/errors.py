@@ -24,8 +24,9 @@ def _text(x) -> str:
         return f"<{len(x)}-character text>"
     bits = _most_bits(x)
     if isinstance(x, (tuple, list)):
-        # 22 items print in at least 66 characters: only a shorter list is printed to measure
-        if len(x) < 22 and bits <= _INT_BITS and len(text := str(x)) <= 64:
+        # 22 items print in at least 66 characters: only a shorter list is
+        # printed to measure it, and only when its least width is no more than 64
+        if len(x) < 22 and bits <= _INT_BITS and _width(x) <= 64 and len(text := str(x)) <= 64:
             return text
         return f"<{type(x).__name__} of length {len(x)}, items up to {bits} bits>"
     if bits <= _INT_BITS:
@@ -44,6 +45,17 @@ def _most_bits(x) -> int:
     if isinstance(x, (int, Fraction)):
         return max(abs(x.numerator), x.denominator).bit_length()
     return 0
+
+
+def _width(x) -> int:
+    """A lower bound on the length of x as a list prints it, found without
+    printing x: a text by its length, a tuple or list by its items' bounds
+    and two characters each, an int by its bit length, anything else as 0."""
+    if isinstance(x, str):
+        return len(x)
+    if isinstance(x, (tuple, list)):
+        return 2 * len(x) + sum(map(_width, x))
+    return x.bit_length() // 4 if isinstance(x, int) else 0
 
 
 def _check_kind(x, kind) -> None:

@@ -22,6 +22,9 @@ from .errors import (
 from .quadratic import QuadIrr, _moved, _root
 from .rational import ExtRational, _ratio, _read_int
 
+__all__ = ["UniModMatrix", "parse_matrix", "sdm", "design_of_matrix", "apply_mobius",
+           "matrix_symmetries"]
+
 
 class UniModMatrix(Value):
     """Row-major entries (a b; c d) with a*d - b*c = 1, all nonnegative."""

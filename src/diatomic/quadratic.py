@@ -36,6 +36,9 @@ from .errors import (
 )
 from .sdi import sdi_quadruple
 
+__all__ = ["FieldElement", "QuadIrr", "Purity", "quad_from_period", "quad_of_periodic", "sqrt_cf",
+           "cf_of_root", "periodic_design_of_sqrt", "classify_type", "purity_test"]
+
 
 def _is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
@@ -151,6 +154,7 @@ class QuadIrr(FieldElement):
     def __init__(self, a2: int, b1: int, c0: int, plus_branch: bool = True):
         for x in (a2, b1, c0):
             _check_kind(x, int)
+        _check_kind(plus_branch, bool)
         if a2 <= 0:
             raise OutOfRange("leading coefficient must be positive")
         g = gcd(a2, b1, c0)
@@ -410,16 +414,19 @@ def periodic_design_of_sqrt(value: Fraction) -> PeriodicDesign:
     block parity lines up), and canonicalizes.  The result is always
     purely periodic with a run-palindromic period.  sqrt_cf rejects a
     value that is not positive or whose square root is rational.
+
+    Pure, because the conjugate of x = sqrt(value) is -x.  With a the last
+    prefix quotient, x + a (value > 1) or 1/x + a (value < 1) is reduced,
+    so by Galois's theorem the prefix is (a) or (0, a), its word is a run
+    of a letters, and the cycle ends in a run of 2a of the same letter:
+    make_periodic rotates the whole prefix word into the period.
     """
     _check_kind(value, (int, Fraction))
     value = Fraction(value)
     prefix, cycle = sqrt_cf(value.numerator, value.denominator)
     cyc = cycle if len(cycle) % 2 == 0 else cycle + cycle
     letters = "01" if len(prefix) % 2 else "10"  # the cycle's runs go on alternating
-    d = make_periodic(_run_word(prefix, "10"), _run_word(cyc, letters))
-    if not isinstance(d, PeriodicDesign) or not d.preperiod.is_empty:
-        raise AssertionError(f"sqrt design for {value} did not come out pure: {d}")
-    return d
+    return make_periodic(_run_word(prefix, "10"), _run_word(cyc, letters))
 
 
 def classify_type(period: FiniteDesign) -> int:

@@ -14,6 +14,8 @@ from math import gcd
 from ._value import Value, _set, trusted
 from .errors import DomainError, OutOfRange, _check_kind
 
+__all__ = ["ExtRational", "parse_ratio", "parse_fraction"]
+
 
 class ExtRational(Value):
     """Immutable num/den pair, gcd-reduced, den == 0 encodes infinity."""

@@ -13,6 +13,8 @@ from ._backend import stern_pair, word_matrix
 from .design import _bits
 from .errors import OutOfTable, _check_kind
 
+__all__ = ["stern", "sdi", "sdi_quadruple"]
+
 
 def stern(m: int) -> int:
     """a_m, the first of the pair (a_m, a_{m+1}): a generator-matrix product

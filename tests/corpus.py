@@ -55,6 +55,7 @@ from diatomic import (
     design_number,
     design_of_matrix,
     design_of_theta,
+    fib_continuant,
     from_runs,
     inverse_design,
     is_primitive,
@@ -63,6 +64,7 @@ from diatomic import (
     matrix_symmetries,
     parse_fraction,
     parse_ratio,
+    partial_quotients,
     quad_from_period,
     quad_of_periodic,
     question_mark_inverse,
@@ -71,7 +73,9 @@ from diatomic import (
     reduce,
     reflection,
     sdi_corner_continuants,
+    sdi_quadruple,
     sdm,
+    sqrt_cf,
     theta_of,
 )
 from diatomic import cli as command_line
@@ -264,7 +268,9 @@ def values():
     with q < 64; quad_of_periodic, quad_from_period and equation_str on
     those periodic designs and on seeded ones whose periods have 1,000 to
     4,000 bits and preperiods up to 64 bits; and the error paths: a period
-    of one letter only, a terminal period and theta outside [0, 1]."""
+    of one letter only, a terminal period and theta outside [0, 1].  Then
+    sdi_quadruple, partial_quotients, sqrt_cf and fib_continuant on small
+    grids that reach their error paths, and at a few large arguments."""
     ts = list(dict.fromkeys(Fraction(a, q) for q in range(1, 64) for a in range(q + 1)))
     designs = []
     for t in ts:
@@ -291,6 +297,16 @@ def values():
     for t in [Fraction(-1, 3), Fraction(-1), Fraction(65, 64), Fraction(4, 3), Fraction(2)]:
         yield call("design_of_theta", design_of_theta, t)
         yield call("assembly_of_rational_theta", assembly_of_rational_theta, t)
+    big = 3**250  # 397 bits
+    for n, m in [*product(range(-1, 5), range(-1, 18)), (400, big), (396, big), (8, 2.0)]:
+        yield call("sdi_quadruple", sdi_quadruple, n, m)
+    for a, b in [*product(range(-1, 13), repeat=2), (big, 2**300), (2**300, big), (1.0, 1)]:
+        yield call("partial_quotients", partial_quotients, a, b)
+    for num, den in [*product(range(-1, 13), range(-1, 7)), (big**2 + 1, 1), (1, big**2 + 2),
+                     (big**2, 1), (2, 1.0)]:
+        yield call("sqrt_cf", sqrt_cf, num, den)
+    for m in [*range(-2, 40), 300, 1.0]:
+        yield call("fib_continuant", fib_continuant, m)
 
 
 def _tail_ends(ks) -> tuple:

@@ -1,9 +1,11 @@
 import ast
 import contextlib
+import importlib
 import inspect
 import io
 import pickle
 import sys
+import tracemalloc
 import typing
 from collections.abc import Iterable
 from fractions import Fraction
@@ -32,6 +34,40 @@ def test_every_exported_name_resolves():
     assert [n for n in names if not hasattr(diatomic, n)] == []
 
 
+def test_the_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert diatomic.__version__ == tomllib.loads(pyproject.read_text())["project"]["version"]
+
+
+API_MODULES = ["assembly", "continuant", "derivative", "design", "matrix", "quadratic",
+               "rational", "sdi"]
+
+
+def _defined_names(path) -> list:
+    """The names a module's top level binds by def, class or plain assignment,
+    leaving out the underscore ones and its imports."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return [n for n in names if not n.startswith("_")]
+
+
+def test_each_module_declares_the_public_names_it_defines():
+    # a name is made public once, in its module's __all__, and the package
+    # exports their union, so no public name misses the package
+    package = Path(diatomic.__file__).parent
+    union = ["BACKEND"]
+    for name in API_MODULES:
+        module = importlib.import_module(f"diatomic.{name}")
+        assert sorted(module.__all__) == sorted(_defined_names(package / f"{name}.py")), name
+        union += module.__all__
+    assert diatomic.__all__ == union and len(set(union)) == len(union)
+
+
 def test_every_public_parameter_has_a_resolvable_annotation():
     # a kind check driven by the signatures needs a type for every argument
     missing = []
@@ -43,7 +79,7 @@ def test_every_public_parameter_has_a_resolvable_annotation():
     assert missing == []
     runs_readers = [diatomic.continuant, diatomic.cf_eval, diatomic.sdi_corner_continuants,
                     diatomic.cf_product_decomposition, diatomic.from_runs,
-                    diatomic.design.check_runs, diatomic.realizing_pair]
+                    diatomic.design._check_runs, diatomic.realizing_pair]
     assert {next(iter(typing.get_type_hints(fn).values())) for fn in runs_readers} == {
         Iterable[int]}
 
@@ -54,13 +90,18 @@ KINDS = [3, 1.5, "1/3", Fraction(1, 3), (1, 3), [1, 3], None, diatomic.FiniteDes
          diatomic.PeriodicDesign(diatomic.FiniteDesign(""), diatomic.FiniteDesign("10")),
          diatomic.Side.RIGHT]
 # a value of each admitted kind that most functions accept; VALID_ARGS holds the rest
-VALID = {int: 3, str: "10", Fraction: Fraction(1, 4), tuple: (2, 1, 2),
+VALID = {int: 3, str: "10", Fraction: Fraction(1, 4), tuple: (2, 1, 2), bool: True,
          **{type(x): x for x in KINDS[7:]}}
 VALID_ARGS = {"assembly_enclose": ("101", 3), "parse_matrix": ("2,1;1,1",),
               "sdi": (3, 5), "euclidean_design": (3, 2), "partial_quotients": (3, 2),
-              "periodic_design_of_sqrt": (Fraction(2, 3),), "sqrt_cf": (3, 1)}
-PUBLIC_FUNCTIONS = [name for name in diatomic.__all__
-                    if inspect.isfunction(inspect.unwrap(getattr(diatomic, name)))]
+              "periodic_design_of_sqrt": (Fraction(2, 3),), "sqrt_cf": (3, 1),
+              "PeriodicDesign": (diatomic.FiniteDesign(""), diatomic.FiniteDesign("10")),
+              "UniModMatrix": (2, 1, 1, 1)}
+# the public functions and the constructors of the value classes; QuotientScan
+# is a result record that only quotient_scan builds, and it checks nothing
+PUBLIC_CALLABLES = [name for name in diatomic.__all__ if name != "QuotientScan" and (
+    inspect.isfunction(inspect.unwrap(getattr(diatomic, name)))
+    or "__init__" in getattr(getattr(diatomic, name), "__dict__", ()))]
 
 
 def _admitted(hint) -> tuple:
@@ -72,12 +113,12 @@ def _admitted(hint) -> tuple:
     return kinds + (int,) * (Fraction in kinds)
 
 
-@pytest.mark.parametrize("name", PUBLIC_FUNCTIONS)
+@pytest.mark.parametrize("name", PUBLIC_CALLABLES)
 def test_every_parameter_refuses_each_kind_its_annotation_excludes(name):
-    # driven by the signatures, so a new function or parameter is probed
-    # without a hand-written row; the other slots hold values fn accepts
+    # driven by the signatures, so a new function, constructor or parameter is
+    # probed without a hand-written row; the other slots hold values fn accepts
     fn = getattr(diatomic, name)
-    hints = typing.get_type_hints(inspect.unwrap(fn))
+    hints = typing.get_type_hints(fn.__init__ if isinstance(fn, type) else inspect.unwrap(fn))
     params = list(inspect.signature(fn).parameters)
     valid = VALID_ARGS.get(name) or tuple(VALID[_admitted(hints[p])[0]] for p in params)
     fn(*valid)
@@ -375,6 +416,20 @@ def test_a_tuple_or_list_past_64_characters_is_named_by_its_size():
                      (("x" * 10**5,), "<tuple of length 1, items up to 0 bits>"),
                      ([[1] * 30], "<list of length 1, items up to 1 bits>")]:
         assert str(DomainError("got {}", x)) == f"got {shown}"
+
+
+@pytest.mark.parametrize("item", [[1] * 10**6, "x" * 10**6], ids=["list", "str"])
+def test_a_short_list_is_measured_before_it_is_printed(item):
+    # a list of one long item prints in megabytes: its least width, found
+    # from the item's length, names it without building that text
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedRuns, match=r"^runs must be integers: <tuple of length 1, "):
+            diatomic.from_runs([item])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_a_long_text_operand_is_named_by_its_size():

@@ -575,6 +575,32 @@ def test_sqrt_designs_round_trip_small_integers():
         assert sqrt_value(q) == frac
 
 
+def _assert_sqrt_design_is_pure(value):
+    # the conjugate of sqrt(value) is its negative: the prefix is (a) or
+    # (0, a), and the cycle ends in 2a, so the prefix word rotates away
+    prefix, cycle = sqrt_cf(value.numerator, value.denominator)
+    assert prefix == ([isqrt(value.numerator // value.denominator)] if value > 1
+                      else [0, isqrt(value.denominator // value.numerator)])
+    assert cycle[-1] == 2 * prefix[-1]
+    d = periodic_design_of_sqrt(value)
+    assert isinstance(d, PeriodicDesign) and d.preperiod.is_empty
+    assert sqrt_value(quad_of_periodic(d)) == value
+
+
+def test_every_sqrt_design_on_a_small_grid_is_pure():
+    for num in range(1, 61):
+        for den in range(1, 61):
+            if gcd(num, den) == 1 and isqrt(num * den) ** 2 != num * den:
+                _assert_sqrt_design_is_pure(Fraction(num, den))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10**5), st.integers(1, 10**5))
+def test_a_sqrt_design_at_large_terms_is_pure(num, den):
+    assume(isqrt(num * den) ** 2 != num * den)
+    _assert_sqrt_design_is_pure(Fraction(num, den))
+
+
 def test_sqrt_rejects_bad_input():
     with pytest.raises(PerfectSquare):
         periodic_design_of_sqrt(Fraction(9))
