@@ -15,9 +15,15 @@ of two L-bit lanes (top entry high), so a letter or a run updates both
 rows in one operation, and a leaf reads its word a byte at a time, one
 table matrix per byte.  No lane carries, as L exceeds every entry's bit
 length: a leaf's entries are at most 2**_LEAF_BITS, and a peel's at most
-the larger of its pair.  Inputs are pre-validated by the public modules.
-All arithmetic is on Python ints, so there is no magnitude limit; only a
-path run too long for one string is refused.
+the larger of its pair.  The walk and the peel read the path a byte at a
+time too: a table of the ratio x / (x + y) names the byte whose interval
+holds it, and a byte step (x, y) <- M^-1 (x, y) is kept only when both new
+values stay positive (at least the peel's floor).  That proves the path
+starts with the byte, as every pair between is a nonnegative matrix times
+the new pair, so a guess that fails costs one run step and never a wrong
+letter.  Inputs are pre-validated by the public modules.  All arithmetic
+is on Python ints, so there is no magnitude limit; only a path run too long
+for one string is refused.
 """
 
 import sys
@@ -32,8 +38,8 @@ _LEAF_BITS = 128  # word letters per tree leaf
 _WORD_BITS = 64  # word_matrix, stern_pair: word length above which the tree runs
 _LEAF_ITEMS = 64  # continuant items per tree leaf
 _CONT_ITEMS = 3072  # continuant_pair: list length above which the tree runs
-_HGCD_BITS = 4096  # _pair_word: pair size above which the half-gcd runs
-_PEEL_BITS = 384  # half-gcd: pair size peeled run by run
+_HGCD_BITS = 2048  # _pair_word: pair size above which the half-gcd runs
+_PEEL_BITS = 640  # half-gcd: pair size peeled a byte or a run at a time
 
 
 def stern_pair(m):
@@ -96,9 +102,11 @@ def matrix_word(a, b, c, d):
 def _pair_word(x, y):
     """The Stern-Brocot path of a coprime positive pair: "1" while x > y
     (x -= y), "0" while y > x (y -= x), until (1, 1).  Above the cutoff,
-    half-gcd rounds take the pair down to _PEEL_BITS first.  A run of 2**16
-    letters or more is one division.  A run past sys.maxsize letters, which
-    no string can hold, raises OutOfRange.
+    half-gcd rounds take the pair down to _PEEL_BITS first.  While the pair
+    has 13 bits or more, a step takes its next mixed byte where it can, and
+    else its next run by one division; below, the letters go one at a time.
+    A run past sys.maxsize letters, which no string can hold, raises
+    OutOfRange.
     """
     out = []
     if (x | y) >> _HGCD_BITS:
@@ -111,22 +119,34 @@ def _pair_word(x, y):
             if not prefix:  # a run too long for a half step: walk the rest
                 break
             out += prefix
-    while x != y:
-        if x >> 16 > y:
+    while x != y and (x | y) >> 12:
+        v = _SLOTS[(x << 12) // (x + y)]
+        if v < 0:  # the slot holds byte ~v's upper end, a/c: which side is x/y on?
+            a, _, c, _ = _BYTE_MATRICES[~v]
+            v = ~v + (x * c > y * a)
+        if 0 < v < 255:
+            a, b, c, d = _BYTE_MATRICES[v]
+            x1, y1 = d * x - b * y, a * y - c * x
+            if x1 > 0 and y1 > 0:
+                x, y = x1, y1
+                out.append(_BYTE_WORDS[v])
+                continue
+        # else the next run, by one division
+        if x > y:
             j = (x - 1) // y
-            if j > sys.maxsize:  # "1" * j would raise OverflowError
-                raise OutOfRange("a path run of {} letters is too long to build", j)
             x -= j * y
-            out.append("1" * j)
+            letter = "1"
+        else:
+            j = (y - 1) // x
+            y -= j * x
+            letter = "0"
+        if j > sys.maxsize:  # letter * j would raise OverflowError
+            raise OutOfRange("a path run of {} letters is too long to build", j)
+        out.append(letter * j)
+    while x != y:  # below 2**12, a letter at a time
         while x > y:
             x -= y
             out.append("1")
-        if y >> 16 > x:
-            j = (y - 1) // x
-            if j > sys.maxsize:  # "1" * j would raise OverflowError
-                raise OutOfRange("a path run of {} letters is too long to build", j)
-            y -= j * x
-            out.append("0" * j)
         while y > x:
             y -= x
             out.append("0")
@@ -162,7 +182,29 @@ def _row(mats):
 
 
 # The generator product along each byte's 8-letter word, by the letter loop.
-_BYTE_MATRICES = [word_matrix(format(v, "08b")) for v in range(256)]
+_BYTE_WORDS = [format(v, "08b") for v in range(256)]
+_BYTE_MATRICES = [word_matrix(w) for w in _BYTE_WORDS]
+
+
+def _slot_table():
+    """The byte of each of the 2**12 slots of x / (x + y).
+
+    Byte v's matrix (a b; c d) maps the positive pairs onto the x/y
+    interval (b/d, a/c), and the bytes in order tile (0, inf).  A slot lies
+    inside one byte's interval, whose v it holds, or one byte end a/c splits
+    it, and it holds ~v; adjacent ends are more than 2**-12 apart in x/(x+y).
+    """
+    slots = []
+    for v in range(255):
+        a, _, c, _ = _BYTE_MATRICES[v]
+        u, split = divmod(a << 12, a + c)  # the slot of a/c, which it splits unless it starts there
+        slots += [v] * (u - len(slots))
+        if split:
+            slots.append(~v)
+    return slots + [255] * (4096 - len(slots))
+
+
+_SLOTS = _slot_table()
 
 
 def _word_leaves(bits):
@@ -207,8 +249,9 @@ def _continuant_leaf(ks):
 # ---------------------------------------------------------- half-gcd peel
 #
 # A word p is a prefix of the path of (x, y) exactly when P^-1 (x, y) is
-# strictly positive, P the matrix of p.  The peels below return the runs of
-# a prefix, its matrix P and P^-1 (x, y).
+# strictly positive, P the matrix of p.  The peels below return the chunks
+# of a prefix (runs, and mixed bytes of eight letters), its matrix P and
+# P^-1 (x, y).
 
 
 def _half(x, y):
@@ -220,14 +263,14 @@ def _half(x, y):
     matrix entries below 2**(k - k // 2 - 1); the low bits then move the
     lifted pair by less than half its size, and with k <= 2 (bits - h) the
     lifted pair stays >= 2**h.  The exact positivity check still guards
-    every lift, trimming whole runs off the prefix until it holds.
+    every lift, trimming whole chunks off the prefix until it holds.
     """
     n = max(x, y).bit_length()
     h = (n >> 1) + 1
     if n <= _PEEL_BITS:
         return _peel(x, y, 1 << h)
     floor = 1 << h
-    runs = []
+    chunks = []
     p, q, r, s = 1, 0, 0, 1
     while x >= floor and y >= floor:
         size = max(x, y).bit_length()
@@ -241,39 +284,52 @@ def _half(x, y):
         x1 = (hx << shift) + u * xl - f * yl
         y1 = (hy << shift) + e * yl - g * xl
         while sub and (x1 < 1 or y1 < 1):
-            run = sub.pop()
-            j = len(run)
-            if run[0] == "1":
-                x1 += j * y1
-                f -= j * e
-                u -= j * g
+            # undo the last chunk by its matrix (a b; c d): a byte's, or a run's
+            chunk = sub.pop()
+            j = len(chunk)
+            if chunk.count(chunk[0]) < j:
+                a, b, c, d = _BYTE_MATRICES[int(chunk, 2)]
             else:
-                y1 += j * x1
-                e -= j * f
-                g -= j * u
+                a, b, c, d = (1, j, 0, 1) if chunk[0] == "1" else (1, 0, j, 1)
+            x1, y1 = a * x1 + b * y1, c * x1 + d * y1
+            e, f, g, u = e * d - f * c, f * a - e * b, g * d - u * c, u * a - g * b
         if not sub:
             break
-        runs += sub
+        chunks += sub
         x, y = x1, y1
         p, q, r, s = p * e + q * g, p * f + q * u, r * e + s * g, r * f + s * u
-    return runs, (p, q, r, s), x, y
+    return chunks, (p, q, r, s), x, y
 
 
 def _peel(x, y, floor):
-    """Peel the path of (x, y) run by run while both stay >= floor.
+    """Peel the path of (x, y) while both stay >= floor, a mixed byte of
+    eight letters or else a run at a time.
 
     The columns of the prefix's matrix (p q; r s) are kept as two L-bit
     lanes of one int each, P = p << L | r and Q = q << L | s, so a run of j
-    letters is one update, Q += j * P or P += j * Q.  No lane carries: the
+    letters is one update, Q += j * P or P += j * Q, and a byte with matrix
+    (a b; c d) moves them to P a + Q c and P b + Q d.  No lane carries: the
     matrix maps the peeled pair (x', y'), both >= 1, to (x, y), so
     p, q <= x and r, s <= y, and L is the bit length of the larger.
     """
     if x < floor or y < floor:
         return [], (1, 0, 0, 1), x, y
     L = max(x, y).bit_length()
-    runs = []
+    chunks = []
     P, Q = 1 << L, 1
     while True:
+        v = _SLOTS[(x << 12) // (x + y)]
+        if v < 0:  # the slot holds byte ~v's upper end, a/c: which side is x/y on?
+            a, _, c, _ = _BYTE_MATRICES[~v]
+            v = ~v + (x * c > y * a)
+        if 0 < v < 255:
+            a, b, c, d = _BYTE_MATRICES[v]
+            x1, y1 = d * x - b * y, a * y - c * x
+            if x1 >= floor and y1 >= floor:
+                x, y = x1, y1
+                P, Q = P * a + Q * c, P * b + Q * d
+                chunks.append(_BYTE_WORDS[v])
+                continue
         if x > y:
             x -= y
             if x < floor:
@@ -281,13 +337,13 @@ def _peel(x, y, floor):
                 break
             if x - y < floor:
                 Q += P
-                runs.append("1")
+                chunks.append("1")
                 continue
             j = (x - floor) // y
             x -= j * y
             j += 1
             Q += j * P
-            runs.append("1" * j)
+            chunks.append("1" * j)
         elif y > x:
             y -= x
             if y < floor:
@@ -295,14 +351,14 @@ def _peel(x, y, floor):
                 break
             if y - x < floor:
                 P += Q
-                runs.append("0")
+                chunks.append("0")
                 continue
             j = (y - floor) // x
             y -= j * x
             j += 1
             P += j * Q
-            runs.append("0" * j)
+            chunks.append("0" * j)
         else:
             break
     mask = (1 << L) - 1
-    return runs, (P >> L, Q >> L, P & mask, Q & mask), x, y
+    return chunks, (P >> L, Q >> L, P & mask, Q & mask), x, y

@@ -191,6 +191,7 @@ class QuadIrr(FieldElement):
         """The root over sqrt(d), where t^2 d = disc; d defaults to disc."""
         if d is None:
             return self
+        _check_kind(d, int)
         t = isqrt(self.d // d) if d > 0 else 0
         if t == 0 or t * t * d != self.d:
             raise OutOfRange("root lies outside Q(sqrt({}))", d)

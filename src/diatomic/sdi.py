@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ._backend import stern_pair, word_matrix
-from .design import _bits
+from ._backend import stern_pair
+from .design import _bits_matrix
 from .errors import OutOfTable, _check_kind
 
 __all__ = ["stern", "sdi", "sdi_quadruple"]
@@ -38,16 +38,17 @@ def sdi_quadruple(depth: int, order: int) -> tuple[int, int, int, int]:
 
     ([2^n:m+1], [2^n:m], [2^n:2^n-(m+1)], [2^n:2^n-m])
 
-    They are the matrix of the n-bit word of m, so a miss is one word
-    product.  Cached in a few entries, read-through, so concurrent readers
-    are safe; the two sides of a quotient scan share their period's address.
-    The address is checked before the cache hashes it, so a list is refused.
+    They are the matrix of the n-bit word of m, so a miss is one product
+    along the bits of m.  Cached in a few entries, read-through, so
+    concurrent readers are safe; the two sides of a quotient scan share
+    their period's address.  The address is checked before the cache
+    hashes it, so a list is refused.
     """
     _check_address(depth, order, limit_offset=1)
     return _quadruple(depth, order)
 
 
-_quadruple = lru_cache(maxsize=8, typed=True)(lambda n, m: word_matrix(_bits(m, n)))
+_quadruple = lru_cache(maxsize=8, typed=True)(lambda n, m: _bits_matrix(m, n))
 sdi_quadruple.cache_info, sdi_quadruple.cache_clear = _quadruple.cache_info, _quadruple.cache_clear
 
 

@@ -40,6 +40,7 @@ from diatomic import (
     UniModMatrix,
     affine_derivative_factor,
     apply_mobius,
+    assembly_dyadic,
     assembly_enclose,
     assembly_inverse,
     assembly_of_rational_theta,
@@ -55,6 +56,7 @@ from diatomic import (
     design_number,
     design_of_matrix,
     design_of_theta,
+    euclidean_design,
     fib_continuant,
     from_runs,
     inverse_design,
@@ -270,7 +272,11 @@ def values():
     4,000 bits and preperiods up to 64 bits; and the error paths: a period
     of one letter only, a terminal period and theta outside [0, 1].  Then
     sdi_quadruple, partial_quotients, sqrt_cf and fib_continuant on small
-    grids that reach their error paths, and at a few large arguments."""
+    grids that reach their error paths, and at a few large arguments.  Then
+    design_of_matrix, euclidean_design and assembly_inverse on seeded pairs
+    of 12 to 4,200 bits, from where the pair walk reads bytes to past the
+    half-gcd's cutoff, and assembly_dyadic and sdi_quadruple at depths of
+    2**63 and more."""
     ts = list(dict.fromkeys(Fraction(a, q) for q in range(1, 64) for a in range(q + 1)))
     designs = []
     for t in ts:
@@ -307,6 +313,19 @@ def values():
         yield call("sqrt_cf", sqrt_cf, num, den)
     for m in [*range(-2, 40), 300, 1.0]:
         yield call("fib_continuant", fib_continuant, m)
+    rng = random.Random(37)
+    for bits in (12, 13, 16, 64, 700, 2100, 4200):
+        n = bits * 7 // 4  # a random word's pair has about 0.57 bits a letter
+        w = FiniteDesign(format(rng.getrandbits(n), f"0{n}b"))
+        yield call("design_of_matrix", design_of_matrix, sdm(w))
+        x, y = rng.getrandbits(bits) | 1 << (bits - 1), rng.getrandbits(bits) | 1
+        for a, b in [(x, y), (y, x), (3 * x, 3 * y)]:
+            yield call("euclidean_design", euclidean_design, a, b)
+            yield call("assembly_inverse", assembly_inverse, ExtRational(a, b))
+    for m, n in [(0, 2**63), (1, 2**63), (1, 2**100), (2**100 - 1, 2**100), (5, 2**64 + 3)]:
+        yield call("assembly_dyadic", assembly_dyadic, m, n)
+    for n, m in [(2**63, 0), (2**63, 2), (2**100, 2**99 + 1)]:
+        yield call("sdi_quadruple", sdi_quadruple, n, m)
 
 
 def _tail_ends(ks) -> tuple:

@@ -8,7 +8,8 @@ determinant (itself checked against the expansion over permutations),
 Euler phi by gcd counting, the inverse question-mark by
 a mediant walk down the Farey tree, the four integer kernels by the
 one-letter-at-a-time loops they used before their product trees and
-half-gcd peel, the half-gcd's base peel by its loop over the four
+half-gcd peel, the monoid matrix over a coprime pair by a modular
+inverse, the half-gcd's base peel by its loop over the four
 matrix entries, the matrix of an anti-periodic period by the
 whole-period product, the matrix symmetries by three word products,
 quotient pairs by a right-to-left fold, continued fractions by a tail
@@ -241,6 +242,15 @@ def greedy_matrix_word(a: int, b: int, c: int, d: int) -> str:
         else:
             raise ValueError("matrix is not in the nonnegative unimodular monoid")
     return "".join(out)
+
+
+def monoid_matrix(x: int, y: int) -> tuple[int, int, int, int]:
+    """The monoid matrix (a b; c d) that maps (1, 1) to a coprime pair
+    (x, y), by a modular inverse: a + b = x, c + d = y and
+    ad - bc = a y - c x = 1, with 0 < a <= x."""
+    a = pow(y, -1, x) or 1
+    c = (a * y - 1) // x
+    return a, x - a, c, y - c
 
 
 def tridiagonal(ks) -> list:

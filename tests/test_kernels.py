@@ -11,6 +11,7 @@ same sizes."""
 import math
 import random
 import sys
+from fractions import Fraction
 from itertools import groupby
 
 import pytest
@@ -40,6 +41,7 @@ from oracles import (
     linear_stern_pair,
     linear_word_matrix,
     lsb_fusc,
+    monoid_matrix,
     scalar_peel,
     stern_table,
 )
@@ -112,7 +114,7 @@ ITEM_COUNTS = [1, LEAF_ITEMS, LEAF_ITEMS + 1, ITEMS - 1, ITEMS, ITEMS + 1,
                3 * ITEMS + 11, 10000]
 # Random words of these lengths have largest entries on both sides of the
 # half-gcd cutoff (about 0.57 entry bits per letter).
-ROUND_TRIP_SIZES = [2000, 7000, 7400, 8000, 12000, 30000, 100000]
+ROUND_TRIP_SIZES = [2000, 3500, 3700, 7000, 7400, 8000, 12000, 30000, 100000]
 SEEDS = st.integers(0, 2**64)
 
 
@@ -235,6 +237,71 @@ def test_matrix_word_rejects_big_non_monoid_matrices():
             matrix_word(*bad)
 
 
+def test_each_slot_lies_inside_its_bytes():
+    # Slot u holds the pairs with u <= 2**12 x / (x + y) < u + 1, so its x/y
+    # range is [u / (2**12 - u), (u + 1) / (2**12 - 1 - u)); byte v's matrix
+    # (a b; c d) spans b/d <= x/y <= a/c.  A split slot holds ~v, and the end
+    # a/c of byte v lies strictly inside it.
+    def span(v):
+        a, b, c, d = _backend._BYTE_MATRICES[v]
+        return Fraction(b, d), Fraction(a, c) if c else math.inf
+
+    slots = _backend._SLOTS
+    assert len(slots) == 1 << 12
+    splits = 0
+    for u, v in enumerate(slots):
+        lo = Fraction(u, 4096 - u)
+        hi = Fraction(u + 1, 4095 - u) if u < 4095 else math.inf
+        if v < 0:
+            (start, cut), (_, end) = span(~v), span(~v + 1)
+            assert lo < cut < hi
+            splits += 1
+        else:
+            start, end = span(v)
+        assert start <= lo and hi <= end
+    assert splits > 200
+
+
+def test_a_pair_beside_a_byte_end_starts_with_that_byte():
+    # Just above the end a/c of byte v the path starts with byte v + 1, just
+    # below it with byte v.  Where a/c splits a slot, the cross-multiplication
+    # must pick that byte, or the peel's first chunk is a run.
+    g = 1 << 20
+    for v in range(1, 254):
+        a, _, c, _ = _backend._BYTE_MATRICES[v]
+        for x, y, first in ((g * a + 1, g * c, v + 1), (g * a - 1, g * c, v)):
+            assert _backend._peel(x, y, 1)[0][0] == _backend._BYTE_WORDS[first]
+
+
+# every byte end a/c but that of 11111111, which is 1/0
+BYTE_ENDS = [(a, c) for a, _, c, _ in _backend._BYTE_MATRICES[:255]]
+
+
+@pytest.mark.parametrize("bits", [10, 12, 13, 14, 16, 64, 700, _backend._HGCD_BITS + 60])
+@few(25)
+@given(seed=SEEDS)
+def test_pair_walk_matches_the_greedy_word(bits, seed):
+    # The byte step runs once the pair has 13 bits, and the half-gcd above
+    # its cutoff.  The pairs: a random one; g (a, c) + (e, f) with e, f in
+    # {-1, 0, 1}, on or next to a byte end a/c and so on or beside a split
+    # slot (its path has a run of about g letters, so g stays short); and a
+    # random pair times a common factor, whose walk ends at an equal pair.
+    # A coprime pair's word is also its monoid matrix's word.
+    rng = random.Random(seed)
+    a, c = rng.choice(BYTE_ENDS)
+    g = rng.getrandbits(min(bits, 16)) | 2
+    h = rng.getrandbits(bits // 2) | 1
+    pairs = [(rng.getrandbits(bits) | 1, rng.getrandbits(bits) | 1),
+             (g * a + rng.choice((-1, 0, 1)), g * c + rng.choice((-1, 0, 1))),
+             (h * (rng.getrandbits(bits // 2) | 1), h * (rng.getrandbits(bits // 2) | 1))]
+    for x, y in pairs:
+        d = math.gcd(x, y)
+        want = greedy_matrix_word(*monoid_matrix(x // d, y // d))
+        assert _backend._pair_word(x, y) == want
+        if d == 1:
+            assert matrix_word(*monoid_matrix(x, y)) == want
+
+
 def test_peel_stops_below_its_floor_and_at_an_equal_pair():
     assert _backend._peel(5, 100, 8) == ([], (1, 0, 0, 1), 5, 100)
     # (2 1; 1 1) (9, 9) = (27, 18): one 1 and one 0 reach the equal pair
@@ -345,10 +412,11 @@ def test_packed_peel_matches_the_scalar_peel():
     # random pairs up to the base-peel size, both of one drawn size so that
     # no run is astronomically long, with random floors: some start below
     # the floor, most stop at it, and pairs with a common factor at or above
-    # the floor end at an equal pair
+    # the floor end at an equal pair.  The packed peel takes a mixed byte of
+    # eight letters where it can, so only its joined word matches the runs.
     rng = random.Random(27)
     top = _backend._PEEL_BITS
-    endings = set()
+    endings, kinds = set(), set()
     for _ in range(3000):
         k = rng.randrange(1, top)
         x, y = rng.getrandbits(k) + 1, rng.getrandbits(k) + 1
@@ -357,18 +425,28 @@ def test_packed_peel_matches_the_scalar_peel():
             g = rng.getrandbits(rng.randrange(1, top // 2)) + 1
             x, y = g * (x >> g.bit_length()) + g, g * (y >> g.bit_length()) + g
             floor = rng.randrange(1, g + 1)
-        got = _backend._peel(x, y, floor)
-        assert got == scalar_peel(x, y, floor)
-        x1, y1 = got[2:]
-        endings.add("start" if got[0] == [] else "equal" if x1 == y1 else "floor")
+        chunks, mat, x1, y1 = _backend._peel(x, y, floor)
+        runs, want_mat, *want_end = scalar_peel(x, y, floor)
+        assert ("".join(chunks), mat, [x1, y1]) == ("".join(runs), want_mat, want_end)
+        for i, chunk in enumerate(chunks):
+            if chunk.count(chunk[0]) == len(chunk):  # a run, which the next chunk does not go on
+                assert i + 1 == len(chunks) or chunks[i + 1][0] != chunk[0]
+                kinds.add("run")
+            else:
+                assert len(chunk) == 8
+                kinds.add("byte")
+        endings.add("start" if chunks == [] else "equal" if x1 == y1 else "floor")
     assert endings == {"start", "equal", "floor"}
+    assert kinds == {"run", "byte"}
 
 
 def test_matrix_word_cost_stays_within_its_bounds(monkeypatch):
     # A cost guard that needs no clock: over a geometric ladder of word
     # lengths, the product tree's leaf count, the half-gcd's recursion depth,
-    # and the size and run count of every base peel.  A run can be split
-    # between two base peels, so each peel may add one to the word's runs.
+    # and the size and chunk count of every base peel.  A run can be split
+    # between two base peels, so each peel may add one to the word's runs;
+    # and most chunks are bytes of eight letters, where a random word has a
+    # run for every two letters.
     half, peel, leaves = _backend._half, _backend._peel, _backend._word_leaves
     seen = {}
 
@@ -383,7 +461,7 @@ def test_matrix_word_cost_stays_within_its_bounds(monkeypatch):
     def counted_peel(x, y, floor):
         out = peel(x, y, floor)
         seen["peels"] += 1
-        seen["runs"] += len(out[0])
+        seen["chunks"] += len(out[0])
         seen["peel_bits"] = max(seen["peel_bits"], x.bit_length(), y.bit_length())
         return out
 
@@ -398,18 +476,19 @@ def test_matrix_word_cost_stays_within_its_bounds(monkeypatch):
     rng = random.Random(10)
     for n in (10_000, 31_623, 100_000):
         w = random_bits(rng, n)
-        seen.update(depth=0, deepest=0, peels=0, runs=0, peel_bits=0, leaves=[])
+        seen.update(depth=0, deepest=0, peels=0, chunks=0, peel_bits=0, leaves=[])
         a, b, c, d = word_matrix(w)
         assert seen["leaves"] == [math.ceil(n / LEAF)]
         assert matrix_word(a, b, c, d) == w
         pair_bits = max(a + b, c + d).bit_length()
         assert seen["deepest"] <= math.ceil(math.log2(pair_bits / _backend._PEEL_BITS)) + 2
         assert seen["peel_bits"] <= _backend._PEEL_BITS
-        assert seen["runs"] <= len(list(groupby(w))) + seen["peels"]
+        assert seen["chunks"] <= len(list(groupby(w))) + seen["peels"]
+        assert seen["chunks"] <= n / 6 + seen["peels"]
 
 
 HUGE_RUNS = {
-    # the pair walk's two division branches name the run
+    # the pair walk's division names the run, on either letter
     "0s of 1/10^23": (lambda: euclidean_design(1, 10**23), str(10**23 - 1)),
     "1s of 10^23": (lambda: assembly_inverse(ExtRational(10**23)), str(10**23 - 1)),
     "1s of a matrix": (lambda: design_of_matrix(UniModMatrix(1, 10**23, 0, 1)), str(10**23)),
@@ -463,6 +542,28 @@ def test_assembly_dyadic_and_its_mirror_match_linear_loops(n, seed):
 def test_sdi_quadruple_matches_linear_loop(n, seed):
     m = random.Random(seed).getrandbits(n)
     assert sdi_quadruple(n, m) == linear_word_matrix(word_of(m, n))
+
+
+@pytest.mark.parametrize("n", WORD_SIZES)
+@few(3)
+@given(seed=SEEDS)
+def test_a_short_order_is_read_off_its_own_bits(n, seed):
+    # the closed form for the n - m.bit_length() leading 0s against the padded word
+    rng = random.Random(seed)
+    m = rng.getrandbits(rng.randrange(n + 1))
+    a, b, c, d = linear_word_matrix(word_of(m, n))
+    assert sdi_quadruple(n, m) == (a, b, c, d)
+    assert assembly_dyadic(m, n) == ExtRational(b, d)
+
+
+def test_dyadic_addresses_past_any_word_length():
+    # the word would have 2**63 or 2**100 letters; only m's bits are read
+    assert assembly_dyadic(1, 2**100) == ExtRational(1, 2**100)
+    assert assembly_dyadic(0, 2**63) == ExtRational(0)
+    # 100 1s are (1 100; 0 1), under k = 2**100 - 100 leading 0s: b / (d + k b)
+    assert assembly_dyadic((1 << 100) - 1, 2**100) == ExtRational(100, 100 * 2**100 - 9999)
+    k = 2**63 - 2  # U("0")**k times the matrix (2 1; 1 1) of "10"
+    assert sdi_quadruple(2**63, 2) == (2, 1, 1 + 2 * k, 1 + k)
 
 
 @pytest.mark.parametrize("n", [0] + WORD_SIZES)

@@ -296,6 +296,10 @@ NON_INTEGER_ERRORS = {
     "FieldElement": (lambda: diatomic.FieldElement(1.0, 1, 1, 2), OutOfRange,
                      "need an int, got float"),
     "QuadIrr": (lambda: QuadIrr(1.0, 0, 2), OutOfRange, "need an int, got float"),
+    "field_element": (lambda: QuadIrr(1, 0, 2).field_element(1.5), OutOfRange,
+                      "need an int, got float"),
+    "field_element of a str": (lambda: QuadIrr(1, 0, 2).field_element("x"), OutOfRange,
+                               "need an int, got str"),
     "periodic_design_of_sqrt": (lambda: diatomic.periodic_design_of_sqrt(0.1), OutOfRange,
                                 "need an int or a Fraction, got float"),
     "periodic_design_of_sqrt of a str": (lambda: diatomic.periodic_design_of_sqrt("2"),
