@@ -1,29 +1,30 @@
 """Integer kernels.
 
 Three loops do all the work.  The word product multiplies the generators
-U("1") = (1 1; 0 1) and U("0") = (1 0; 1 1) along a 0/1 word; the sequence
-pair is read off its top row, and only that row is built.  The continuant
-fold multiplies the matrices (k 1; 1 0) along a list.  The pair walk
-reads off the Stern-Brocot path of a coprime pair: a matrix's word, and a
-ratio's reduced design.  Above a measured cutoff the products are built
-as a balanced tree, so the large multiplications fall where CPython's
-Karatsuba pays, and the walk starts with half-gcd rounds on the top bits.
-A kernel that returns a top row builds the tree's spine as rows: the left
-half's top row times the right half's product.  The tree's word leaves
-and the half-gcd's base peel keep a matrix as two columns, each one int
-of two L-bit lanes (top entry high), so a letter or a run updates both
-rows in one operation, and a leaf reads its word a byte at a time, one
-table matrix per byte.  No lane carries, as L exceeds every entry's bit
-length: a leaf's entries are at most 2**_LEAF_BITS, and a peel's at most
-the larger of its pair.  The walk and the peel read the path a byte at a
-time too: a table of the ratio x / (x + y) names the byte whose interval
-holds it, and a byte step (x, y) <- M^-1 (x, y) is kept only when both new
-values stay positive (at least the peel's floor).  That proves the path
-starts with the byte, as every pair between is a nonnegative matrix times
-the new pair, so a guess that fails costs one run step and never a wrong
-letter.  Inputs are pre-validated by the public modules.  All arithmetic
-is on Python ints, so there is no magnitude limit; only a path run too long
-for one string is refused.
+U("1") = (1 1; 0 1) and U("0") = (1 0; 1 1) along a 0/1 word, one table
+matrix per byte of the integer it spells; the z fewer 0s in front of those
+bytes' word are U("0")**z = (1 0; z 1), and leave a top row as it is.  The
+sequence pair is read off a top row, and only that row is built.  The
+continuant fold multiplies the matrices (k 1; 1 0) along a list.  The pair
+walk reads off the Stern-Brocot path of a coprime pair: a matrix's word,
+and a ratio's reduced design.  Above a measured cutoff the products are
+built as a balanced tree, so the large multiplications fall where
+CPython's Karatsuba pays, and the walk starts with half-gcd rounds on the
+top bits.  A kernel that returns a top row builds the tree's spine as
+rows: the left half's top row times the right half's product.  The tree's
+byte leaves and the half-gcd's base peel keep a matrix as two columns,
+each one int of two L-bit lanes (top entry high), so a byte or a run
+updates both rows in one operation.  No lane carries, as L exceeds every
+entry's bit length: a leaf's entries are at most 2**_LEAF_BITS, and a
+peel's at most the larger of its pair.  The walk and the peel read the
+path a byte at a time too: a table of the ratio x / (x + y) names the byte
+whose interval holds it, and a byte step (x, y) <- M^-1 (x, y) is kept
+only when both new values stay positive (at least the peel's floor).  That
+proves the path starts with the byte, as every pair between is a
+nonnegative matrix times the new pair, so a guess that fails costs one run
+step and never a wrong letter.  Inputs are pre-validated by the public
+modules.  All arithmetic is on Python ints, so there is no magnitude
+limit; only a path run too long for one string is refused.
 """
 
 import sys
@@ -34,8 +35,10 @@ BACKEND = "python"
 
 # Cutoffs, each where the fast route overtook its kernel's linear loop when
 # timed on random words and their run lengths (Python 3.11, see CHANGES.md).
-_LEAF_BITS = 128  # word letters per tree leaf
-_WORD_BITS = 64  # word_matrix, stern_pair: word length above which the tree runs
+_LEAF_BITS = 128  # word letters (16 bytes) per tree leaf
+_LETTERS = 24  # word_matrix: word length above which the word is read as bytes
+_WORD_BYTES = 8  # bits_matrix: bytes of m above which the tree runs
+_ROW_BYTES = 384  # stern_pair: bytes of m above which the row tree runs
 _LEAF_ITEMS = 64  # continuant items per tree leaf
 _CONT_ITEMS = 3072  # continuant_pair: list length above which the tree runs
 _HGCD_BITS = 2048  # _pair_word: pair size above which the half-gcd runs
@@ -43,23 +46,34 @@ _PEEL_BITS = 640  # half-gcd: pair size peeled a byte or a run at a time
 
 
 def stern_pair(m):
-    """Return (a_m, a_{m+1}) of the diatomic sequence.
-
-    With n the bit length of m, the matrix of the n-bit word of m is the
-    table quadruple at (n, m), whose top row is (a_{m+1}, a_m); only that
-    row is built.
-    """
-    bits = format(m, "b")
-    if len(bits) > _WORD_BITS:
-        a, b = _row(_word_leaves(bits))
+    """Return (a_m, a_{m+1}) of the diatomic sequence, the top row of the
+    matrix of the word of m, reversed.  The 0s in front of m's bytes leave
+    that row unchanged, so only it is built, over the bytes."""
+    data = m.to_bytes((m.bit_length() + 7) >> 3, "big")
+    if len(data) > _ROW_BYTES:
+        a, b = _row(_leaves(data))
         return b, a
     a, b = 1, 0
-    for ch in bits:
-        if ch == "1":
-            b += a
-        else:
-            a += b
+    for v in data:
+        p, q, r, s = _BYTE_MATRICES[v]
+        a, b = a * p + b * r, a * q + b * s
     return b, a
+
+
+def bits_matrix(m, n):
+    """The matrix of the n-bit word of m, for 0 <= m < 2**n, from m's k bytes,
+    whose word has z = n - 8k fewer 0s in front: U("0")**z = (1 0; z 1), for
+    z of either sign, adds z times the top row to the bottom row."""
+    data = m.to_bytes((m.bit_length() + 7) >> 3, "big")
+    z = n - 8 * len(data)
+    if len(data) > _WORD_BYTES:
+        a, b, c, d = _product(_leaves(data))
+        return a, b, c + z * a, d + z * b
+    a, b, c, d = 1, 0, z, 1
+    for v in data:
+        p, q, r, s = _BYTE_MATRICES[v]
+        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+    return a, b, c, d
 
 
 def continuant_pair(ks):
@@ -77,8 +91,8 @@ def continuant_pair(ks):
 
 def word_matrix(bits):
     """Product of the two generator matrices along a 0/1 word, row-major 2x2."""
-    if len(bits) > _WORD_BITS:
-        return _product(_word_leaves(bits))
+    if len(bits) > _LETTERS:
+        return bits_matrix(int(bits, 2), len(bits))
     a, b, c, d = 1, 0, 0, 1
     for ch in bits:
         if ch == "1":
@@ -207,32 +221,25 @@ def _slot_table():
 _SLOTS = _slot_table()
 
 
-def _word_leaves(bits):
-    """Generator products of the consecutive _LEAF_BITS-letter pieces of a word.
+def _leaves(data):
+    """Generator products of the _LEAF_BITS-letter pieces of a byte string.
 
     Each column of a leaf's matrix is one int of two L-bit lanes, the top
-    entry over the bottom: A = a << L | c and B = b << L | d.  The word is
-    read a byte at a time: the byte's matrix (p q; r s) moves the columns
-    to A p + B r and A q + B s, and the letters after the last whole byte
-    are one addition each.  No lane carries: each letter at most doubles
-    the largest entry, so a leaf's entries are at most 2**_LEAF_BITS < 2**L,
-    and every term of a byte step is at most the entry it adds up to.
+    entry over the bottom: A = a << L | c and B = b << L | d.  A byte's
+    matrix (p q; r s) moves the columns to A p + B r and A q + B s.  No
+    lane carries: each letter at most doubles the largest entry, so a
+    leaf's entries are at most 2**_LEAF_BITS < 2**L, and every term of a
+    byte step is at most the entry it adds up to.
     """
     L = _LEAF_BITS + 1
     mask = (1 << L) - 1
-    cut = len(bits) & -8  # the letters of whole bytes
-    data = int(bits[:cut] or "0", 2).to_bytes(cut >> 3, "big")
+    step = _LEAF_BITS >> 3
     leaves = []
-    for i in range(0, len(bits), _LEAF_BITS):
+    for i in range(0, len(data), step):
         A, B = 1 << L, 1
-        for v in data[i >> 3:(i + _LEAF_BITS) >> 3]:
+        for v in data[i:i + step]:
             p, q, r, s = _BYTE_MATRICES[v]
             A, B = A * p + B * r, A * q + B * s
-        for ch in bits[cut:i + _LEAF_BITS]:  # empty but in the last piece
-            if ch == "1":
-                B += A
-            else:
-                A += B
         leaves.append((A >> L, B >> L, A & mask, B & mask))
     return leaves
 

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._backend import word_matrix
+from ._backend import bits_matrix, word_matrix
 from ._value import Value, _set
-from .design import FiniteDesign, _bits_matrix, _design_of, design_of_theta, euclidean_design
+from .design import FiniteDesign, _design_of, design_of_theta, euclidean_design
 from .errors import (
     DomainError,
     InsufficientBits,
@@ -37,7 +37,7 @@ def assembly_dyadic(m: int, n: int) -> ExtRational:
         raise OutOfRange("need 0 <= m <= 2^n, got m={}, n={}", m, n)
     if m >> n:  # m = 2**n
         return ExtRational.infinity()
-    _, b, _, d = _bits_matrix(m, n)
+    _, b, _, d = bits_matrix(m, n)
     return _ratio(b, d)  # ad - bc = 1 makes b, d coprime, and d >= 1
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from functools import lru_cache
 
 from . import assembly, derivative, design, matrix, quadratic
 from .errors import DesignSyntaxError, DomainError, OutOfRange, _text
@@ -208,6 +209,7 @@ class _Parser(argparse.ArgumentParser):
         return rest
 
 
+@lru_cache(typed=True)  # one parser per process, built on first use
 def build_parser() -> _Parser:
     top = _Parser(prog="diatomic",
                   description="Exact arithmetic on Stern's diatomic table and its assembly map.")

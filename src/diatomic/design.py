@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd, isqrt
 
-from ._backend import _pair_word, continuant_pair, word_matrix
+from ._backend import _pair_word, continuant_pair
 from ._value import Value, _set, trusted
 from .errors import (
     DesignSyntaxError,
@@ -73,6 +73,8 @@ class FiniteDesign(Value):
         _check_kind(n, int)
         if n < 0:
             raise OutOfRange("terminal length must be >= 0, got {}", n)
+        if n > sys.maxsize:  # no string holds the word; _terminal_word would raise
+            raise OutOfRange("a word of more than {} letters is too long to build", sys.maxsize)
         return cls(_terminal_word(n), terminal=True)
 
     @property
@@ -136,16 +138,6 @@ _periodic = trusted(PeriodicDesign)
 def _bits(m: int, n: int) -> str:
     """The n-bit word of m, for 0 <= m < 2**n."""
     return format(m, "b").zfill(n) if n else ""
-
-
-def _bits_matrix(m: int, n: int) -> tuple[int, int, int, int]:
-    """The matrix of the n-bit word of m, for 0 <= m < 2**n, built from m's
-    own bits: the k = n - m.bit_length() leading 0s are U("0")**k =
-    (1 0; k 1), which adds k times the top row to the bottom row."""
-    w = format(m, "b") if m else ""
-    a, b, c, d = word_matrix(w)
-    k = n - len(w)
-    return a, b, c + k * a, d + k * b
 
 
 def _design_of(m: int, n: int) -> FiniteDesign:

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ._backend import stern_pair
-from .design import _bits_matrix
+from ._backend import bits_matrix, stern_pair
 from .errors import OutOfTable, _check_kind
 
 __all__ = ["stern", "sdi", "sdi_quadruple"]
@@ -48,7 +47,7 @@ def sdi_quadruple(depth: int, order: int) -> tuple[int, int, int, int]:
     return _quadruple(depth, order)
 
 
-_quadruple = lru_cache(maxsize=8, typed=True)(lambda n, m: _bits_matrix(m, n))
+_quadruple = lru_cache(maxsize=8, typed=True)(lambda n, m: bits_matrix(m, n))
 sdi_quadruple.cache_info, sdi_quadruple.cache_clear = _quadruple.cache_info, _quadruple.cache_clear
 
 

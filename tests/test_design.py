@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -75,6 +77,22 @@ def test_terminal_of_rejects_a_negative_length(huge):
         with pytest.raises(OutOfRange, match=f"got {text}$"):
             FiniteDesign.terminal_of(n)
     assert FiniteDesign.terminal_of(0) == FiniteDesign("", terminal=True)
+
+
+def test_terminal_of_refuses_a_word_no_string_can_hold():
+    # 2**63 letters would raise MemoryError and 2**64 OverflowError; both are
+    # refused before any part of the word is built
+    tracemalloc.start()
+    try:
+        for n in (sys.maxsize + 1, 2**64):
+            with pytest.raises(OutOfRange) as info:
+                FiniteDesign.terminal_of(n)
+            assert str(info.value) == (f"a word of more than {sys.maxsize} letters"
+                                       " is too long to build")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_parse_periodic_canonicalizes_keeping_theta():

@@ -8,6 +8,7 @@ public values read off the kernels (assembly values, table quadruples,
 quotient pairs, continued fractions) to the same loops and folds at the
 same sizes."""
 
+import importlib
 import math
 import random
 import sys
@@ -105,7 +106,7 @@ def test_no_overflow_at_large_magnitude():
 # sizes a whole number of tree leaves, one letter short of it and one past
 # it; hypothesis draws the seed of the random input, a few examples per size.
 
-LEAF, WORD = _backend._LEAF_BITS, _backend._WORD_BITS
+LEAF, WORD, ROW = _backend._LEAF_BITS, 8 * _backend._WORD_BYTES, 8 * _backend._ROW_BYTES
 LEAF_ITEMS, ITEMS = _backend._LEAF_ITEMS, _backend._CONT_ITEMS
 # 159, 160, 161 and 327 are a leaf and a part of one, and 2 leaves and a part.
 WORD_SIZES = [1, WORD - 1, WORD, WORD + 1, LEAF - 1, LEAF, LEAF + 1, 159, 160, 161, 327,
@@ -273,6 +274,27 @@ def test_a_pair_beside_a_byte_end_starts_with_that_byte():
             assert _backend._peel(x, y, 1)[0][0] == _backend._BYTE_WORDS[first]
 
 
+def test_the_walk_reads_the_byte_beside_a_byte_end(monkeypatch):
+    # The same pairs through the pair walk, whose wrong guess costs only a
+    # run step, so only the byte words it reads show its choice: the first
+    # is byte v + 1 just above the end, byte v just below it.
+    reads = []
+
+    class Recorded(list):
+        def __getitem__(self, v):
+            reads.append(v)
+            return super().__getitem__(v)
+
+    monkeypatch.setattr(_backend, "_BYTE_WORDS", Recorded(_backend._BYTE_WORDS))
+    g = 1 << 20
+    for v in range(1, 254):
+        a, _, c, _ = _backend._BYTE_MATRICES[v]
+        for x, y, first in ((g * a + 1, g * c, v + 1), (g * a - 1, g * c, v)):
+            reads.clear()
+            _backend._pair_word(x, y)
+            assert reads[:1] == [first]
+
+
 # every byte end a/c but that of 11111111, which is 1/0
 BYTE_ENDS = [(a, c) for a, _, c, _ in _backend._BYTE_MATRICES[:255]]
 
@@ -326,10 +348,13 @@ def lane_words(rng, n):
 def test_packed_word_leaves_match_the_linear_loop(n, monkeypatch):
     rng = random.Random(n)
     for w in lane_words(rng, n):
-        pieces = [w[i:i + LEAF] for i in range(0, n, LEAF)]
-        assert _backend._word_leaves(w) == [linear_word_matrix(p) for p in pieces]
+        padded = word_of(int(w, 2), -n % 8 + n)  # the word of its bytes
+        data = int(w, 2).to_bytes(len(padded) >> 3, "big")
+        pieces = [padded[i:i + LEAF] for i in range(0, len(padded), LEAF)]
+        assert _backend._leaves(data) == [linear_word_matrix(p) for p in pieces]
         assert word_matrix(w) == linear_word_matrix(w)
-    monkeypatch.setattr(_backend, "_WORD_BITS", 0)  # every word through the tree
+    monkeypatch.setattr(_backend, "_LETTERS", 0)  # every word through the tree
+    monkeypatch.setattr(_backend, "_WORD_BYTES", 0)
     for w in lane_words(rng, n):
         assert word_matrix(w) == linear_word_matrix(w)
 
@@ -350,10 +375,101 @@ def test_word_matrix_reads_bytes_at_every_length(monkeypatch):
     for n in BYTE_SIZES:
         for w in lane_words(rng, n):
             assert word_matrix(w) == linear_word_matrix(w)
-    monkeypatch.setattr(_backend, "_WORD_BITS", 0)  # short words through the leaves too
+    monkeypatch.setattr(_backend, "_LETTERS", 0)  # short words through the leaves too
+    monkeypatch.setattr(_backend, "_WORD_BYTES", 0)
     for n in BYTE_SIZES:
         for w in lane_words(rng, n):
             assert word_matrix(w) == linear_word_matrix(w)
+
+
+@pytest.mark.parametrize("n", [_backend._LETTERS - 1, _backend._LETTERS, _backend._LETTERS + 1])
+def test_word_matrix_at_its_letter_cutoff(n):
+    # at most _LETTERS letters go one at a time, longer words as their integer
+    for w in lane_words(random.Random(n), n):
+        assert word_matrix(w) == linear_word_matrix(w)
+
+
+# ------------------------------------------------- the integer routes
+#
+# bits_matrix and stern_pair read the k bytes of m.  Their word has
+# z = n - 8k fewer 0s in front than the n-bit word of m, for z of either
+# sign; a top row needs no fix.
+
+
+def integer_cases(rng, n):
+    """m = 0, 2^n - 1, a random n-bit m and a random shorter one."""
+    return [0, (1 << n) - 1, rng.getrandbits(n) | 1 << n >> 1,
+            rng.getrandbits(rng.randrange(n + 1))]
+
+
+def check_integer_routes(m, n):
+    assert _backend.bits_matrix(m, n) == linear_word_matrix(word_of(m, n))
+    assert stern_pair(m) == linear_stern_pair(m)
+
+
+@pytest.mark.parametrize("tree", [False, True])
+def test_integer_routes_match_linear_loops_at_every_bit_length(tree, monkeypatch):
+    # every n to 300, so every pad 8k - n of m's bytes and every m.bit_length() - 8k;
+    # then the same through the trees
+    if tree:
+        monkeypatch.setattr(_backend, "_WORD_BYTES", 0)
+        monkeypatch.setattr(_backend, "_ROW_BYTES", 0)
+    rng = random.Random(38)
+    for n in range(301):
+        for m in integer_cases(rng, n):
+            check_integer_routes(m, n)
+
+
+@pytest.mark.parametrize("cutoff", ["_WORD_BYTES", "_ROW_BYTES", "_LEAF_BITS"])
+def test_integer_routes_at_each_byte_cutoff(cutoff):
+    # one byte short of the cutoff, at it and one past it, at every bit length of each
+    k = getattr(_backend, cutoff) >> (3 if cutoff == "_LEAF_BITS" else 0)
+    rng = random.Random(k)
+    for n in range(8 * k - 15, 8 * k + 9):
+        for m in integer_cases(rng, n):
+            check_integer_routes(m, n)
+
+
+def test_bits_matrix_far_past_the_bits_of_m():
+    # n - m.bit_length() leading 0s, up to 2^64 of them, are (1 0; z 1) times
+    # the matrix of m's own bits
+    rng = random.Random(64)
+    for bits in (0, 1, 7, 8, 9, 60, 64, 65, 200, 3100):
+        m = rng.getrandbits(bits) | 1 << bits >> 1
+        a, b, c, d = linear_word_matrix(format(m, "b") if m else "")
+        for z in (1, 7, 8, 9, 100, 2**32 + 3, 2**64):
+            n = m.bit_length() + z
+            if z < 1000:
+                assert _backend.bits_matrix(m, n) == linear_word_matrix(word_of(m, n))
+            assert _backend.bits_matrix(m, n) == (a, b, c + z * a, d + z * b)
+    assert _backend.bits_matrix(0, 0) == (1, 0, 0, 1)
+
+
+def test_integer_routes_build_no_0_1_string(monkeypatch):
+    # A cost guard: with the letter loop, the word printer and every format
+    # call of the modules on the way refused, the integer routes still
+    # answer at sizes across every cutoff.  (The package's sdi is the
+    # function, which takes its module's name.)
+    assembly, design, sdi = (importlib.import_module(f"diatomic.{name}")
+                             for name in ("assembly", "design", "sdi"))
+    sizes = [1, 13, WORD, WORD + 1, LEAF + 1, ROW, ROW + 1, 5000]
+    rng = random.Random(13)
+    cases = [(m, n, linear_word_matrix(word_of(m, n)), linear_stern_pair(m))
+             for n in sizes for m in integer_cases(rng, n)]
+
+    def refused(*args):
+        raise AssertionError("an integer route built a 0/1 string")
+
+    monkeypatch.setattr(_backend, "word_matrix", refused)
+    monkeypatch.setattr(design, "_bits", refused)
+    for module in (_backend, assembly, design, sdi):
+        monkeypatch.setattr(module, "format", refused, raising=False)
+    sdi_quadruple.cache_clear()
+    for m, n, (a, b, c, d), pair in cases:
+        assert stern_pair(m) == pair
+        assert sdi.stern(m) == sdi.sdi(n, m) == pair[0]
+        assert sdi_quadruple(n, m) == (a, b, c, d)
+        assert assembly_dyadic(m, n) == ExtRational(b, d)
 
 
 # 2^k - 1, 2^k and 2^k + 1 are the all-ones word, a 1 then 0s, and 10...01
@@ -393,17 +509,18 @@ def test_top_row_kernels_build_no_full_product(monkeypatch):
     monkeypatch.setattr(_backend, "_product", counted_product)
     monkeypatch.setattr(_backend, "word_matrix", no_word_matrix)
     rng = random.Random(8)
-    for n in (WORD + 1, LEAF + 1, 4 * LEAF, 10_000, 31_623):
+    for n in (WORD + 1, LEAF + 1, 4 * LEAF, ROW + 1, 10_000, 31_623):
         calls.clear()
         m = rng.getrandbits(n) | 1 << (n - 1)
         assert stern_pair(m) == linear_stern_pair(m)
         assert max(calls, default=0) < math.ceil(n / LEAF)
+        assert bool(calls) == (n > ROW)
     for n in (ITEMS + 1, 4 * ITEMS, 20_000):
         calls.clear()
         ks = [rng.randrange(0, 9) for _ in range(n)]
         assert continuant_pair(ks) == linear_continuant_pair(ks)
         assert 0 < max(calls) < math.ceil(n / LEAF_ITEMS)
-    for n in range(1, WORD + 1):
+    for n in (*range(1, WORD + 1), ROW):
         m = rng.getrandbits(n) | 1 << (n - 1)
         assert stern_pair(m) == linear_stern_pair(m)
 
@@ -447,7 +564,7 @@ def test_matrix_word_cost_stays_within_its_bounds(monkeypatch):
     # between two base peels, so each peel may add one to the word's runs;
     # and most chunks are bytes of eight letters, where a random word has a
     # run for every two letters.
-    half, peel, leaves = _backend._half, _backend._peel, _backend._word_leaves
+    half, peel, leaves = _backend._half, _backend._peel, _backend._leaves
     seen = {}
 
     def counted_half(x, y):
@@ -465,14 +582,14 @@ def test_matrix_word_cost_stays_within_its_bounds(monkeypatch):
         seen["peel_bits"] = max(seen["peel_bits"], x.bit_length(), y.bit_length())
         return out
 
-    def counted_leaves(bits):
-        out = leaves(bits)
+    def counted_leaves(data):
+        out = leaves(data)
         seen["leaves"].append(len(out))
         return out
 
     monkeypatch.setattr(_backend, "_half", counted_half)
     monkeypatch.setattr(_backend, "_peel", counted_peel)
-    monkeypatch.setattr(_backend, "_word_leaves", counted_leaves)
+    monkeypatch.setattr(_backend, "_leaves", counted_leaves)
     rng = random.Random(10)
     for n in (10_000, 31_623, 100_000):
         w = random_bits(rng, n)
