@@ -17,14 +17,16 @@ each one int of two L-bit lanes (top entry high), so a byte or a run
 updates both rows in one operation.  No lane carries, as L exceeds every
 entry's bit length: a leaf's entries are at most 2**_LEAF_BITS, and a
 peel's at most the larger of its pair.  The walk and the peel read the
-path a byte at a time too: a table of the ratio x / (x + y) names the byte
-whose interval holds it, and a byte step (x, y) <- M^-1 (x, y) is kept
+path a byte at a time too: a table guesses the byte from the slot of the
+ratio x / (x + y) alone, and a byte step (x, y) <- M^-1 (x, y) is kept
 only when both new values stay positive (at least the peel's floor).  That
 proves the path starts with the byte, as every pair between is a
-nonnegative matrix times the new pair, so a guess that fails costs one run
-step and never a wrong letter.  Inputs are pre-validated by the public
-modules.  All arithmetic is on Python ints, so there is no magnitude
-limit; only a path run too long for one string is refused.
+nonnegative matrix times the new pair, so a wrong guess costs one run step
+and never a wrong letter.  Both loops take a run of 1s by one division,
+j = (x - floor) // y letters, the most that keep x >= floor (floor 1 in
+the walk), and a run of 0s likewise.  Inputs are pre-validated by the
+public modules.  All arithmetic is on Python ints, so there is no
+magnitude limit; only a path run too long for one string is refused.
 """
 
 import sys
@@ -135,9 +137,6 @@ def _pair_word(x, y):
             out += prefix
     while x != y and (x | y) >> 12:
         v = _SLOTS[(x << 12) // (x + y)]
-        if v < 0:  # the slot holds byte ~v's upper end, a/c: which side is x/y on?
-            a, _, c, _ = _BYTE_MATRICES[~v]
-            v = ~v + (x * c > y * a)
         if 0 < v < 255:
             a, b, c, d = _BYTE_MATRICES[v]
             x1, y1 = d * x - b * y, a * y - c * x
@@ -201,20 +200,17 @@ _BYTE_MATRICES = [word_matrix(w) for w in _BYTE_WORDS]
 
 
 def _slot_table():
-    """The byte of each of the 2**12 slots of x / (x + y).
-
-    Byte v's matrix (a b; c d) maps the positive pairs onto the x/y
-    interval (b/d, a/c), and the bytes in order tile (0, inf).  A slot lies
-    inside one byte's interval, whose v it holds, or one byte end a/c splits
-    it, and it holds ~v; adjacent ends are more than 2**-12 apart in x/(x+y).
+    """The byte of each of the 2**12 slots of x / (x + y): the one whose
+    interval holds the slot's upper end.  Byte v's matrix (a b; c d) maps
+    the positive pairs onto the x/y interval (b/d, a/c), the bytes in order
+    tile (0, inf), and slot u ends at (u + 1) / 2**12 <= a / (a + c) exactly
+    when u < 2**12 a // (a + c).  Byte ends are more than 2**-12 apart, so
+    every byte owns a slot, and a slot's pairs lie in its byte or the one below.
     """
     slots = []
     for v in range(255):
         a, _, c, _ = _BYTE_MATRICES[v]
-        u, split = divmod(a << 12, a + c)  # the slot of a/c, which it splits unless it starts there
-        slots += [v] * (u - len(slots))
-        if split:
-            slots.append(~v)
+        slots += [v] * ((a << 12) // (a + c) - len(slots))
     return slots + [255] * (4096 - len(slots))
 
 
@@ -326,9 +322,6 @@ def _peel(x, y, floor):
     P, Q = 1 << L, 1
     while True:
         v = _SLOTS[(x << 12) // (x + y)]
-        if v < 0:  # the slot holds byte ~v's upper end, a/c: which side is x/y on?
-            a, _, c, _ = _BYTE_MATRICES[~v]
-            v = ~v + (x * c > y * a)
         if 0 < v < 255:
             a, b, c, d = _BYTE_MATRICES[v]
             x1, y1 = d * x - b * y, a * y - c * x
@@ -337,32 +330,14 @@ def _peel(x, y, floor):
                 P, Q = P * a + Q * c, P * b + Q * d
                 chunks.append(_BYTE_WORDS[v])
                 continue
-        if x > y:
-            x -= y
-            if x < floor:
-                x += y
-                break
-            if x - y < floor:
-                Q += P
-                chunks.append("1")
-                continue
+        if x - y >= floor:  # the run of 1s that keeps x >= floor
             j = (x - floor) // y
             x -= j * y
-            j += 1
             Q += j * P
             chunks.append("1" * j)
-        elif y > x:
-            y -= x
-            if y < floor:
-                y += x
-                break
-            if y - x < floor:
-                P += Q
-                chunks.append("0")
-                continue
+        elif y - x >= floor:
             j = (y - floor) // x
             y -= j * x
-            j += 1
             P += j * Q
             chunks.append("0" * j)
         else:

@@ -17,6 +17,7 @@ the reduced value, and a sample is one normalisation.
 from __future__ import annotations
 
 import enum
+import sys
 from fractions import Fraction
 
 from ._backend import continuant_pair, word_matrix
@@ -37,6 +38,8 @@ def fib_continuant(m: int) -> int:
     _check_kind(m, int)
     if m < 1:
         raise ZeroLength("need m >= 1, got {}", m)
+    if m > sys.maxsize:  # no list holds m ones: [1] * m would raise OverflowError
+        raise OutOfRange("need m <= {}, got {}", sys.maxsize, m)
     return continuant_pair([1] * m)[1]
 
 

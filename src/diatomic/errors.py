@@ -49,9 +49,10 @@ def _most_bits(x) -> int:
 
 def _width(x) -> int:
     """A lower bound on the length of x as a list prints it, found without
-    printing x: a text by its length, a tuple or list by its items' bounds
-    and two characters each, an int by its bit length, anything else as 0."""
-    if isinstance(x, str):
+    printing x: a text, bytes, dict or set by its length (a character per
+    item at least), a tuple or list by its items' bounds and two characters
+    each, an int by its bit length, anything else as 0."""
+    if isinstance(x, (str, bytes, bytearray, dict, set, frozenset)):
         return len(x)
     if isinstance(x, (tuple, list)):
         return 2 * len(x) + sum(map(_width, x))

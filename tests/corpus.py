@@ -23,6 +23,7 @@ import contextlib
 import difflib
 import hashlib
 import io
+import math
 import os
 import random
 import subprocess
@@ -276,7 +277,10 @@ def values():
     design_of_matrix, euclidean_design and assembly_inverse on seeded pairs
     of 12 to 4,200 bits, from where the pair walk reads bytes to past the
     half-gcd's cutoff, and assembly_dyadic and sdi_quadruple at depths of
-    2**63 and more."""
+    2**63 and more.  Last, euclidean_design and assembly_inverse on coprime
+    pairs just above and just below each byte end a/c, near 2**12 (a, c):
+    at 233 of the 254 ends both share a table slot, and the byte guessed
+    for it is wrong on one side."""
     ts = list(dict.fromkeys(Fraction(a, q) for q in range(1, 64) for a in range(q + 1)))
     designs = []
     for t in ts:
@@ -326,6 +330,14 @@ def values():
         yield call("assembly_dyadic", assembly_dyadic, m, n)
     for n, m in [(2**63, 0), (2**63, 2), (2**100, 2**99 + 1)]:
         yield call("sdi_quadruple", sdi_quadruple, n, m)
+    for v in range(1, 255):
+        end = sdm(FiniteDesign(format(v, "08b")))  # byte v's matrix; its x/y interval ends at a/c
+        for e in (1, -1):
+            x, y = 4096 * end.a + e, 4096 * end.c
+            while math.gcd(x, y) != 1:
+                y -= e
+            yield call("euclidean_design", euclidean_design, x, y)
+            yield call("assembly_inverse", assembly_inverse, ExtRational(x, y))
 
 
 def _tail_ends(ks) -> tuple:

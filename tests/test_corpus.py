@@ -52,7 +52,7 @@ DIGESTS = {
         "e2816074d3ff5bbc", "feb0464c6a7148ec", "47728fe8dddda727", "865aa3b63247714e",
         "b6cc0244aad9d059", "167a665cc11b68a5", "d0761ec57d9f8591", "40e9b665295008ad",
         "b08e9b8b0444cf46", "0a4de4a9eea320a4", "2c90d17de41ebf30", "e6b18c73981e593e",
-        "5b0fefc4290da560",
+        "950645ac8de3fbb5", "251760abe1d6699a", "27aa167f651ee890", "0071e4ee662de774",
     ],
     "runs": [
         "d526bbdc8e4fb926", "74c0ae85ca1ffc32", "3edd38b209f0d71c", "eca1c8c7bfcbd165",

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,20 @@ def test_fib_continuant_values():
         assert fib_continuant(m) == fib(m + 1)
     with pytest.raises(ZeroLength):
         fib_continuant(0)
+
+
+def test_fib_continuant_refuses_more_ones_than_a_list_can_hold():
+    # [1] * m past sys.maxsize would raise OverflowError; such an m is
+    # refused before any part of the list is built
+    tracemalloc.start()
+    try:
+        for m in (sys.maxsize + 1, 2**64 + 1, 2**2000):
+            with pytest.raises(OutOfRange, match=rf"^need m <= {sys.maxsize}, got "):
+                fib_continuant(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_fib_continuant_golden_lower_bound():

@@ -238,61 +238,114 @@ def test_matrix_word_rejects_big_non_monoid_matrices():
             matrix_word(*bad)
 
 
-def test_each_slot_lies_inside_its_bytes():
-    # Slot u holds the pairs with u <= 2**12 x / (x + y) < u + 1, so its x/y
-    # range is [u / (2**12 - u), (u + 1) / (2**12 - 1 - u)); byte v's matrix
-    # (a b; c d) spans b/d <= x/y <= a/c.  A split slot holds ~v, and the end
-    # a/c of byte v lies strictly inside it.
-    def span(v):
-        a, b, c, d = _backend._BYTE_MATRICES[v]
-        return Fraction(b, d), Fraction(a, c) if c else math.inf
-
+def test_each_slot_ends_in_its_byte_and_each_byte_owns_a_slot():
+    # Slot u holds the pairs with u <= 2**12 x / (x + y) < u + 1, so it ends
+    # at x/y = (u + 1) / (2**12 - 1 - u); byte v's matrix (a b; c d) spans
+    # b/d < x/y <= a/c.  The slot holds the byte whose span holds its end.
     slots = _backend._SLOTS
     assert len(slots) == 1 << 12
-    splits = 0
     for u, v in enumerate(slots):
-        lo = Fraction(u, 4096 - u)
-        hi = Fraction(u + 1, 4095 - u) if u < 4095 else math.inf
-        if v < 0:
-            (start, cut), (_, end) = span(~v), span(~v + 1)
-            assert lo < cut < hi
-            splits += 1
-        else:
-            start, end = span(v)
-        assert start <= lo and hi <= end
-    assert splits > 200
+        a, b, c, d = _backend._BYTE_MATRICES[v]
+        end = Fraction(u + 1, 4095 - u) if u < 4095 else math.inf
+        assert Fraction(b, d) < end <= (Fraction(a, c) if c else math.inf)
+    assert sorted(set(slots)) == list(range(256))
+
+
+def _pairs_beside_byte_ends():
+    # g (a, c) + (1, 0) lies just above the end a/c of byte v, where the path
+    # starts with byte v + 1, and g (a, c) - (1, 0) just below it, where it
+    # starts with byte v.  Both pairs most often share a slot, whose guess
+    # then fails on one side: there a run step must take over.
+    g = 1 << 20
+    for v in range(1, 255):
+        a, _, c, _ = _backend._BYTE_MATRICES[v]
+        yield g * a + 1, g * c, v + 1
+        yield g * a - 1, g * c, v
 
 
 def test_a_pair_beside_a_byte_end_starts_with_that_byte():
-    # Just above the end a/c of byte v the path starts with byte v + 1, just
-    # below it with byte v.  Where a/c splits a slot, the cross-multiplication
-    # must pick that byte, or the peel's first chunk is a run.
-    g = 1 << 20
-    for v in range(1, 254):
-        a, _, c, _ = _backend._BYTE_MATRICES[v]
-        for x, y, first in ((g * a + 1, g * c, v + 1), (g * a - 1, g * c, v)):
-            assert _backend._peel(x, y, 1)[0][0] == _backend._BYTE_WORDS[first]
+    # The peel, at floor 2**10 and at 1, matches the scalar peel in joined
+    # word, matrix and end pair.  At floor 1, which the peel does not stop
+    # short of, that word starts with the byte beside the end, whichever
+    # step took its letters.
+    for x, y, first in _pairs_beside_byte_ends():
+        for floor in (1 << 10, 1):
+            chunks, mat, *end = _backend._peel(x, y, floor)
+            runs, want_mat, *want_end = scalar_peel(x, y, floor)
+            assert ("".join(chunks), mat, end) == ("".join(runs), want_mat, want_end)
+        assert "".join(chunks).startswith(_backend._BYTE_WORDS[first])
 
 
-def test_the_walk_reads_the_byte_beside_a_byte_end(monkeypatch):
-    # The same pairs through the pair walk, whose wrong guess costs only a
-    # run step, so only the byte words it reads show its choice: the first
-    # is byte v + 1 just above the end, byte v just below it.
-    reads = []
+def test_the_walk_reads_the_byte_beside_a_byte_end():
+    # The same pairs through the pair walk.  At floor 1 the scalar peel
+    # spells the whole path of the reduced pair, to (d, d), which the walk
+    # must spell too, starting with the byte beside the end; the paths have
+    # runs of about 2**20 letters, too long for greedy_matrix_word.
+    for x, y, first in _pairs_beside_byte_ends():
+        runs, _, *end = scalar_peel(x, y, 1)
+        d = math.gcd(x, y)
+        assert end == [d, d]
+        word = _backend._pair_word(x, y)
+        assert word == "".join(runs)
+        assert word.startswith(_backend._BYTE_WORDS[first])
 
-    class Recorded(list):
-        def __getitem__(self, v):
-            reads.append(v)
-            return super().__getitem__(v)
 
-    monkeypatch.setattr(_backend, "_BYTE_WORDS", Recorded(_backend._BYTE_WORDS))
-    g = 1 << 20
-    for v in range(1, 254):
-        a, _, c, _ = _backend._BYTE_MATRICES[v]
-        for x, y, first in ((g * a + 1, g * c, v + 1), (g * a - 1, g * c, v)):
-            reads.clear()
-            _backend._pair_word(x, y)
-            assert reads[:1] == [first]
+@pytest.mark.parametrize("floor", [1, 2, 3, 1 << 10, (1 << 64) + 1])
+def test_a_run_that_reaches_the_floor(floor):
+    # x = floor + j y + e takes j 1s down to floor + e: exactly the floor
+    # (e = 0), one past it (e = 1), or one below, where the run stops a
+    # letter short (e = -1); j = 1 is a single letter.  y runs from the
+    # floor to 40 floor, so that a byte step takes some of these letters and
+    # the run step, where the guess fails, the rest.  (y, x) mirrors to 0s.
+    ks = (2, 7, 8, 9, 40)
+    for y in (*range(floor, floor + 4), *(k * floor + e for k in ks for e in (-1, 0, 1))):
+        for j in (1, 2, 3, 7, 100):
+            for e in (-1, 0, 1):
+                x = floor + j * y + e
+                for pair in ((x, y), (y, x)):
+                    chunks, mat, *end = _backend._peel(*pair, floor)
+                    runs, want_mat, *want_end = scalar_peel(*pair, floor)
+                    assert ("".join(chunks), mat, end) == ("".join(runs), want_mat, want_end)
+
+
+def test_the_walk_rarely_guesses_a_wrong_byte():
+    # A cost guard that needs no clock: a wrong table slows the walk but
+    # spells the same word.  A guess reads _BYTE_MATRICES, and only a kept
+    # one then reads _BYTE_WORDS; the half-gcd's own reads are not counted.
+    # On short words, as in a table sweep, and on words of 1,000 to 5,623
+    # letters, under 4% of the guesses fail (about 3%).
+    reads = {"guesses": 0, "kept": 0}
+    counting = [True]
+
+    def recorded(table, key):
+        class Recorded(list):
+            def __getitem__(self, v):
+                reads[key] += counting[0]
+                return super().__getitem__(v)
+        return Recorded(table)
+
+    half = _backend._half
+
+    def uncounted_half(x, y):
+        counting[0] = False
+        try:
+            return half(x, y)
+        finally:
+            counting[0] = True
+
+    rng = random.Random(11)
+    short = [rng.randrange(20, 121) for _ in range(1000)]
+    for lengths in (short, [1000, 1778, 3162, 5623] * 3):
+        mats = [(w, word_matrix(w)) for w in (random_bits(rng, n) for n in lengths)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_backend, "_BYTE_MATRICES", recorded(_backend._BYTE_MATRICES, "guesses"))
+            mp.setattr(_backend, "_BYTE_WORDS", recorded(_backend._BYTE_WORDS, "kept"))
+            mp.setattr(_backend, "_half", uncounted_half)
+            reads.update(guesses=0, kept=0)
+            for w, mat in mats:
+                assert matrix_word(*mat) == w
+        assert reads["guesses"] > len(lengths)
+        assert reads["guesses"] - reads["kept"] < 0.04 * reads["guesses"]
 
 
 # every byte end a/c but that of 11111111, which is 1/0
@@ -305,8 +358,8 @@ BYTE_ENDS = [(a, c) for a, _, c, _ in _backend._BYTE_MATRICES[:255]]
 def test_pair_walk_matches_the_greedy_word(bits, seed):
     # The byte step runs once the pair has 13 bits, and the half-gcd above
     # its cutoff.  The pairs: a random one; g (a, c) + (e, f) with e, f in
-    # {-1, 0, 1}, on or next to a byte end a/c and so on or beside a split
-    # slot (its path has a run of about g letters, so g stays short); and a
+    # {-1, 0, 1}, on or next to a byte end a/c, where the slot's guess can
+    # fail (its path has a run of about g letters, so g stays short); and a
     # random pair times a common factor, whose walk ends at an equal pair.
     # A coprime pair's word is also its monoid matrix's word.
     rng = random.Random(seed)

@@ -422,10 +422,13 @@ def test_a_tuple_or_list_past_64_characters_is_named_by_its_size():
         assert str(DomainError("got {}", x)) == f"got {shown}"
 
 
-@pytest.mark.parametrize("item", [[1] * 10**6, "x" * 10**6], ids=["list", "str"])
+@pytest.mark.parametrize("item", [[1] * 10**6, "x" * 10**6, b"x" * 10**6, bytearray(10**6),
+                                  dict.fromkeys(range(10**5)), set(range(10**5))],
+                         ids=["list", "str", "bytes", "bytearray", "dict", "set"])
 def test_a_short_list_is_measured_before_it_is_printed(item):
     # a list of one long item prints in megabytes: its least width, found
-    # from the item's length, names it without building that text
+    # from the item's length (a character per item at least), names it
+    # without building that text
     tracemalloc.start()
     try:
         with pytest.raises(MalformedRuns, match=r"^runs must be integers: <tuple of length 1, "):
